@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_write
 from .mobility import sample_trajectory
 from .phy import ChannelSnapshot, Codebook
 from .scene import ChannelGrid, Scene, snap_positions
@@ -294,36 +295,39 @@ def make_dataset(
 # file format
 
 
+# metadata keys written from and read back into the ``Dataset`` fields of the same name
+_META_KEYS = (
+    "scene_digest",
+    "seed",
+    "source_bs",
+    "target_rsu",
+    "split_ratios",
+    "dropped_trajectories",
+)
+
+
 def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     t, k = dataset.history, dataset.horizon
-    f = dataset.feature_dim
+    f, n = dataset.feature_dim, len(dataset.samples)
     meta = {
-        "scene_digest": dataset.scene_digest,
-        "seed": dataset.seed,
-        "source_bs": dataset.source_bs,
-        "target_rsu": dataset.target_rsu,
-        "split_ratios": list(dataset.split_ratios),
-        "dropped_trajectories": dataset.dropped_trajectories,
+        **{key: getattr(dataset, key) for key in _META_KEYS},
         "config_hash": config_hash,
         **dataset.extra_metadata,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack(
-        "<IIIIII", FORMAT_VERSION, dataset.num_beams, f, t, k, len(dataset.samples)
-    )
-    blob += dataset.feature_mean.astype("<f8").tobytes()
-    blob += dataset.feature_std.astype("<f8").tobytes()
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    for s in dataset.samples:
-        if s.features.shape != (t, f) or s.labels.shape != (k,):
-            raise ValueError("sample shape does not match dataset header")
-        blob += s.features.astype("<f4").tobytes()
-        blob += s.labels.astype("<u2").tobytes()
-        blob += struct.pack("<II", s.trajectory_id, s.start_slot)
-    Path(path).write_bytes(bytes(blob))
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IIIIII", FORMAT_VERSION, dataset.num_beams, f, t, k, n))
+        fh.write(dataset.feature_mean.astype("<f8").tobytes())
+        fh.write(dataset.feature_std.astype("<f8").tobytes())
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        for s in dataset.samples:
+            if s.features.shape != (t, f) or s.labels.shape != (k,):
+                raise ValueError("sample shape does not match dataset header")
+            fh.write(s.features.astype("<f4").tobytes())
+            fh.write(s.labels.astype("<u2").tobytes())
+            fh.write(struct.pack("<II", s.trajectory_id, s.start_slot))
 
 
 def load_dataset(path) -> Dataset:
@@ -348,7 +352,12 @@ def load_dataset(path) -> Dataset:
     chunk, off = take(off, 4)
     (meta_len,) = struct.unpack("<I", chunk)
     chunk, off = take(off, meta_len)
-    meta = json.loads(chunk.decode())
+    try:
+        meta = json.loads(chunk.decode())
+        header = {key: meta[key] for key in _META_KEYS}
+        header["split_ratios"] = tuple(header["split_ratios"])
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
     samples = []
     feat_bytes = 4 * t * f
     label_bytes = 2 * k
@@ -366,14 +375,6 @@ def load_dataset(path) -> Dataset:
         )
     if off != len(buf):
         raise DatasetFormatError(f"{len(buf) - off} trailing bytes")
-    known = {
-        "scene_digest",
-        "seed",
-        "source_bs",
-        "target_rsu",
-        "split_ratios",
-        "dropped_trajectories",
-    }
     return Dataset(
         samples=samples,
         feature_mean=mean,
@@ -381,11 +382,6 @@ def load_dataset(path) -> Dataset:
         num_beams=x,
         history=t,
         horizon=k,
-        source_bs=meta["source_bs"],
-        target_rsu=meta["target_rsu"],
-        seed=meta["seed"],
-        scene_digest=meta["scene_digest"],
-        split_ratios=tuple(meta["split_ratios"]),
-        dropped_trajectories=meta["dropped_trajectories"],
-        extra_metadata={k_: v for k_, v in meta.items() if k_ not in known},
+        **header,
+        extra_metadata={k_: v for k_, v in meta.items() if k_ not in header},
     )

@@ -10,10 +10,13 @@ Layout (little-endian throughout):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .._files import atomic_write
 
 __all__ = ["CheckpointError", "save_tensors", "load_tensors", "FORMAT_VERSION"]
 
@@ -26,21 +29,20 @@ class CheckpointError(RuntimeError):
 
 
 def save_tensors(path, named_tensors: list[tuple[str, np.ndarray]], metadata: dict) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", FORMAT_VERSION, len(named_tensors))
-    for name, tensor in named_tensors:
-        arr = np.ascontiguousarray(tensor, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.astype("<f8").tobytes()
+    """Write the tensors and metadata to ``path``, replacing it atomically."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    Path(path).write_bytes(bytes(blob))
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(named_tensors)))
+        for name, tensor in named_tensors:
+            arr = np.ascontiguousarray(tensor, dtype=np.float64)
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_bytes)))
+            fh.write(name_bytes)
+            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr.astype("<f8", copy=False).data)
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
 
 
 def _take(buf: bytes, offset: int, count: int) -> tuple[bytes, int]:
@@ -69,7 +71,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         (rank,) = struct.unpack("<I", chunk)
         chunk, off = _take(buf, off, 4 * rank)
         dims = struct.unpack(f"<{rank}I", chunk)
-        n_values = int(np.prod(dims)) if rank else 1
+        # Python ints: corrupt dims must read as truncation, not overflow.
+        n_values = math.prod(dims)
         chunk, off = _take(buf, off, 8 * n_values)
         tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
     chunk, off = _take(buf, off, 4)

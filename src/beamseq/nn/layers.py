@@ -62,28 +62,20 @@ class EmbeddingParams:
 
 @dataclass
 class LSTMParams:
-    """One LSTM cell, gates kept separate: input i, forget f, cell g, output o."""
+    """One LSTM cell with its gates fused, stacked in the order input i,
+    forget f, cell g, output o: rows ``k*H:(k+1)*H`` belong to gate k."""
 
-    wx_i: np.ndarray  # (H, D)
-    wx_f: np.ndarray
-    wx_g: np.ndarray
-    wx_o: np.ndarray
-    wh_i: np.ndarray  # (H, H)
-    wh_f: np.ndarray
-    wh_g: np.ndarray
-    wh_o: np.ndarray
-    b_i: np.ndarray  # (H,)
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    wx: np.ndarray  # (4H, D)
+    wh: np.ndarray  # (4H, H)
+    b: np.ndarray  # (4H,)
 
     @property
     def hidden_size(self) -> int:
-        return self.wx_i.shape[0]
+        return self.wh.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.wx_i.shape[1]
+        return self.wx.shape[1]
 
 
 @dataclass
@@ -133,14 +125,12 @@ def init_embedding(rng: np.random.Generator, vocab: int, dim: int) -> EmbeddingP
 
 
 def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> LSTMParams:
-    # Forget-gate bias starts at 1.0 for a stable memory path.
-    wx = {g: _uniform(rng, (hidden, input_dim), input_dim) for g in "ifgo"}
-    wh = {g: _uniform(rng, (hidden, hidden), hidden) for g in "ifgo"}
+    # One draw per gate, input weights first, so a seed gives the weights of
+    # per-gate draws. Forget-gate bias starts at 1.0 for a stable memory path.
     return LSTMParams(
-        wx_i=wx["i"], wx_f=wx["f"], wx_g=wx["g"], wx_o=wx["o"],
-        wh_i=wh["i"], wh_f=wh["f"], wh_g=wh["g"], wh_o=wh["o"],
-        b_i=np.zeros(hidden), b_f=np.ones(hidden),
-        b_g=np.zeros(hidden), b_o=np.zeros(hidden),
+        wx=np.concatenate([_uniform(rng, (hidden, input_dim), input_dim) for _ in "ifgo"]),
+        wh=np.concatenate([_uniform(rng, (hidden, hidden), hidden) for _ in "ifgo"]),
+        b=np.concatenate([np.zeros(hidden), np.ones(hidden), np.zeros(2 * hidden)]),
     )
 
 
@@ -199,13 +189,8 @@ def embedding_backward(cache, grad_y: np.ndarray):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Branch-free and overflow-free: tanh saturates where exp would overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -217,43 +202,32 @@ def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: 
         raise ValueError(
             f"lstm shapes: x {x.shape} vs D={p.input_size}, h {h_prev.shape} vs H={p.hidden_size}"
         )
-    i = _sigmoid(x @ p.wx_i.T + h_prev @ p.wh_i.T + p.b_i)
-    f = _sigmoid(x @ p.wx_f.T + h_prev @ p.wh_f.T + p.b_f)
-    g = np.tanh(x @ p.wx_g.T + h_prev @ p.wh_g.T + p.b_g)
-    o = _sigmoid(x @ p.wx_o.T + h_prev @ p.wh_o.T + p.b_o)
+    z_i, z_f, z_g, z_o = np.split(x @ p.wx.T + h_prev @ p.wh.T + p.b, 4, axis=1)
+    i, f, g, o = _sigmoid(z_i), _sigmoid(z_f), np.tanh(z_g), _sigmoid(z_o)
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
     if not np.all(np.isfinite(h)):
         raise NumericError("non-finite LSTM activation")
-    cache = (p, x, h_prev, c_prev, i, f, g, o, c, tc)
+    cache = (p, x, h_prev, c_prev, i, f, g, o, tc)
     return h, c, cache
 
 
 def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     """Backward through one step; returns (param grads, dx, dh_prev, dc_prev)."""
-    p, x, h_prev, c_prev, i, f, g, o, c, tc = cache
-    do = grad_h * tc
+    p, x, h_prev, c_prev, i, f, g, o, tc = cache
     dc = grad_c + grad_h * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dz_i = di * i * (1.0 - i)
-    dz_f = df * f * (1.0 - f)
-    dz_g = dg * (1.0 - g * g)
-    dz_o = do * o * (1.0 - o)
-
-    grads = LSTMParams(
-        wx_i=dz_i.T @ x, wx_f=dz_f.T @ x, wx_g=dz_g.T @ x, wx_o=dz_o.T @ x,
-        wh_i=dz_i.T @ h_prev, wh_f=dz_f.T @ h_prev,
-        wh_g=dz_g.T @ h_prev, wh_o=dz_o.T @ h_prev,
-        b_i=dz_i.sum(axis=0), b_f=dz_f.sum(axis=0),
-        b_g=dz_g.sum(axis=0), b_o=dz_o.sum(axis=0),
+    dz = np.concatenate(
+        [
+            dc * g * i * (1.0 - i),  # input gate
+            dc * c_prev * f * (1.0 - f),  # forget gate
+            dc * i * (1.0 - g * g),  # cell candidate
+            grad_h * tc * o * (1.0 - o),  # output gate
+        ],
+        axis=1,
     )
-    dx = dz_i @ p.wx_i + dz_f @ p.wx_f + dz_g @ p.wx_g + dz_o @ p.wx_o
-    dh_prev = dz_i @ p.wh_i + dz_f @ p.wh_f + dz_g @ p.wh_g + dz_o @ p.wh_o
-    dc_prev = dc * f
-    return grads, dx, dh_prev, dc_prev
+    grads = LSTMParams(wx=dz.T @ x, wh=dz.T @ h_prev, b=dz.sum(axis=0))
+    return grads, dz @ p.wx, dz @ p.wh, dc * f
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import atomic_write
 from .phy import ArrayGeometry, ChannelSnapshot, OutageError, PathComponent
 
 __all__ = [
@@ -549,7 +550,9 @@ class ChannelGrid:
             payload[f"{bs_id}__aoas"] = self.path_aoas[bs_id]
             payload[f"{bs_id}__valid"] = self.path_valid[bs_id]
             payload[f"{bs_id}__snapshots"] = self.snapshots[bs_id]
-        np.savez_compressed(path, **payload)
+        # A file handle, not a path: given a path, numpy appends ".npz".
+        with atomic_write(path) as fh:
+            np.savez_compressed(fh, **payload)
 
     @classmethod
     def load(cls, path) -> "ChannelGrid":

@@ -83,12 +83,10 @@ class Seq2SeqModel:
     _LAYERS = ("enc_in", "enc_l1", "enc_l2", "emb", "dec_l1", "dec_l2", "att", "out")
 
     def named_params(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        for layer in self._LAYERS:
-            named.update(params_items(getattr(self, layer), prefix=f"{layer}."))
-        return named
+        return self.grads_to_dict({layer: getattr(self, layer) for layer in self._LAYERS})
 
     def grads_to_dict(self, grads: dict) -> dict[str, np.ndarray]:
+        """``{"layer.field": array}`` for a ``{layer: parameter dataclass}`` dict."""
         named: dict[str, np.ndarray] = {}
         for layer in self._LAYERS:
             named.update(params_items(grads[layer], prefix=f"{layer}."))
@@ -177,6 +175,21 @@ def _encode_backward(model, cache, d_states, d_finals, grads):
     accumulate_params(grads["enc_in"], g_dense)
 
 
+def _decoder_step(
+    model: Seq2SeqModel, enc: EncoderOutput, tokens, carry, training: bool, rng=None
+):
+    """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention, output projection
+    from ``carry = (h1, c1, h2, c2)``; returns (logits, next carry, caches)."""
+    h1, c1, h2, c2 = carry
+    embedded, ecache = nn.embedding_forward(model.emb, tokens)
+    h1, c1, cache1 = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
+    mid, drop_cache = nn.dropout_forward(h1, model.hyper.dropout, rng, training)
+    h2, c2, cache2 = nn.lstm_cell_forward(model.dec_l2, mid, h2, c2)
+    _, _, combined, acache = nn.attention_forward(model.att, h2, enc.states)
+    logits, ocache = nn.dense_forward(model.out, combined)
+    return logits, (h1, c1, h2, c2), (ecache, cache1, drop_cache, cache2, acache, ocache)
+
+
 def _decode_teacher_batch(
     model: Seq2SeqModel,
     enc: EncoderOutput,
@@ -194,18 +207,13 @@ def _decode_teacher_batch(
         [np.full(b, hp.start_token, dtype=np.int64), targets[:, :-1]]
     )
     logits = np.empty((b, k_steps, hp.num_beams))
-    h1, c1 = enc.h1.copy(), enc.c1.copy()
-    h2, c2 = enc.h2.copy(), enc.c2.copy()
+    carry = (enc.h1, enc.c1, enc.h2, enc.c2)
     step_caches = []
     for k in range(k_steps):
-        embedded, ecache = nn.embedding_forward(model.emb, tokens[:, k])
-        h1, c1, cache1 = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
-        mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng, training)
-        h2, c2, cache2 = nn.lstm_cell_forward(model.dec_l2, mid, h2, c2)
-        _, _, combined, acache = nn.attention_forward(model.att, h2, enc.states)
-        step_logits, ocache = nn.dense_forward(model.out, combined)
-        logits[:, k, :] = step_logits
-        step_caches.append((ecache, cache1, drop_cache, cache2, acache, ocache))
+        logits[:, k, :], carry, cache = _decoder_step(
+            model, enc, tokens[:, k], carry, training, rng
+        )
+        step_caches.append(cache)
     return logits, step_caches
 
 
@@ -239,14 +247,9 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput, horizon: int):
     b = enc.states.shape[0]
     tokens = np.full(b, hp.start_token, dtype=np.int64)
     labels = np.empty((b, horizon), dtype=np.int64)
-    h1, c1 = enc.h1.copy(), enc.c1.copy()
-    h2, c2 = enc.h2.copy(), enc.c2.copy()
+    carry = (enc.h1, enc.c1, enc.h2, enc.c2)
     for k in range(horizon):
-        embedded, _ = nn.embedding_forward(model.emb, tokens)
-        h1, c1, _ = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
-        h2, c2, _ = nn.lstm_cell_forward(model.dec_l2, h1, h2, c2)
-        _, _, combined, _ = nn.attention_forward(model.att, h2, enc.states)
-        step_logits, _ = nn.dense_forward(model.out, combined)
+        step_logits, carry, _ = _decoder_step(model, enc, tokens, carry, training=False)
         labels[:, k] = np.argmax(step_logits, axis=1)
         tokens = labels[:, k]
     return labels

@@ -1,7 +1,10 @@
 """CSI preprocessing, dataset assembly, splits, and the dataset file format."""
 
+import dataclasses
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +232,45 @@ class TestDatasetFile:
         path.write_bytes(raw[:-10])
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
+
+    @staticmethod
+    def _metadata_span(raw: bytes) -> tuple[int, int]:
+        """(start, end) of the metadata block's length prefix and bytes."""
+        (f,) = struct.unpack("<I", raw[12:16])
+        at = 28 + 16 * f  # magic, six u32 counts, feature mean and std
+        (meta_len,) = struct.unpack("<I", raw[at : at + 4])
+        return at, at + 4 + meta_len
+
+    @pytest.mark.parametrize("fault", ["not-utf8", "not-json", "not-object", "missing-key"])
+    def test_bad_metadata_rejected(self, tmp_path, small_dataset, fault):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        raw = path.read_bytes()
+        lo, hi = self._metadata_span(raw)
+        meta = json.loads(raw[lo + 4 : hi])
+        del meta["source_bs"]
+        block = {
+            "not-utf8": b'{"seed": "\xff"}',
+            "not-json": b'{"seed": 11,',
+            "not-object": b"[11]",
+            "missing-key": json.dumps(meta).encode(),
+        }[fault]
+        path.write_bytes(raw[:lo] + struct.pack("<I", len(block)) + block + raw[hi:])
+        with pytest.raises(DatasetFormatError, match="metadata"):
+            load_dataset(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        before = path.read_bytes()
+        last = small_dataset.samples[-1]
+        bad = dataclasses.replace(last, labels=last.labels[:-1])
+        broken = dataclasses.replace(small_dataset, samples=[*small_dataset.samples, bad])
+        with pytest.raises(ValueError, match="sample shape"):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert len(load_dataset(path).samples) == len(small_dataset.samples)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_label_histogram_counts_everything(self, small_dataset):
         hist = small_dataset.label_histogram()

@@ -238,6 +238,25 @@ class TestChannelGrid:
         np.testing.assert_array_equal(loaded.snapshots["rsu0"], grid.snapshots["rsu0"])
         np.testing.assert_array_equal(loaded.path_valid["rsu0"], grid.path_valid["rsu0"])
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, los_scene, monkeypatch):
+        grid = build_channel_grid(los_scene, bs_ids=("rsu0",))
+        path = tmp_path / "grid"  # no ".npz" suffix is appended
+        grid.save(path)
+        before = path.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        with pytest.raises(OSError):
+            grid.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded = ChannelGrid.load(path)
+        np.testing.assert_array_equal(loaded.snapshots["rsu0"], grid.snapshots["rsu0"])
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestSnapToGrid:
     GRID = GridSpec(origin=(0.0, 0.0), extent=(2.0, 1.0), spacing=0.05)

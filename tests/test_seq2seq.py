@@ -82,10 +82,13 @@ def _sigmoid(z):
 
 
 def _manual_lstm_step(p, x, h, c):
-    i = _sigmoid(p.wx_i @ x + p.wh_i @ h + p.b_i)
-    f = _sigmoid(p.wx_f @ x + p.wh_f @ h + p.b_f)
-    g = np.tanh(p.wx_g @ x + p.wh_g @ h + p.b_g)
-    o = _sigmoid(p.wx_o @ x + p.wh_o @ h + p.b_o)
+    wx_i, wx_f, wx_g, wx_o = np.split(p.wx, 4)
+    wh_i, wh_f, wh_g, wh_o = np.split(p.wh, 4)
+    b_i, b_f, b_g, b_o = np.split(p.b, 4)
+    i = _sigmoid(wx_i @ x + wh_i @ h + b_i)
+    f = _sigmoid(wx_f @ x + wh_f @ h + b_f)
+    g = np.tanh(wx_g @ x + wh_g @ h + b_g)
+    o = _sigmoid(wx_o @ x + wh_o @ h + b_o)
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -255,7 +258,7 @@ class TestEndToEndGradients:
             list(named.values()),
             [grad_dict[k] for k in named],
             np.random.default_rng(0),
-            max_probes_per_tensor=6,
+            max_probes_per_tensor=24,
         )
         assert err < 1e-4
 
@@ -381,6 +384,31 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_model(path)
 
+    def test_paper_model_has_three_tensors_per_lstm(self):
+        model = init_model(Seq2SeqHyper(feature_dim=128, history=50, horizon=50, num_beams=64), 0)
+        named = model.named_params()
+        assert len(named) == 20
+        assert named["dec_l1.wx"].shape == (1024, 100)
+        assert named["dec_l1.wh"].shape == (1024, 256)
+        assert named["dec_l1.b"].shape == (1024,)
+
+    def test_per_gate_checkpoint_rejected_by_name(self, tmp_path):
+        # The layout before the gates were fused: one tensor per gate.
+        path = tmp_path / "model.bmck"
+        save_model(path, micro_model())
+        tensors, meta = nn.load_tensors(path)
+        for layer in ("enc_l1", "enc_l2", "dec_l1", "dec_l2"):
+            for kind in ("wx", "wh", "b"):
+                fused = tensors.pop(f"{layer}.{kind}")
+                for gate, block in zip("ifgo", np.split(fused, 4)):
+                    tensors[f"{layer}.{kind}_{gate}"] = block
+        nn.save_tensors(path, list(tensors.items()), meta)
+        with pytest.raises(CheckpointError, match="tensor names") as info:
+            load_model(path)
+        for name in tensors:
+            if name[-2:] in ("_i", "_f", "_g", "_o"):
+                assert repr(name) in str(info.value)
+
     def test_feature_dim_mismatch_surfaces(self, tmp_path):
         path = tmp_path / "model.bmck"
         save_model(path, micro_model())  # feature_dim = 3
@@ -412,13 +440,13 @@ class TestTrainStateCheckpoint:
     def test_bad_tensor_raises_checkpoint_error(self, state_file, prefix, fault):
         path, _ = state_file
         tensors, meta = nn.load_tensors(path)
-        name = f"{prefix}dec_l1.wh_o"
+        name = f"{prefix}dec_l1.wh"
         if fault == "missing":
             del tensors[name]
         else:
             tensors[name] = tensors[name][:, :-1]
         nn.save_tensors(path, list(tensors.items()), meta)
-        with pytest.raises(CheckpointError, match="dec_l1.wh_o"):
+        with pytest.raises(CheckpointError, match="dec_l1.wh"):
             load_train_state(path)
 
     def test_missing_metadata_raises_checkpoint_error(self, state_file):
