@@ -23,7 +23,7 @@ import numpy as np
 
 from ._files import atomic_write
 from .mobility import sample_trajectory
-from .phy import ChannelSnapshot, Codebook
+from .phy import ChannelSnapshot, Codebook, best_beams
 from .scene import ChannelGrid, Scene, snap_positions
 
 __all__ = [
@@ -57,16 +57,17 @@ class DatasetFormatError(RuntimeError):
 
 
 def preprocess_csi(h) -> np.ndarray:
-    """Angular-domain log-amplitude features: ln(|DFT_N(h)| + eps)."""
+    """Angular-domain log-amplitude features ln(|DFT_N(h)| + eps) of channels
+    h (..., N), transformed along the last axis."""
     coeffs = h.coefficients if isinstance(h, ChannelSnapshot) else np.asarray(h)
-    if not np.all(np.isfinite(coeffs.view(np.float64) if coeffs.dtype.kind == "c" else coeffs)):
+    if not np.all(np.isfinite(coeffs)):
         raise ValueError("channel coefficients must be finite")
-    return np.log(np.abs(np.fft.fft(coeffs)) + LOG_EPSILON)
+    return np.log(np.abs(np.fft.fft(coeffs, axis=-1)) + LOG_EPSILON)
 
 
 def grid_features(grid: ChannelGrid, bs_id: str) -> np.ndarray:
     """Raw (unstandardized) features for every grid point, shape (M, N_bs)."""
-    return np.log(np.abs(np.fft.fft(grid.snapshots[bs_id], axis=1)) + LOG_EPSILON)
+    return preprocess_csi(grid.snapshots[bs_id])
 
 
 def grid_beam_labels(grid: ChannelGrid, bs_id: str, codebook: Codebook):
@@ -81,10 +82,7 @@ def grid_beam_labels(grid: ChannelGrid, bs_id: str, codebook: Codebook):
     rss_opt = np.empty(m)
     chunk = 16384
     for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        scores = np.abs(snaps[lo:hi].conj() @ codebook.matrix) ** 2
-        labels[lo:hi] = np.argmax(scores, axis=1).astype(np.uint16)
-        rss_opt[lo:hi] = scores[np.arange(hi - lo), labels[lo:hi]]
+        labels[lo : lo + chunk], rss_opt[lo : lo + chunk] = best_beams(snaps[lo : lo + chunk], codebook)
     return labels, rss_opt
 
 
@@ -315,6 +313,11 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         **dataset.extra_metadata,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    for s in dataset.samples:
+        if s.features.shape != (t, f) or s.labels.shape != (k,):
+            raise ValueError("sample shape does not match dataset header")
+        if np.any(s.labels >= dataset.num_beams) or np.any(s.labels < 0):
+            raise ValueError(f"sample labels outside [0, {dataset.num_beams})")
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIIII", FORMAT_VERSION, dataset.num_beams, f, t, k, n))
@@ -323,8 +326,6 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
         for s in dataset.samples:
-            if s.features.shape != (t, f) or s.labels.shape != (k,):
-                raise ValueError("sample shape does not match dataset header")
             fh.write(s.features.astype("<f4").tobytes())
             fh.write(s.labels.astype("<u2").tobytes())
             fh.write(struct.pack("<II", s.trajectory_id, s.start_slot))
@@ -366,6 +367,8 @@ def load_dataset(path) -> Dataset:
         feats = np.frombuffer(chunk, dtype="<f4").reshape(t, f).astype(np.float64)
         chunk, off = take(off, label_bytes)
         labels = np.frombuffer(chunk, dtype="<u2").copy()
+        if np.any(labels >= x):
+            raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
         chunk, off = take(off, 8)
         traj_id, start = struct.unpack("<II", chunk)
         samples.append(

@@ -66,7 +66,10 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         chunk, off = _take(buf, off, 4)
         (name_len,) = struct.unpack("<I", chunk)
         chunk, off = _take(buf, off, name_len)
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name {chunk!r} is not UTF-8") from exc
         chunk, off = _take(buf, off, 4)
         (rank,) = struct.unpack("<I", chunk)
         chunk, off = _take(buf, off, 4 * rank)

@@ -16,7 +16,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,11 @@ __all__ = [
     "ChannelSnapshot",
     "Codebook",
     "steering_vector",
+    "synthesize_channels",
     "synthesize_channel",
     "build_dft_codebook",
     "received_signal_strength",
+    "best_beams",
     "optimal_beam",
     "spectral_efficiency",
 ]
@@ -142,34 +144,38 @@ class Codebook:
         return self.matrix[:, index]
 
 
-def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
-    """Phase response of the ULA toward broadside angle ``angle``.
+def steering_vector(geometry: ArrayGeometry, angle) -> np.ndarray:
+    """Phase response of the ULA toward broadside angles of any shape.
 
-    Element i is exp(-j * 2*pi * spacing * i * sin(angle)); element 0 is
-    exactly 1+0j.
+    Returns shape ``angle.shape + (N,)``. Element i is
+    exp(-j * 2*pi * spacing * i * sin(angle)); element 0 is exactly 1+0j.
     """
-    if not math.isfinite(angle):
+    angle = np.asarray(angle, dtype=np.float64)
+    if not np.all(np.isfinite(angle)):
         raise ValueError("angle must be finite")
-    if abs(angle) > math.pi / 2 + _ANGLE_TOL:
-        raise ValueError(f"angle={angle} outside broadside range [-pi/2, pi/2]")
-    idx = np.arange(geometry.num_antennas)
-    phase = -2.0 * np.pi * geometry.spacing_wavelengths * math.sin(angle) * idx
-    return np.exp(1j * phase)
+    if np.any(np.abs(angle) > math.pi / 2 + _ANGLE_TOL):
+        raise ValueError(f"angle={np.abs(angle).max()} outside broadside range [-pi/2, pi/2]")
+    phase = -2.0 * np.pi * geometry.spacing_wavelengths * np.sin(angle)
+    return np.exp(1j * phase[..., None] * np.arange(geometry.num_antennas))
 
 
-def synthesize_channel(
-    paths: list[PathComponent], bs: ArrayGeometry, slot: int = 0
-) -> ChannelSnapshot:
-    """Superpose path contributions into one channel vector.
+def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
+    """Superpose P paths per channel, gains and aods (..., P) -> (..., N): each
+    adds gain * a(aod) (the single-antenna receiver contributes 1), summed from
+    zero in slot order one slot at a time, so no (..., P, N) array is formed."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    aods = np.asarray(aods, dtype=np.float64)
+    coeffs = np.zeros(gains.shape[:-1] + (geometry.num_antennas,), dtype=np.complex128)
+    for s in range(gains.shape[-1]):
+        coeffs += gains[..., s, None] * steering_vector(geometry, aods[..., s])
+    return coeffs
 
-    Each path adds gain * a(aod); the single-antenna receiver contributes a
-    scalar 1. The sum is exact, no noise is added here.
-    """
+
+def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry, slot: int = 0) -> ChannelSnapshot:
+    """One channel vector from a path list; the sum is exact, no noise."""
     if not paths:
         raise OutageError("no propagation path: cannot synthesize a channel")
-    coeffs = np.zeros(bs.num_antennas, dtype=np.complex128)
-    for path in paths:
-        coeffs = coeffs + path.gain * steering_vector(bs, path.aod)
+    coeffs = synthesize_channels([p.gain for p in paths], [p.aod for p in paths], bs)
     return ChannelSnapshot(coefficients=coeffs, slot_index=slot)
 
 
@@ -204,6 +210,14 @@ def received_signal_strength(h, f: np.ndarray) -> float:
     return float(np.abs(np.vdot(hv, fv)) ** 2)
 
 
+def best_beams(h, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive search for channels h (..., N): (labels, rss), the codeword
+    maximizing |h^H f|^2 (ties to the lowest index) and that maximum."""
+    scores = np.abs(np.asarray(h).conj() @ cb.matrix) ** 2
+    labels = np.argmax(scores, axis=-1)
+    return labels, np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
+
+
 def optimal_beam(h, cb: Codebook) -> int:
     """Index of the codeword maximizing |h^H f|^2, ties to the lowest index."""
     hv = _as_vector(h)
@@ -213,8 +227,7 @@ def optimal_beam(h, cb: Codebook) -> int:
         )
     if not np.any(hv):
         raise OutageError("zero channel: optimal beam undefined (outage)")
-    rss = np.abs(hv.conj() @ cb.matrix) ** 2
-    return int(np.argmax(rss))
+    return int(best_beams(hv, cb)[0])
 
 
 def spectral_efficiency(h, f: np.ndarray, tx_snr: float) -> float:

@@ -20,12 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._files import atomic_write
-from .phy import ArrayGeometry, ChannelSnapshot, OutageError, PathComponent
+from .phy import ArrayGeometry, ChannelSnapshot, OutageError, PathComponent, synthesize_channels
 
 __all__ = [
     "Wall",
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# grid points traced and synthesized at a time by ``build_channel_grid``
+_CHUNK = 8192
 # sub-stream tags for seed derivation
 _TAG_SCENE = 1
 
@@ -347,6 +349,18 @@ def _wrap(angle):
     return (angle + np.pi) % (2 * np.pi) - np.pi
 
 
+def _crossing(rel, d, e):
+    """(t, u, safe) solving p + t*d = a + u*e, given rel = a - p and (2,) or
+    (M, 2) rel, d; t and u are finite but meaningless where ``safe`` is False
+    (segment parallel to the wall)."""
+    denom = d[..., 0] * e[1] - d[..., 1] * e[0]
+    safe = np.abs(denom) > _EPS
+    denom = np.where(safe, denom, 1.0)
+    t = (rel[..., 0] * e[1] - rel[..., 1] * e[0]) / denom
+    u = (rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / denom
+    return t, u, safe
+
+
 def _blocked(p1, h1, p2, h2, walls: tuple[Wall, ...], skip: int = -1) -> np.ndarray:
     """Which of the segments p1[i] -> p2[i] cross a wall below its top.
 
@@ -363,12 +377,7 @@ def _blocked(p1, h1, p2, h2, walls: tuple[Wall, ...], skip: int = -1) -> np.ndar
             continue
         a = np.asarray(wall.a)
         e = np.asarray(wall.b) - a
-        rel = a - p1  # (M, 2)
-        denom = d[:, 0] * e[1] - d[:, 1] * e[0]
-        safe = np.abs(denom) > _EPS
-        denom = np.where(safe, denom, 1.0)
-        t = (rel[:, 0] * e[1] - rel[:, 1] * e[0]) / denom
-        u = (rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / denom
+        t, u, safe = _crossing(a - p1, d, e)
         hit = safe & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
         ray_height = h1 + t * (np.asarray(h2) - h1)
         blocked |= hit & (ray_height < wall.height)
@@ -437,12 +446,7 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
         a = np.asarray(wall.a)
         e = np.asarray(wall.b) - a
         d = points - image
-        rel_a = a - image
-        denom = d[:, 0] * e[1] - d[:, 1] * e[0]
-        safe = np.abs(denom) > _EPS
-        denom_s = np.where(safe, denom, 1.0)
-        t = (rel_a[0] * e[1] - rel_a[1] * e[0]) / denom_s
-        u = (rel_a[0] * d[:, 1] - rel_a[1] * d[:, 0]) / denom_s
+        t, u, safe = _crossing(a - image, d, e)
         geom_ok = safe & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= 0.0) & (u <= 1.0)
         refl_pt = a[None, :] + u[:, None] * e[None, :]
         plan_len = np.hypot(d[:, 0], d[:, 1])
@@ -493,17 +497,26 @@ def trace_paths(scene: Scene, bs_id: str, point) -> list[PathComponent]:
         ox - half <= point[0] <= ox + ex + half and oy - half <= point[1] <= oy + ey + half
     ):
         raise ValueError(f"point {point} outside the receiver grid")
-    bs = scene.station(bs_id)
-    gains, aods, aoas, valid = _trace_points(scene, bs, point[None, :])
+    rows = _trace_points(scene, scene.station(bs_id), point[None, :])
+    return _path_list(*(table[0] for table in rows))
+
+
+def _path_list(gains, aods, aoas, valid) -> list[PathComponent]:
+    """The valid slots of one path-table row, in slot order."""
     return [
-        PathComponent(gain=complex(gains[0, s]), aod=float(aods[0, s]), aoa=float(aoas[0, s]))
-        for s in range(gains.shape[1])
-        if valid[0, s]
+        PathComponent(gain=complex(gains[s]), aod=float(aods[s]), aoa=float(aoas[s]))
+        for s in np.flatnonzero(valid)
     ]
 
 
 # ---------------------------------------------------------------------------
 # channel grid
+
+
+# ChannelGrid table fields and their npz key suffixes; the four path tables
+# come first, in the order ``_trace_points`` returns them.
+_TABLES = (("path_gains", "gains"), ("path_aods", "aods"), ("path_aoas", "aoas"),
+           ("path_valid", "valid"), ("snapshots", "snapshots"))
 
 
 @dataclass
@@ -519,15 +532,7 @@ class ChannelGrid:
     snapshots: dict[str, np.ndarray]  # (M, N_bs) complex
 
     def paths_at(self, bs_id: str, flat_index: int) -> list[PathComponent]:
-        valid = self.path_valid[bs_id][flat_index]
-        return [
-            PathComponent(
-                gain=complex(self.path_gains[bs_id][flat_index, s]),
-                aod=float(self.path_aods[bs_id][flat_index, s]),
-                aoa=float(self.path_aoas[bs_id][flat_index, s]),
-            )
-            for s in np.flatnonzero(valid)
-        ]
+        return _path_list(*(getattr(self, f)[bs_id][flat_index] for f, _ in _TABLES[:4]))
 
     def snapshot_at(self, bs_id: str, flat_index: int, slot: int = 0) -> ChannelSnapshot:
         if self.outage(bs_id)[flat_index]:
@@ -545,11 +550,8 @@ class ChannelGrid:
         )}
         payload["bs_ids"] = np.array(list(self.bs_ids))
         for bs_id in self.bs_ids:
-            payload[f"{bs_id}__gains"] = self.path_gains[bs_id]
-            payload[f"{bs_id}__aods"] = self.path_aods[bs_id]
-            payload[f"{bs_id}__aoas"] = self.path_aoas[bs_id]
-            payload[f"{bs_id}__valid"] = self.path_valid[bs_id]
-            payload[f"{bs_id}__snapshots"] = self.snapshots[bs_id]
+            for name, key in _TABLES:
+                payload[f"{bs_id}__{key}"] = getattr(self, name)[bs_id]
         # A file handle, not a path: given a path, numpy appends ".npz".
         with atomic_write(path) as fh:
             np.savez_compressed(fh, **payload)
@@ -559,59 +561,38 @@ class ChannelGrid:
         with np.load(path, allow_pickle=False) as data:
             scene = scene_from_dict(json.loads(bytes(data["scene_json"]).decode()))
             bs_ids = tuple(str(b) for b in data["bs_ids"])
-            kwargs = dict(path_gains={}, path_aods={}, path_aoas={}, path_valid={}, snapshots={})
-            for bs_id in bs_ids:
-                kwargs["path_gains"][bs_id] = data[f"{bs_id}__gains"]
-                kwargs["path_aods"][bs_id] = data[f"{bs_id}__aods"]
-                kwargs["path_aoas"][bs_id] = data[f"{bs_id}__aoas"]
-                kwargs["path_valid"][bs_id] = data[f"{bs_id}__valid"]
-                kwargs["snapshots"][bs_id] = data[f"{bs_id}__snapshots"]
-        return cls(scene=scene, bs_ids=bs_ids, **kwargs)
+            tables = {
+                name: {bs_id: data[f"{bs_id}__{key}"] for bs_id in bs_ids}
+                for name, key in _TABLES
+            }
+        return cls(scene=scene, bs_ids=bs_ids, **tables)
 
 
-def build_channel_grid(
-    scene: Scene, bs_ids: tuple[str, ...] | None = None, chunk: int = 8192
-) -> ChannelGrid:
+def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> ChannelGrid:
     """Trace every grid point for every requested BS and cache the synthesized
     snapshots. Outage points keep an all-invalid path row and a zero snapshot."""
     if bs_ids is None:
         bs_ids = tuple(sorted(scene.stations))
     points = scene.grid.points()
     m = points.shape[0]
-    grid = ChannelGrid(
-        scene=scene,
-        bs_ids=tuple(bs_ids),
-        path_gains={},
-        path_aods={},
-        path_aoas={},
-        path_valid={},
-        snapshots={},
-    )
-    for bs_id in bs_ids:
+    n_slots = 1 + len(scene.walls) + len(scene.scatterers)
+    grid = ChannelGrid(scene=scene, bs_ids=tuple(bs_ids), **{f: {} for f, _ in _TABLES})
+    for bs_id in grid.bs_ids:
         bs = scene.station(bs_id)
-        n_ant = bs.geometry.num_antennas
-        spacing = bs.geometry.spacing_wavelengths
-        n_slots = 1 + len(scene.walls) + len(scene.scatterers)
-        gains = np.empty((m, n_slots), dtype=np.complex128)
-        aods = np.empty((m, n_slots))
-        aoas = np.empty((m, n_slots))
-        valid = np.empty((m, n_slots), dtype=bool)
-        snaps = np.zeros((m, n_ant), dtype=np.complex128)
-        idx = np.arange(n_ant)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            g, ad, aa, va = _trace_points(scene, bs, points[lo:hi])
-            gains[lo:hi], aods[lo:hi], aoas[lo:hi], valid[lo:hi] = g, ad, aa, va
-            block = snaps[lo:hi]
-            for s in range(n_slots):
-                gs = np.where(va[:, s], g[:, s], 0.0)
-                phase = -2.0 * np.pi * spacing * np.sin(ad[:, s])
-                block += gs[:, None] * np.exp(1j * phase[:, None] * idx[None, :])
-        grid.path_gains[bs_id] = gains
-        grid.path_aods[bs_id] = aods
-        grid.path_aoas[bs_id] = aoas
-        grid.path_valid[bs_id] = valid
-        grid.snapshots[bs_id] = snaps
+        tables = (  # in _TABLES order
+            np.empty((m, n_slots), dtype=np.complex128),
+            np.empty((m, n_slots)),
+            np.empty((m, n_slots)),
+            np.empty((m, n_slots), dtype=bool),
+            np.empty((m, bs.geometry.num_antennas), dtype=np.complex128),
+        )
+        for lo in range(0, m, _CHUNK):
+            rows = _trace_points(scene, bs, points[lo : lo + _CHUNK])
+            snaps = synthesize_channels(rows[0], rows[1], bs.geometry)
+            for table, block in zip(tables, (*rows, snaps)):
+                table[lo : lo + _CHUNK] = block
+        for (name, _), table in zip(_TABLES, tables):
+            getattr(grid, name)[bs_id] = table
     return grid
 
 

@@ -286,11 +286,7 @@ def decode_greedy(model: Seq2SeqModel, enc: EncoderOutput, horizon: int | None =
 
 def compute_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean softmax cross-entropy over the K decoded slots."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ValueError(f"shape mismatch: logits {logits.shape}, targets {targets.shape}")
-    losses, _ = nn.softmax_cross_entropy_batch(logits, targets)
+    losses, _ = nn.softmax_cross_entropy_batch(logits, np.asarray(targets, dtype=np.int64))
     return float(losses.mean())
 
 

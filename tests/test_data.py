@@ -13,6 +13,7 @@ from beamseq.data import (
     LOG_EPSILON,
     Dataset,
     DatasetFormatError,
+    TrainingSample,
     grid_beam_labels,
     grid_features,
     load_dataset,
@@ -78,6 +79,18 @@ class TestPreprocess:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             preprocess_csi(np.array([1.0, np.inf], dtype=complex))
+        batch = np.ones((3, 4), dtype=complex)
+        batch[1, 2] = complex(0.0, np.nan)
+        with pytest.raises(ValueError):
+            preprocess_csi(batch)
+
+    def test_batch_matches_per_row(self):
+        rng = np.random.default_rng(2)
+        h = rng.normal(size=(7, 16)) + 1j * rng.normal(size=(7, 16))
+        feats = preprocess_csi(h)
+        assert feats.shape == (7, 16)
+        for row, h_row in zip(feats, h):
+            np.testing.assert_array_equal(row, preprocess_csi(h_row))
 
 
 class TestGridDerived:
@@ -271,6 +284,50 @@ class TestDatasetFile:
         assert path.read_bytes() == before
         assert len(load_dataset(path).samples) == len(small_dataset.samples)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_out_of_range_label_rejected_on_load(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        raw = bytearray(path.read_bytes())
+        _, records = self._metadata_span(bytes(raw))
+        raw[records + 4 * 50 * 32 : records + 4 * 50 * 32 + 2] = struct.pack("<H", 256)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="label 256"):
+            load_dataset(path)
+
+    def test_out_of_range_label_rejected_on_save(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        before = path.read_bytes()
+        last = small_dataset.samples[-1]
+        bad = dataclasses.replace(last, labels=np.full_like(last.labels, 999))
+        broken = dataclasses.replace(small_dataset, samples=[*small_dataset.samples, bad])
+        with pytest.raises(ValueError, match="labels outside"):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        samples = [
+            TrainingSample(
+                features=np.full((2, 3), 0.5 * i), labels=np.array([i, 3], dtype=np.uint16),
+                trajectory_id=i, start_slot=2 * i,
+            )
+            for i in range(2)
+        ]
+        tiny = Dataset(
+            samples=samples, feature_mean=np.zeros(3), feature_std=np.ones(3), num_beams=4,
+            history=2, horizon=2, source_bs="rsu0", target_rsu="rsu1", seed=1,
+            scene_digest="ab",
+        )
+        path = tmp_path / "tiny.bmsq"
+        save_dataset(tiny, path)
+        raw = path.read_bytes()
+        assert len(load_dataset(path).samples) == 2
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DatasetFormatError):
+                load_dataset(path)
 
     def test_label_histogram_counts_everything(self, small_dataset):
         hist = small_dataset.label_histogram()

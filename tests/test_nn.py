@@ -481,3 +481,28 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 6])
         with pytest.raises(CheckpointError):
             load_tensors(path)
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "tiny.bmck"
+        save_tensors(path, [("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(1))], {"k": 1})
+        raw = path.read_bytes()
+        assert set(load_tensors(path)[0]) == {"w", "b"}
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                load_tensors(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "name.bmck"
+        name = b"\xff\xfe"
+        path.write_bytes(
+            b"BMCK"
+            + struct.pack("<III", 1, 1, len(name))
+            + name
+            + struct.pack("<II", 1, 1)
+            + struct.pack("<d", 1.0)
+            + struct.pack("<I", 2)
+            + b"{}"
+        )
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_tensors(path)

@@ -9,6 +9,7 @@ from beamseq.phy import (
     Codebook,
     OutageError,
     PathComponent,
+    best_beams,
     build_dft_codebook,
     optimal_beam,
     received_signal_strength,
@@ -16,10 +17,20 @@ from beamseq.phy import (
     steering_vector,
     synthesize_channel,
 )
+from beamseq.scene import SceneParams, build_channel_grid, generate_scene
 
 
 def geom(n, spacing=0.5):
     return ArrayGeometry(num_antennas=n, spacing_wavelengths=spacing)
+
+
+def term_by_term(paths, n, spacing=0.5):
+    """Independent element-by-element evaluation of sum_p gain_p * a(aod_p)."""
+    expected = np.zeros(n, dtype=complex)
+    for p in paths:
+        for i in range(n):
+            expected[i] += p.gain * np.exp(-1j * 2 * np.pi * spacing * i * np.sin(p.aod))
+    return expected
 
 
 class TestSteeringVector:
@@ -57,6 +68,20 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(geom(4), 2.0)
 
+    def test_angle_array_matches_per_angle_vectors_bit_for_bit(self):
+        angles = np.random.default_rng(19).uniform(-np.pi / 2, np.pi / 2, size=(6, 5))
+        batch = steering_vector(geom(16), angles)
+        assert batch.shape == (6, 5, 16)
+        for (m, p), angle in np.ndenumerate(angles):
+            np.testing.assert_array_equal(batch[m, p], steering_vector(geom(16), float(angle)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1.6])
+    def test_angle_array_with_one_bad_entry_rejected(self, bad):
+        angles = np.zeros((3, 4))
+        angles[2, 1] = bad
+        with pytest.raises(ValueError):
+            steering_vector(geom(4), angles)
+
 
 class TestSynthesizeChannel:
     def test_single_boresight_path(self):
@@ -85,12 +110,21 @@ class TestSynthesizeChannel:
             for _ in range(3)
         ]
         snap = synthesize_channel(paths, geom(n))
-        # independent term-by-term re-evaluation
-        expected = np.zeros(n, dtype=complex)
-        for p in paths:
-            for i in range(n):
-                expected[i] += p.gain * np.exp(-1j * 2 * np.pi * 0.5 * i * np.sin(p.aod))
-        np.testing.assert_allclose(snap.coefficients, expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            snap.coefficients, term_by_term(paths, n), rtol=1e-12, atol=1e-15
+        )
+
+    def test_grid_snapshots_match_elementwise_summation_oracle(self):
+        # the grid synthesizes in batches; check it against the same oracle
+        scene = generate_scene(SceneParams(grid_spacing=0.5), seed=1)
+        grid = build_channel_grid(scene, bs_ids=("rsu0", "mbs"))
+        rng = np.random.default_rng(29)
+        for idx in rng.choice(scene.grid.num_points, size=10, replace=False):
+            for bs_id in grid.bs_ids:
+                n = scene.station(bs_id).geometry.num_antennas
+                expected = term_by_term(grid.paths_at(bs_id, int(idx)), n)
+                err = np.linalg.norm(grid.snapshots[bs_id][idx] - expected)
+                assert err <= 1e-12 * np.linalg.norm(expected)
 
     def test_linearity_in_path_lists(self):
         rng = np.random.default_rng(11)
@@ -189,6 +223,7 @@ class TestOptimalBeam:
     def test_matches_exhaustive_scan_oracle(self):
         rng = np.random.default_rng(13)
         cb = build_dft_codebook(32, 8)
+        channels, oracle = [], []
         for _ in range(50):
             paths = [
                 PathComponent(
@@ -206,6 +241,19 @@ class TestOptimalBeam:
                 if rss > best_rss:
                     best, best_rss = x, rss
             assert optimal_beam(h, cb) == best
+            channels.append(h.coefficients)
+            oracle.append((best, best_rss))
+        # the batched search on a (5, 10, N) stack agrees with the scan
+        labels, rss = best_beams(np.reshape(channels, (5, 10, 8)), cb)
+        assert labels.ravel().tolist() == [b for b, _ in oracle]
+        np.testing.assert_allclose(rss.ravel(), [r for _, r in oracle], rtol=1e-12)
+
+    def test_batched_exact_ties_go_to_lowest_index(self):
+        # codewords 2 and 3 repeat 0 and 1, so every score ties exactly
+        dup = Codebook(matrix=np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=complex))
+        labels, rss = best_beams(np.array([[1, 1], [0, 2j], [3, 0]]), dup)
+        assert labels.tolist() == [0, 1, 0]
+        assert rss.tolist() == [1.0, 4.0, 9.0]
 
     def test_genie_dominance(self):
         rng = np.random.default_rng(17)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamseq.mobility import Trajectory, TrajectoryError, sample_trajectory
 from beamseq.phy import ArrayGeometry, synthesize_channel
@@ -258,6 +260,29 @@ class TestChannelGrid:
         assert list(tmp_path.iterdir()) == [path]
 
 
+@st.composite
+def grids_and_positions(draw, dyadic):
+    """A small grid and positions within half a spacing of it; with
+    ``dyadic`` every coordinate is a multiple of spacing/4, so distances
+    are exact in float64 and midpoints tie exactly."""
+    n_x, n_y = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if dyadic:
+        spacing = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        origin = [spacing * draw(st.integers(-8, 8)) for _ in range(2)]
+    else:
+        spacing = draw(st.floats(0.01, 10.0))
+        origin = [draw(st.floats(-100.0, 100.0)) for _ in range(2)]
+
+    def offsets(n):  # along one axis, in spacings from the origin
+        if dyadic:
+            return st.integers(-2, 4 * n - 2).map(lambda q: q / 4)
+        return st.floats(-0.499, n - 0.501)
+
+    grid = GridSpec(origin=tuple(origin), extent=(n_x * spacing, n_y * spacing), spacing=spacing)
+    cols = [draw(st.lists(offsets(n), min_size=5, max_size=5)) for n in (n_x, n_y)]
+    return grid, np.array(origin) + spacing * np.array(cols).T
+
+
 class TestSnapToGrid:
     GRID = GridSpec(origin=(0.0, 0.0), extent=(2.0, 1.0), spacing=0.05)
 
@@ -294,6 +319,25 @@ class TestSnapToGrid:
 
     def test_half_spacing_overhang_accepted(self):
         assert snap_to_grid((-0.025, 0.0), self.GRID) == 0
+
+    @given(grids_and_positions(dyadic=True))
+    @settings(max_examples=200, deadline=None)
+    def test_property_exact_nearest_with_ties_to_lower_index(self, case):
+        grid, positions = case
+        pts = grid.points()
+        for pos, idx in zip(positions, snap_positions(positions, grid)):
+            d2 = np.sum((pts - pos) ** 2, axis=1)
+            assert idx == np.flatnonzero(d2 == d2.min()).min()
+
+    @given(grids_and_positions(dyadic=False))
+    @settings(max_examples=200, deadline=None)
+    def test_property_nearest_in_bounds(self, case):
+        grid, positions = case
+        pts = grid.points()
+        for pos, idx in zip(positions, snap_positions(positions, grid)):
+            assert 0 <= idx < grid.num_points
+            d = np.linalg.norm(pts - pos, axis=1)
+            assert d[idx] <= d.min() + 1e-9 * grid.spacing
 
 
 class TestTrajectories:

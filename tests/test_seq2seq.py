@@ -235,6 +235,13 @@ class TestComputeLoss:
             per_step.append(-np.log(p[targets[k]]))
         assert compute_loss(logits, targets) == pytest.approx(np.mean(per_step), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "logits_shape, targets_shape", [((4, 9), (3,)), ((4, 9), (4, 1)), ((9,), (1,))]
+    )
+    def test_shape_mismatch_rejected(self, logits_shape, targets_shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            compute_loss(np.zeros(logits_shape), np.zeros(targets_shape, dtype=np.int64))
+
 
 class TestEndToEndGradients:
     def test_micro_model_bptt_matches_finite_differences(self):
