@@ -35,7 +35,8 @@ def save_tensors(path, named_tensors: list[tuple[str, np.ndarray]], metadata: di
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(named_tensors)))
         for name, tensor in named_tensors:
-            arr = np.ascontiguousarray(tensor, dtype=np.float64)
+            # ascontiguousarray makes a 0-d tensor 1-d; keep its rank
+            arr = np.ascontiguousarray(tensor, dtype=np.float64).reshape(np.shape(tensor))
             name_bytes = name.encode("utf-8")
             fh.write(struct.pack("<I", len(name_bytes)))
             fh.write(name_bytes)
@@ -77,6 +78,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         # Python ints: corrupt dims must read as truncation, not overflow.
         n_values = math.prod(dims)
         chunk, off = _take(buf, off, 8 * n_values)
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears twice")
         tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
     chunk, off = _take(buf, off, 4)
     (meta_len,) = struct.unpack("<I", chunk)
@@ -85,6 +88,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         metadata = json.loads(chunk.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"bad metadata block: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"metadata is a JSON {type(metadata).__name__}, not an object")
     if off != len(buf):
         raise CheckpointError(f"{len(buf) - off} trailing bytes after metadata")
     return tensors, metadata

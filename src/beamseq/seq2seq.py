@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -511,6 +511,14 @@ def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, 
         hyper = Seq2SeqHyper(**meta["hyper"])
     except (KeyError, TypeError) as exc:
         raise nn.CheckpointError(f"bad hyperparameter block: {exc!r}") from exc
+    for f in fields(hyper):
+        value = getattr(hyper, f.name)
+        if f.name == "dropout":
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < 1
+        else:
+            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        if not ok:
+            raise nn.CheckpointError(f"bad hyperparameter {f.name}={value!r}")
     model = init_model(hyper, seed=0)
     expected = {
         prefix + key: arr.shape

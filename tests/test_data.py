@@ -8,6 +8,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamseq.data import (
     LOG_EPSILON,
@@ -332,3 +335,72 @@ class TestDatasetFile:
     def test_label_histogram_counts_everything(self, small_dataset):
         hist = small_dataset.label_histogram()
         assert hist.sum() == len(small_dataset.samples) * 50
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def datasets(draw):
+    """Arbitrary header sizes, labels in [0, X), float32-representable features,
+    any float64 mean/std bits and arbitrary JSON metadata."""
+    t, k, f = (draw(st.integers(1, 4)) for _ in range(3))
+    x = draw(st.integers(1, 2**16))
+    samples = [
+        TrainingSample(
+            features=draw(
+                hnp.arrays(np.float32, (t, f), elements=st.floats(width=32, allow_nan=False))
+            ).astype(np.float64),
+            labels=draw(hnp.arrays(np.uint16, k, elements=st.integers(0, x - 1))),
+            trajectory_id=draw(st.integers(0, 2**32 - 1)),
+            start_slot=draw(st.integers(0, 2**32 - 1)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return Dataset(
+        samples=samples,
+        feature_mean=draw(hnp.arrays(np.float64, f)),
+        feature_std=draw(hnp.arrays(np.float64, f)),
+        num_beams=x,
+        history=t,
+        horizon=k,
+        source_bs=draw(st.text(max_size=8)),
+        target_rsu=draw(st.text(max_size=8)),
+        seed=draw(st.integers()),
+        scene_digest=draw(st.text(max_size=8)),
+        split_ratios=draw(st.tuples(finite, finite, finite)),
+        dropped_trajectories=draw(st.integers(0, 2**40)),
+        # prefixed so that no extra key shadows a header key
+        extra_metadata=draw(
+            st.dictionaries(st.text(max_size=6).map("x_".__add__), json_values, max_size=3)
+        ),
+    )
+
+
+class TestDatasetFileProperties:
+    @given(ds=datasets(), config_hash=st.text(max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_is_exact(self, tmp_path_factory, ds, config_hash):
+        path = tmp_path_factory.mktemp("bmsq") / "ds.bmsq"
+        save_dataset(ds, path, config_hash=config_hash)
+        raw = path.read_bytes()
+        loaded = load_dataset(path)
+        for name in ("num_beams", "history", "horizon", "source_bs", "target_rsu", "seed",
+                     "scene_digest", "split_ratios", "dropped_trajectories"):
+            assert getattr(loaded, name) == getattr(ds, name)
+        assert loaded.extra_metadata == {"config_hash": config_hash, **ds.extra_metadata}
+        assert loaded.feature_mean.tobytes() == ds.feature_mean.tobytes()
+        assert loaded.feature_std.tobytes() == ds.feature_std.tobytes()
+        assert len(loaded.samples) == len(ds.samples)
+        for a, b in zip(loaded.samples, ds.samples):
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert (a.trajectory_id, a.start_slot) == (b.trajectory_id, b.start_slot)
+        save_dataset(loaded, path)
+        assert path.read_bytes() == raw

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamseq import nn
 from beamseq.nn import (
@@ -491,6 +494,45 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(CheckpointError):
                 load_tensors(path)
+
+    @given(
+        tensors=st.dictionaries(
+            st.text(max_size=12),
+            hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4).flatmap(
+                lambda shape: hnp.arrays(np.float64, shape)
+            ),
+            max_size=5,
+        ),
+        metadata=st.dictionaries(
+            st.text(max_size=6),
+            st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_is_exact(self, tmp_path_factory, tensors, metadata):
+        path = tmp_path_factory.mktemp("bmck") / "t.bmck"
+        save_tensors(path, list(tensors.items()), metadata)
+        loaded, meta = load_tensors(path)
+        assert meta == metadata
+        assert list(loaded) == list(tensors)
+        for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()  # NaN payloads and -0.0 too
+
+    @pytest.mark.parametrize("metadata", [[], "x", 5, None])
+    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, metadata):
+        path = tmp_path / "meta.bmck"
+        save_tensors(path, [("a", np.zeros(2))], metadata)
+        with pytest.raises(CheckpointError, match="not an object"):
+            load_tensors(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.bmck"
+        save_tensors(path, [("a", np.zeros(2)), ("b", np.ones(1)), ("a", np.ones(2))], {})
+        with pytest.raises(CheckpointError, match="'a' appears twice"):
+            load_tensors(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "name.bmck"

@@ -16,6 +16,7 @@ from beamseq.phy import (
     spectral_efficiency,
     steering_vector,
     synthesize_channel,
+    synthesize_channels,
 )
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene
 
@@ -81,6 +82,64 @@ class TestSteeringVector:
         angles[2, 1] = bad
         with pytest.raises(ValueError):
             steering_vector(geom(4), angles)
+
+
+# N = 1 and powers of two, plus sizes whose last doubling block is partial
+KERNEL_SIZES = [1, 2, 3, 5, 33, 127, 128, 1024]
+EDGE_ANGLES = [0.0, np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-12, -(np.pi / 2 - 1e-12)]
+
+
+class TestDoublingKernel:
+    """steering_vector and synthesize_channels build the progression by
+    doubling; check each block size against the term-by-term oracle."""
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("angle", EDGE_ANGLES + [0.3, -1.1])
+    def test_single_path_matches_oracle(self, n, angle):
+        gain = 0.6 - 0.8j
+        want = term_by_term([PathComponent(gain=gain, aod=angle, aoa=0.0)], n)
+        np.testing.assert_allclose(
+            gain * steering_vector(geom(n), angle), want, rtol=1e-12, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            synthesize_channels([gain], [angle], geom(n)), want, rtol=1e-12, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_superposition_matches_oracle(self, n):
+        rng = np.random.default_rng(n)
+        aods = EDGE_ANGLES + list(rng.uniform(-np.pi / 2, np.pi / 2, size=4))
+        paths = [
+            PathComponent(gain=complex(rng.normal(), rng.normal()), aod=a, aoa=0.0)
+            for a in aods
+        ]
+        expected = term_by_term(paths, n)
+        err = np.linalg.norm(synthesize_channel(paths, geom(n)).coefficients - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_conjugation_symmetry_at_1024(self):
+        angles = np.concatenate(
+            [EDGE_ANGLES, np.random.default_rng(5).uniform(-np.pi / 2, np.pi / 2, size=20)]
+        )
+        np.testing.assert_allclose(
+            steering_vector(geom(1024), -angles),
+            np.conj(steering_vector(geom(1024), angles)),
+            atol=1e-15,
+        )
+
+    def test_destructive_superposition_is_exactly_zero_at_1024(self):
+        g = 0.3 - 0.4j
+        for aod in EDGE_ANGLES + [0.2]:
+            coeffs = synthesize_channels([[g, -g]], [[aod, aod]], geom(1024))
+            np.testing.assert_array_equal(coeffs, np.zeros((1, 1024)))
+
+    def test_batch_matches_per_angle_bit_for_bit_at_128(self):
+        rng = np.random.default_rng(23)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(4, 3, 2))
+        batch = steering_vector(geom(128), angles)
+        assert batch.shape == (4, 3, 2, 128)
+        for idx, angle in np.ndenumerate(angles):
+            np.testing.assert_array_equal(batch[idx], steering_vector(geom(128), float(angle)))
 
 
 class TestSynthesizeChannel:

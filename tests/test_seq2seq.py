@@ -416,6 +416,37 @@ class TestCheckpoints:
             if name[-2:] in ("_i", "_f", "_g", "_o"):
                 assert repr(name) in str(info.value)
 
+    @pytest.mark.parametrize("metadata", [[], "x", 5, None])
+    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, metadata):
+        path = tmp_path / "model.bmck"
+        save_model(path, micro_model())
+        tensors, _ = nn.load_tensors(path)
+        nn.save_tensors(path, list(tensors.items()), metadata)
+        with pytest.raises(CheckpointError, match="not an object"):
+            load_model(path)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        path = tmp_path / "model.bmck"
+        save_model(path, micro_model())
+        tensors, meta = nn.load_tensors(path)
+        nn.save_tensors(path, [*tensors.items(), ("out.bias", tensors["out.bias"])], meta)
+        with pytest.raises(CheckpointError, match="'out.bias' appears twice"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hidden", "4"), ("hidden", 4.0), ("hidden", True), ("hidden", 0),
+         ("num_beams", None), ("dropout", "0.1"), ("dropout", 1.0)],
+    )
+    def test_hyperparameter_of_wrong_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.bmck"
+        save_model(path, micro_model())
+        tensors, meta = nn.load_tensors(path)
+        meta["hyper"][field] = value
+        nn.save_tensors(path, list(tensors.items()), meta)
+        with pytest.raises(CheckpointError, match=f"bad hyperparameter {field}="):
+            load_model(path)
+
     def test_feature_dim_mismatch_surfaces(self, tmp_path):
         path = tmp_path / "model.bmck"
         save_model(path, micro_model())  # feature_dim = 3
@@ -454,6 +485,22 @@ class TestTrainStateCheckpoint:
             tensors[name] = tensors[name][:, :-1]
         nn.save_tensors(path, list(tensors.items()), meta)
         with pytest.raises(CheckpointError, match="dec_l1.wh"):
+            load_train_state(path)
+
+    @pytest.mark.parametrize("metadata", [[], "x", 5, None])
+    def test_metadata_that_is_not_an_object_rejected(self, state_file, metadata):
+        path, _ = state_file
+        tensors, _ = nn.load_tensors(path)
+        nn.save_tensors(path, list(tensors.items()), metadata)
+        with pytest.raises(CheckpointError, match="not an object"):
+            load_train_state(path)
+
+    def test_hyperparameter_of_wrong_type_rejected(self, state_file):
+        path, _ = state_file
+        tensors, meta = nn.load_tensors(path)
+        meta["hyper"]["hidden"] = "4"
+        nn.save_tensors(path, list(tensors.items()), meta)
+        with pytest.raises(CheckpointError, match="bad hyperparameter hidden="):
             load_train_state(path)
 
     def test_missing_metadata_raises_checkpoint_error(self, state_file):
