@@ -305,6 +305,20 @@ _META_KEYS = (
 
 
 def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
+    """Write ``dataset`` to ``path``, replacing it atomically.
+
+    ``extra_metadata`` may not hold a header key, nor a ``config_hash`` other
+    than a non-empty ``config_hash`` argument: either would silently replace
+    the real value in the file, so it raises ``ValueError`` before the file is
+    opened. A ``config_hash`` in ``extra_metadata`` (where ``load_dataset``
+    puts it) is written when the argument is empty, so a loaded dataset saves
+    back to the same bytes.
+    """
+    shadowed = [key for key in _META_KEYS if key in dataset.extra_metadata]
+    if config_hash and dataset.extra_metadata.get("config_hash", config_hash) != config_hash:
+        shadowed.append("config_hash")
+    if shadowed:
+        raise ValueError(f"extra_metadata keys {shadowed} would replace header values")
     t, k = dataset.history, dataset.horizon
     f, n = dataset.feature_dim, len(dataset.samples)
     meta = {

@@ -4,6 +4,16 @@ Everything operates on float64 numpy arrays with a leading batch dimension.
 Forward functions return ``(output..., cache)``; the matching backward
 function consumes the cache and upstream gradients and returns exact analytic
 gradients for parameters and inputs.
+
+The recurrent and attention layers work on whole sequences so that a model
+can run layer by layer. ``lstm_sequence_forward`` takes a time-major
+(S, B, D) input and steps only the recurrence ``h W_hᵀ``; its input product
+and, in the backward pass, its weight and input gradients are one GEMM each
+over all S*B rows. ``attention_sequence_forward`` attends from K queries at
+once with batched matmuls. This fits a decoder without input feeding, whose
+layer inputs do not depend on the previous step's attention output.
+``lstm_cell_*`` and ``attention_forward`` / ``attention_backward`` are the
+S = 1 and K = 1 slices of the sequence forms.
 """
 
 from .layers import (
@@ -16,8 +26,12 @@ from .layers import (
     dense_backward,
     embedding_forward,
     embedding_backward,
+    lstm_sequence_forward,
+    lstm_sequence_backward,
     lstm_cell_forward,
     lstm_cell_backward,
+    attention_sequence_forward,
+    attention_sequence_backward,
     attention_forward,
     attention_backward,
     dropout_forward,
@@ -47,8 +61,12 @@ __all__ = [
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
+    "lstm_sequence_forward",
+    "lstm_sequence_backward",
     "lstm_cell_forward",
     "lstm_cell_backward",
+    "attention_sequence_forward",
+    "attention_sequence_backward",
     "attention_forward",
     "attention_backward",
     "dropout_forward",

@@ -29,7 +29,22 @@ class CheckpointError(RuntimeError):
 
 
 def save_tensors(path, named_tensors: list[tuple[str, np.ndarray]], metadata: dict) -> None:
-    """Write the tensors and metadata to ``path``, replacing it atomically."""
+    """Write the tensors and metadata to ``path``, replacing it atomically.
+
+    Raises ``ValueError``, before the file is opened, for what ``load_tensors``
+    rejects: a tensor name that appears twice, or metadata that is not a dict.
+    """
+    seen = set()
+    for name, _ in named_tensors:
+        if name in seen:
+            raise ValueError(f"tensor {name!r} appears twice")
+        seen.add(name)
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be a dict, got {type(metadata).__name__}")
+    _write_tensors(path, named_tensors, metadata)
+
+
+def _write_tensors(path, named_tensors, metadata) -> None:
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(MAGIC)

@@ -1,4 +1,7 @@
-"""Layers: dense, embedding, LSTM cell, global attention, dropout, softmax CE.
+"""Layers: dense, embedding, LSTM, global attention, dropout, softmax CE.
+
+The LSTM and attention kernels take whole sequences; see the package
+docstring for why, and for their single-step slices.
 
 Parameter containers are plain dataclasses of float64 arrays. ``params_items``
 / ``zeros_like_params`` / ``accumulate_params`` give generic traversal so the
@@ -22,8 +25,12 @@ __all__ = [
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
+    "lstm_sequence_forward",
+    "lstm_sequence_backward",
     "lstm_cell_forward",
     "lstm_cell_backward",
+    "attention_sequence_forward",
+    "attention_sequence_backward",
     "attention_forward",
     "attention_backward",
     "dropout_forward",
@@ -185,96 +192,173 @@ def embedding_backward(cache, grad_y: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM: a time-major sequence kernel; the single-step API is its S=1 slice
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Branch-free and overflow-free: tanh saturates where exp would overflow.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid_(z: np.ndarray) -> None:
+    # In place, branch-free and overflow-free: tanh saturates where exp would
+    # overflow.
+    np.multiply(z, 0.5, out=z)
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+
+
+def _gate_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of the i, f, g, o blocks of a (B, 4H) gate array."""
+    hid = a.shape[1] // 4
+    return [a[:, k * hid : (k + 1) * hid] for k in range(4)]
+
+
+def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
+    """Run the standard LSTM recurrence over a time-major sequence.
+
+    i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
+    x: (S, B, D); h0, c0: (B, H). Returns (h (S, B, H), c_S (B, H), cache).
+
+    ``x W_xᵀ`` for all S steps is one GEMM before the loop, so the loop does
+    only ``h W_hᵀ``, the gates and the cell. The gate activations overwrite
+    their pre-activations in one (S, B, 4H) buffer; h and c are kept as
+    (S+1, B, H) stacks, and the returned h is a view of its stack.
+    """
+    if x.ndim != 3 or x.shape[2] != p.input_size:
+        raise ValueError(f"lstm expects x of shape (S, B, {p.input_size}), got {x.shape}")
+    s, b, d = x.shape
+    hid = p.hidden_size
+    if h0.shape != (b, hid) or c0.shape != (b, hid):
+        raise ValueError(f"lstm state shapes {h0.shape}, {c0.shape} vs (B, H) = {(b, hid)}")
+    x2 = x.reshape(s * b, d)
+    act = (x2 @ p.wx.T).reshape(s, b, 4 * hid)
+    hs = np.empty((s + 1, b, hid))
+    cs = np.empty((s + 1, b, hid))
+    tcs = np.empty((s, b, hid))
+    hs[0] = h0
+    cs[0] = c0
+    for t in range(s):
+        a = act[t]
+        a += hs[t] @ p.wh.T
+        a += p.b
+        i, f, g, o = _gate_blocks(a)
+        _sigmoid_(a[:, : 2 * hid])  # i and f together
+        np.tanh(g, out=g)
+        _sigmoid_(o)
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(o, tcs[t], out=hs[t + 1])
+    if not np.all(np.isfinite(hs[1:])):
+        raise NumericError("non-finite LSTM activation")
+    return hs[1:], cs[s], (p, x2, hs, cs, act, tcs)
+
+
+def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
+    """Backward through one step whose gate activations [i, f, g, o] are
+    ``a`` (B, 4H). Overwrites ``a`` with the pre-activation gradient dz and
+    returns (dh_prev, dc_prev)."""
+    i, f, g, o = _gate_blocks(a)
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dc_prev = dc * f
+    dz_g = dc * i * (1.0 - g * g)
+    i[...] = dc * g * i * (1.0 - i)
+    f[...] = dc * c_prev * f * (1.0 - f)
+    o[...] = dh * tc * o * (1.0 - o)
+    g[...] = dz_g
+    return a @ wh, dc_prev
+
+
+def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
+    """Backward through ``lstm_sequence_forward`` from the gradients on every
+    h (S, B, H) and on the final c (B, H); returns (param grads, dx (S, B, D),
+    dh0, dc0).
+
+    The loop runs only the step math; the weight gradients and dx are one GEMM
+    each over all S*B rows after it. It consumes the cache: the activation
+    buffer is overwritten with dz, so call it once per forward.
+    """
+    p, x2, hs, cs, act, tcs = cache
+    s, b, hid = tcs.shape
+    dh = np.zeros((b, hid))
+    dc = grad_c
+    for t in reversed(range(s)):
+        dh, dc = _lstm_step_backward(act[t], tcs[t], cs[t], grad_h[t] + dh, dc, p.wh)
+    dz = act.reshape(s * b, 4 * hid)
+    grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs[:-1].reshape(s * b, hid), b=dz.sum(axis=0))
+    return grads, (dz @ p.wx).reshape(s, b, -1), dh, dc
 
 
 def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One step of the standard LSTM recurrence.
-
-    i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
-    """
-    if x.shape[1] != p.input_size or h_prev.shape[1] != p.hidden_size:
-        raise ValueError(
-            f"lstm shapes: x {x.shape} vs D={p.input_size}, h {h_prev.shape} vs H={p.hidden_size}"
-        )
-    z_i, z_f, z_g, z_o = np.split(x @ p.wx.T + h_prev @ p.wh.T + p.b, 4, axis=1)
-    i, f, g, o = _sigmoid(z_i), _sigmoid(z_f), np.tanh(z_g), _sigmoid(z_o)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    if not np.all(np.isfinite(h)):
-        raise NumericError("non-finite LSTM activation")
-    cache = (p, x, h_prev, c_prev, i, f, g, o, tc)
-    return h, c, cache
+    """One step, (B, D) → (h, c, cache): ``lstm_sequence_forward`` at S = 1."""
+    h, c, cache = lstm_sequence_forward(p, x[None], h_prev, c_prev)
+    return h[0], c, cache
 
 
 def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     """Backward through one step; returns (param grads, dx, dh_prev, dc_prev)."""
-    p, x, h_prev, c_prev, i, f, g, o, tc = cache
-    dc = grad_c + grad_h * o * (1.0 - tc * tc)
-    dz = np.concatenate(
-        [
-            dc * g * i * (1.0 - i),  # input gate
-            dc * c_prev * f * (1.0 - f),  # forget gate
-            dc * i * (1.0 - g * g),  # cell candidate
-            grad_h * tc * o * (1.0 - o),  # output gate
-        ],
-        axis=1,
-    )
-    grads = LSTMParams(wx=dz.T @ x, wh=dz.T @ h_prev, b=dz.sum(axis=0))
-    return grads, dz @ p.wx, dz @ p.wh, dc * f
+    grads, dx, dh_prev, dc_prev = lstm_sequence_backward(cache, grad_h[None], grad_c)
+    return grads, dx[0], dh_prev, dc_prev
 
 
 # ---------------------------------------------------------------------------
-# global attention (multiplicative score)
+# global attention (multiplicative score), batched over decoder steps
 
 
-def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
-    """Attend over encoder states with score_s = q^T W h_s.
+def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
+    """Attend from K queries per sequence over its encoder states, with
+    score_s = q^T W h_s.
 
-    query: (B, H); enc_states: (B, T, H). Returns (context (B, H),
-    weights (B, T), combined (B, H), cache) where
-    combined = tanh(W_c [context; query] + b).
+    query: (B, K, H); enc_states: (B, T, H). Returns (context (B, K, H),
+    weights (B, K, T), combined (B, K, H), cache) where
+    combined = tanh(W_c [context; query] + b). Scores and context are batched
+    matmuls, and the two projections are one GEMM each over B*K rows.
     """
     if enc_states.ndim != 3 or enc_states.shape[1] < 1:
         raise ValueError(f"encoder states must be (B, T>=1, H), got {enc_states.shape}")
-    qp = query @ p.w_score  # (B, H)
-    scores = np.einsum("bh,bth->bt", qp, enc_states)
-    weights = softmax(scores)
-    context = np.einsum("bt,bth->bh", weights, enc_states)
-    cat = np.concatenate([context, query], axis=1)
-    z = cat @ p.w_combine.T + p.b_combine
-    combined = np.tanh(z)
-    cache = (p, query, enc_states, qp, weights, cat, combined)
-    return context, weights, combined, cache
+    if query.ndim != 3 or query.shape[::2] != enc_states.shape[::2]:
+        raise ValueError(f"query {query.shape} is not (B, K, H) for states {enc_states.shape}")
+    b, k, hid = query.shape
+    q2 = query.reshape(b * k, hid)
+    qp = (q2 @ p.w_score).reshape(b, k, hid)
+    weights = softmax(qp @ enc_states.transpose(0, 2, 1))
+    context = weights @ enc_states
+    cat = np.concatenate([context, query], axis=2).reshape(b * k, 2 * hid)
+    combined = np.tanh(cat @ p.w_combine.T + p.b_combine)
+    cache = (p, q2, enc_states, qp, weights, cat, combined)
+    return context, weights, combined.reshape(b, k, hid), cache
 
 
-def attention_backward(cache, grad_combined: np.ndarray):
-    """Backward from the combined output; returns (param grads, dquery, denc)."""
-    p, query, enc_states, qp, weights, cat, combined = cache
-    hidden = query.shape[1]
-    dz = grad_combined * (1.0 - combined * combined)
+def attention_sequence_backward(cache, grad_combined: np.ndarray):
+    """Backward from the combined outputs (B, K, H); returns (param grads,
+    dquery (B, K, H), denc (B, T, H))."""
+    p, q2, enc_states, qp, weights, cat, combined = cache
+    b, k, hid = qp.shape
+    dz = grad_combined.reshape(b * k, hid) * (1.0 - combined * combined)
     g_w_combine = dz.T @ cat
     g_b_combine = dz.sum(axis=0)
     dcat = dz @ p.w_combine
-    dcontext = dcat[:, :hidden]
-    dquery = dcat[:, hidden:].copy()
+    dcontext = dcat[:, :hid].reshape(b, k, hid)
 
-    dweights = np.einsum("bh,bth->bt", dcontext, enc_states)
-    denc = weights[:, :, None] * dcontext[:, None, :]
+    dweights = dcontext @ enc_states.transpose(0, 2, 1)
     # softmax Jacobian applied row-wise
-    dscores = weights * (dweights - np.sum(dweights * weights, axis=1, keepdims=True))
-    dqp = np.einsum("bt,bth->bh", dscores, enc_states)
-    denc += dscores[:, :, None] * qp[:, None, :]
-    g_w_score = query.T @ dqp
-    dquery += dqp @ p.w_score.T
+    dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
+    denc = weights.transpose(0, 2, 1) @ dcontext + dscores.transpose(0, 2, 1) @ qp
+    dqp = (dscores @ enc_states).reshape(b * k, hid)
+    g_w_score = q2.T @ dqp
+    dquery = dcat[:, hid:] + dqp @ p.w_score.T
     grads = AttentionParams(w_score=g_w_score, w_combine=g_w_combine, b_combine=g_b_combine)
-    return grads, dquery, denc
+    return grads, dquery.reshape(b, k, hid), denc
+
+
+def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
+    """One decoder step, query (B, H): ``attention_sequence_forward`` at K = 1.
+    Returns (context (B, H), weights (B, T), combined (B, H), cache)."""
+    context, weights, combined, cache = attention_sequence_forward(p, query[:, None], enc_states)
+    return context[:, 0], weights[:, 0], combined[:, 0], cache
+
+
+def attention_backward(cache, grad_combined: np.ndarray):
+    """Backward from the combined output (B, H); returns (param grads, dquery, denc)."""
+    grads, dquery, denc = attention_sequence_backward(cache, grad_combined[:, None])
+    return grads, dquery[:, 0], denc
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,27 @@ layers. Decoder: token embedding, two stacked LSTM layers initialized from the
 encoder's final states layer by layer, global attention over the encoder state
 sequence, and a dense projection to per-beam logits. Training teacher-forces
 the decoder with a start token prepended; inference feeds back its own argmax.
+
+The model runs layer by layer, not step by step. The decoder has no input
+feeding: the attention output goes only to the output projection, never into
+the next step's input. So once the decoder's inputs are known (all of them
+under teacher forcing, and the whole encoder input always), only the two LSTM
+recurrences of each stack have to run one time step after another. Each
+layer runs once over the whole sequence: the LSTM input products, attention,
+the combine layer and the output projection are each one batched product over
+all B*S rows, forward and backward. Greedy decoding still steps, because it
+feeds back its own argmax; it runs the same layers with S = 1.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
+from ._files import atomic_write
 from .data import Dataset
 from .nn import (
     AdamState,
@@ -24,9 +34,8 @@ from .nn import (
     EmbeddingParams,
     LSTMParams,
     NumericError,
-    accumulate_params,
+    accumulate_params,  # noqa: F401  (the benchmark tracer wraps it here)
     params_items,
-    zeros_like_params,
 )
 
 __all__ = [
@@ -92,9 +101,6 @@ class Seq2SeqModel:
             named.update(params_items(grads[layer], prefix=f"{layer}."))
         return named
 
-    def zero_grads(self) -> dict:
-        return {layer: zeros_like_params(getattr(self, layer)) for layer in self._LAYERS}
-
 
 @dataclass
 class EncoderOutput:
@@ -124,7 +130,8 @@ def init_model(hyper: Seq2SeqHyper, seed: int) -> Seq2SeqModel:
 
 
 # ---------------------------------------------------------------------------
-# forward passes (batched internals, single-sample public wrappers)
+# forward passes, layer by layer (batched internals, single-sample public
+# wrappers). Activations between layers are time-major, (S, B, ·).
 
 
 def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, training: bool, rng=None):
@@ -135,59 +142,57 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, training: bool, rng=No
         )
     b, t, _ = feats.shape
     h = hp.hidden
-    flat = feats.reshape(b * t, hp.feature_dim)
-    proj, dense_cache = nn.dense_forward(model.enc_in, flat)
+    proj, dense_cache = nn.dense_forward(model.enc_in, feats.reshape(b * t, hp.feature_dim))
     proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng, training)
-    x = proj.reshape(b, t, h)
-
-    h1 = np.zeros((b, h))
-    c1 = np.zeros((b, h))
-    h2 = np.zeros((b, h))
-    c2 = np.zeros((b, h))
-    states = np.empty((b, t, h))
-    step_caches = []
-    for k in range(t):
-        h1, c1, cache1 = nn.lstm_cell_forward(model.enc_l1, x[:, k, :], h1, c1)
-        mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng, training)
-        h2, c2, cache2 = nn.lstm_cell_forward(model.enc_l2, mid, h2, c2)
-        states[:, k, :] = h2
-        step_caches.append((cache1, drop_cache, cache2))
-    output = EncoderOutput(states=states, h1=h1, c1=c1, h2=h2, c2=c2)
-    cache = (dense_cache, drop_in_cache, step_caches, b, t)
-    return output, cache
+    zeros = np.zeros((b, h))
+    x = proj.reshape(b, t, h).transpose(1, 0, 2)
+    out1, c1, cache1 = nn.lstm_sequence_forward(model.enc_l1, x, zeros, zeros)
+    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
+    out2, c2, cache2 = nn.lstm_sequence_forward(model.enc_l2, mid, zeros, zeros)
+    output = EncoderOutput(
+        states=np.ascontiguousarray(out2.transpose(1, 0, 2)),
+        h1=out1[-1], c1=c1, h2=out2[-1], c2=c2,
+    )
+    return output, (dense_cache, drop_in_cache, cache1, drop_cache, cache2)
 
 
 def _encode_backward(model, cache, d_states, d_finals, grads):
-    dense_cache, drop_in_cache, step_caches, b, t = cache
-    h = model.hyper.hidden
+    dense_cache, drop_in_cache, cache1, drop_cache, cache2 = cache
+    b, t, h = d_states.shape
     dh1, dc1, dh2, dc2 = d_finals
-    dx = np.empty((b, t, h))
-    for k in reversed(range(t)):
-        cache1, drop_cache, cache2 = step_caches[k]
-        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_states[:, k, :] + dh2, dc2)
-        accumulate_params(grads["enc_l2"], g2)
-        d_mid = nn.dropout_backward(drop_cache, d_mid)
-        g1, d_in, dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
-        accumulate_params(grads["enc_l1"], g1)
-        dx[:, k, :] = d_in
-    flat = nn.dropout_backward(drop_in_cache, dx.reshape(b * t, h))
-    g_dense, _ = nn.dense_backward(dense_cache, flat)
-    accumulate_params(grads["enc_in"], g_dense)
+    d_out2 = d_states.transpose(1, 0, 2).copy()
+    d_out2[-1] += dh2
+    grads["enc_l2"], d_mid, _, _ = nn.lstm_sequence_backward(cache2, d_out2, dc2)
+    d_out1 = nn.dropout_backward(drop_cache, d_mid)
+    d_out1[-1] += dh1
+    grads["enc_l1"], dx, _, _ = nn.lstm_sequence_backward(cache1, d_out1, dc1)
+    flat = nn.dropout_backward(drop_in_cache, dx.transpose(1, 0, 2).reshape(b * t, h))
+    grads["enc_in"], _ = nn.dense_backward(dense_cache, flat)
 
 
-def _decoder_step(
-    model: Seq2SeqModel, enc: EncoderOutput, tokens, carry, training: bool, rng=None
-):
-    """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention, output projection
-    from ``carry = (h1, c1, h2, c2)``; returns (logits, next carry, caches)."""
+def _decode(model: Seq2SeqModel, enc: EncoderOutput, tokens, carry, training: bool, rng=None):
+    """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention and the output
+    projection over S time-major input tokens (S, B), from
+    ``carry = (h1, c1, h2, c2)``; returns (logits (B, S, X), next carry, cache).
+
+    Attention output feeds only ``out``, never the next step's input, so the
+    recurrences are the only step-by-step work: each layer runs once over all S.
+    """
+    hp = model.hyper
+    s, b = tokens.shape
     h1, c1, h2, c2 = carry
-    embedded, ecache = nn.embedding_forward(model.emb, tokens)
-    h1, c1, cache1 = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
-    mid, drop_cache = nn.dropout_forward(h1, model.hyper.dropout, rng, training)
-    h2, c2, cache2 = nn.lstm_cell_forward(model.dec_l2, mid, h2, c2)
-    _, _, combined, acache = nn.attention_forward(model.att, h2, enc.states)
-    logits, ocache = nn.dense_forward(model.out, combined)
-    return logits, (h1, c1, h2, c2), (ecache, cache1, drop_cache, cache2, acache, ocache)
+    embedded, ecache = nn.embedding_forward(model.emb, tokens.reshape(-1))
+    out1, c1, cache1 = nn.lstm_sequence_forward(
+        model.dec_l1, embedded.reshape(s, b, -1), h1, c1
+    )
+    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
+    out2, c2, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, h2, c2)
+    _, _, combined, acache = nn.attention_sequence_forward(
+        model.att, out2.transpose(1, 0, 2), enc.states
+    )
+    logits, ocache = nn.dense_forward(model.out, combined.reshape(b * s, hp.hidden))
+    cache = (ecache, cache1, drop_cache, cache2, acache, ocache)
+    return logits.reshape(b, s, hp.num_beams), (out1[-1], c1, out2[-1], c2), cache
 
 
 def _decode_teacher_batch(
@@ -203,55 +208,43 @@ def _decode_teacher_batch(
         raise ValueError(f"expected {hp.horizon} target slots, got {k_steps}")
     if np.any(targets < 0) or np.any(targets >= hp.num_beams):
         raise ValueError("target label out of range")
-    tokens = np.column_stack(
-        [np.full(b, hp.start_token, dtype=np.int64), targets[:, :-1]]
-    )
-    logits = np.empty((b, k_steps, hp.num_beams))
+    tokens = np.vstack([np.full(b, hp.start_token, dtype=np.int64), targets[:, :-1].T])
     carry = (enc.h1, enc.c1, enc.h2, enc.c2)
-    step_caches = []
-    for k in range(k_steps):
-        logits[:, k, :], carry, cache = _decoder_step(
-            model, enc, tokens[:, k], carry, training, rng
-        )
-        step_caches.append(cache)
-    return logits, step_caches
+    logits, _, cache = _decode(model, enc, tokens, carry, training, rng)
+    return logits, cache
 
 
-def _decode_backward(model, step_caches, d_logits, grads):
-    """BPTT through the decoder; returns (d_enc_states, encoder final grads)."""
-    b, k_steps, _ = d_logits.shape
-    h = model.hyper.hidden
-    dh1 = np.zeros((b, h))
-    dc1 = np.zeros((b, h))
-    dh2 = np.zeros((b, h))
-    dc2 = np.zeros((b, h))
-    d_enc_states = None
-    for k in reversed(range(k_steps)):
-        ecache, cache1, drop_cache, cache2, acache, ocache = step_caches[k]
-        g_out, d_comb = nn.dense_backward(ocache, d_logits[:, k, :])
-        accumulate_params(grads["out"], g_out)
-        g_att, d_query, d_enc = nn.attention_backward(acache, d_comb)
-        accumulate_params(grads["att"], g_att)
-        d_enc_states = d_enc if d_enc_states is None else d_enc_states + d_enc
-        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_query + dh2, dc2)
-        accumulate_params(grads["dec_l2"], g2)
-        d_mid = nn.dropout_backward(drop_cache, d_mid)
-        g1, d_emb, dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
-        accumulate_params(grads["dec_l1"], g1)
-        accumulate_params(grads["emb"], nn.embedding_backward(ecache, d_emb))
+def _decode_backward(model, cache, d_logits, grads):
+    """Backward through ``_decode`` from zero gradients on its final carry;
+    returns (d_enc_states, encoder final grads)."""
+    ecache, cache1, drop_cache, cache2, acache, ocache = cache
+    b, s, x = d_logits.shape
+    grads["out"], d_comb = nn.dense_backward(ocache, d_logits.reshape(b * s, x))
+    grads["att"], d_query, d_enc_states = nn.attention_sequence_backward(
+        acache, d_comb.reshape(b, s, -1)
+    )
+    zeros = np.zeros((b, model.hyper.hidden))
+    grads["dec_l2"], d_mid, dh2, dc2 = nn.lstm_sequence_backward(
+        cache2, d_query.transpose(1, 0, 2), zeros
+    )
+    d_mid = nn.dropout_backward(drop_cache, d_mid)
+    grads["dec_l1"], d_emb, dh1, dc1 = nn.lstm_sequence_backward(cache1, d_mid, zeros)
+    grads["emb"] = nn.embedding_backward(ecache, d_emb.reshape(s * b, -1))
     return d_enc_states, (dh1, dc1, dh2, dc2)
 
 
 def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput, horizon: int):
+    """Autoregressive decoding: ``_decode`` one step (S = 1) at a time, fed
+    back its own argmax."""
     hp = model.hyper
     b = enc.states.shape[0]
-    tokens = np.full(b, hp.start_token, dtype=np.int64)
+    tokens = np.full((1, b), hp.start_token, dtype=np.int64)
     labels = np.empty((b, horizon), dtype=np.int64)
     carry = (enc.h1, enc.c1, enc.h2, enc.c2)
     for k in range(horizon):
-        step_logits, carry, _ = _decoder_step(model, enc, tokens, carry, training=False)
-        labels[:, k] = np.argmax(step_logits, axis=1)
-        tokens = labels[:, k]
+        step_logits, carry, _ = _decode(model, enc, tokens, carry, training=False)
+        labels[:, k] = np.argmax(step_logits[:, 0], axis=1)
+        tokens = labels[None, :, k]
     return labels
 
 
@@ -336,7 +329,6 @@ class TrainState:
 def _batch_forward_backward(model, feats, targets, rng):
     """One teacher-forced pass with dropout; returns loss, accuracy, grads."""
     b, k_steps = targets.shape
-    grads = model.zero_grads()
     enc, enc_cache = _encode_batch(model, feats, training=True, rng=rng)
     logits, dec_caches = _decode_teacher_batch(model, enc, targets, training=True, rng=rng)
     flat_logits = logits.reshape(b * k_steps, -1)
@@ -344,6 +336,7 @@ def _batch_forward_backward(model, feats, targets, rng):
     loss = float(losses.mean())
     accuracy = float(np.mean(np.argmax(flat_logits, axis=1) == targets.reshape(-1)))
     d_logits = (d_flat / (b * k_steps)).reshape(b, k_steps, -1)
+    grads: dict = {}
     d_enc_states, d_finals = _decode_backward(model, dec_caches, d_logits, grads)
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
     return loss, accuracy, grads
@@ -479,17 +472,16 @@ def train(
 
 
 def write_history(path, history: list[dict], provenance: str = "") -> None:
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("epoch,train_loss,val_loss,train_acc,val_acc,clip_events")
-    for row in history:
-        lines.append(
-            f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},"
-            f"{row['train_acc']!r},{row['val_acc']!r},{row['clip_events']}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the per-epoch history as CSV, replacing ``path`` atomically."""
+    with atomic_write(path) as fh:
+        if provenance:
+            fh.write(f"# {provenance}\n".encode())
+        fh.write(b"epoch,train_loss,val_loss,train_acc,val_acc,clip_events\n")
+        for row in history:
+            fh.write(
+                f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},"
+                f"{row['train_acc']!r},{row['val_acc']!r},{row['clip_events']}\n".encode()
+            )
 
 
 # ---------------------------------------------------------------------------

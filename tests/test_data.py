@@ -288,6 +288,32 @@ class TestDatasetFile:
         assert len(load_dataset(path).samples) == len(small_dataset.samples)
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "extra, config_hash",
+        [({"seed": "not-a-seed"}, ""), ({"scene_digest": "x"}, "real"),
+         ({"config_hash": "x"}, "real")],
+    )
+    def test_extra_key_shadowing_header_rejected(self, tmp_path, small_dataset, extra,
+                                                 config_hash):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        before = path.read_bytes()
+        shadowing = dataclasses.replace(
+            small_dataset, extra_metadata={**small_dataset.extra_metadata, **extra}
+        )
+        with pytest.raises(ValueError, match="would replace header values"):
+            save_dataset(shadowing, path, config_hash=config_hash)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_loaded_config_hash_saves_back(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path, config_hash="cafe")
+        loaded = load_dataset(path)
+        for config_hash in ("", "cafe"):
+            save_dataset(loaded, path, config_hash=config_hash)
+            assert load_dataset(path).extra_metadata["config_hash"] == "cafe"
+
     def test_out_of_range_label_rejected_on_load(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bmsq"
         save_dataset(small_dataset, path)

@@ -1,6 +1,8 @@
 """Layer forward/backward correctness, Adam, dropout, and checkpoints."""
 
+import inspect
 import struct
+import textwrap
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from beamseq.nn import (
     adam_step,
     attention_backward,
     attention_forward,
+    attention_sequence_backward,
+    attention_sequence_forward,
     clip_global_norm,
     dense_backward,
     dense_forward,
@@ -30,9 +34,12 @@ from beamseq.nn import (
     init_dense,
     init_embedding,
     init_lstm,
+    layers,
     load_tensors,
     lstm_cell_backward,
     lstm_cell_forward,
+    lstm_sequence_backward,
+    lstm_sequence_forward,
     params_items,
     save_tensors,
     softmax,
@@ -40,6 +47,7 @@ from beamseq.nn import (
     softmax_cross_entropy_batch,
     zeros_like_params,
 )
+from beamseq.nn.checkpoint import _write_tensors
 from beamseq.seq2seq import (
     Seq2SeqHyper,
     _batch_forward_backward,
@@ -180,6 +188,40 @@ class TestLstmCell:
         assert err < 1e-5
 
 
+class TestLstmSequence:
+    def test_full_backward_finite_difference(self):
+        rng = rng_for(31)
+        p = init_lstm(rng, 3, 4)
+        x = rng.normal(size=(5, 2, 3))
+        h0 = rng.normal(size=(2, 4))
+        c0 = rng.normal(size=(2, 4))
+        wh = rng.normal(size=(5, 2, 4))
+        wc = rng.normal(size=(2, 4))
+
+        def loss():
+            h, c, _ = lstm_sequence_forward(p, x, h0, c0)
+            return float(np.sum(wh * h) + np.sum(wc * c))
+
+        _, _, cache = lstm_sequence_forward(p, x, h0, c0)
+        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, wh, wc)
+        tensors = [arr for _, arr in params_items(p)] + [x, h0, c0]
+        analytic = [arr for _, arr in params_items(grads)] + [dx, dh0, dc0]
+        err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=32)
+        assert err < 1e-5
+
+    def test_non_finite_activation_raises(self):
+        p = init_lstm(rng_for(33), 3, 4)
+        x = np.zeros((3, 2, 3))
+        x[1, 0, 0] = np.nan
+        with pytest.raises(nn.NumericError):
+            lstm_sequence_forward(p, x, np.zeros((2, 4)), np.zeros((2, 4)))
+
+    def test_state_shape_mismatch(self):
+        p = init_lstm(rng_for(34), 3, 4)
+        with pytest.raises(ValueError):
+            lstm_sequence_forward(p, np.zeros((3, 2, 3)), np.zeros((1, 4)), np.zeros((2, 4)))
+
+
 class TestAttention:
     def test_identical_states_give_uniform_weights(self):
         rng = rng_for(14)
@@ -222,6 +264,29 @@ class TestAttention:
         p = init_attention(rng_for(17), 4)
         with pytest.raises(ValueError):
             attention_forward(p, np.zeros((1, 4)), np.zeros((1, 0, 4)))
+
+    def test_sequence_backward_finite_difference(self):
+        rng = rng_for(35)
+        p = init_attention(rng, 4)
+        q = rng.normal(size=(2, 3, 4))
+        enc = rng.normal(size=(2, 5, 4))
+        w = rng.normal(size=(2, 3, 4))
+
+        def loss():
+            _, _, combined, _ = attention_sequence_forward(p, q, enc)
+            return float(np.sum(w * combined))
+
+        _, _, _, cache = attention_sequence_forward(p, q, enc)
+        grads, dq, denc = attention_sequence_backward(cache, w)
+        tensors = [p.w_score, p.w_combine, p.b_combine, q, enc]
+        analytic = [grads.w_score, grads.w_combine, grads.b_combine, dq, denc]
+        err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=12)
+        assert err < 1e-5
+
+    def test_query_batch_mismatch_rejected(self):
+        p = init_attention(rng_for(37), 4)
+        with pytest.raises(ValueError):
+            attention_sequence_forward(p, np.zeros((2, 3, 4)), np.zeros((1, 5, 4)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -384,6 +449,40 @@ def micro_seq2seq_check(corrupt=None):
     )
 
 
+def _mutant(fn, old: str, new: str):
+    """``fn`` recompiled from its source with the one occurrence of ``old``
+    replaced by ``new``, bound to the globals of ``fn``'s module."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{old!r} is not in {fn.__name__} exactly once"
+    namespace: dict = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# Single mutations of the backward math the training step runs: the LSTM step
+# inside lstm_sequence_backward's loop, and the batched attention backward.
+BACKWARD_MUTATIONS = {
+    "forget_gate_sign_flipped": (
+        layers._lstm_step_backward, "f[...] = dc * c_prev", "f[...] = -dc * c_prev"
+    ),
+    "output_gate_dropped_from_dh_prev": (
+        layers._lstm_step_backward,
+        "return a @ wh, dc_prev",
+        "return a[:, : 3 * tc.shape[1]] @ wh[: 3 * tc.shape[1]], dc_prev",
+    ),
+    "dc_prev_without_f": (layers._lstm_step_backward, "dc_prev = dc * f", "dc_prev = dc"),
+    "tanh_prime_as_one_minus_g": (
+        layers._lstm_step_backward, "(1.0 - g * g)", "(1.0 - g)"
+    ),
+    "softmax_jacobian_without_weighted_sum": (
+        layers.attention_sequence_backward,
+        "weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))",
+        "weights * dweights",
+    ),
+}
+
+
 class TestFiniteDiffNoiseFloor:
     def test_gradient_below_noise_floor_passes(self):
         # At L ~ 1.6 and h = 1e-5 the central difference is only good to
@@ -416,15 +515,13 @@ class TestFiniteDiffNoiseFloor:
 
         assert micro_seq2seq_check(flip_forget_gate) > 1e-4
 
-    def test_micro_seq2seq_dropped_forget_factor_detected(self, monkeypatch):
-        exact = nn.lstm_cell_backward
-
-        def without_forget_factor(cache, grad_h, grad_c):
-            grads, dx, dh_prev, dc_prev = exact(cache, grad_h, grad_c)
-            f = cache[5]
-            return grads, dx, dh_prev, dc_prev / f  # dc_prev = dc, not dc * f
-
-        monkeypatch.setattr(nn, "lstm_cell_backward", without_forget_factor)
+    @pytest.mark.parametrize("mutation", sorted(BACKWARD_MUTATIONS))
+    def test_micro_seq2seq_backward_mutation_detected(self, monkeypatch, mutation):
+        fn, old, new = BACKWARD_MUTATIONS[mutation]
+        mutant = _mutant(fn, old, new)
+        for module in (layers, nn):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, mutant)
         assert micro_seq2seq_check() > 1e-4
 
 
@@ -524,15 +621,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize("metadata", [[], "x", 5, None])
     def test_metadata_that_is_not_an_object_rejected(self, tmp_path, metadata):
         path = tmp_path / "meta.bmck"
-        save_tensors(path, [("a", np.zeros(2))], metadata)
+        _write_tensors(path, [("a", np.zeros(2))], metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_tensors(path)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "dup.bmck"
-        save_tensors(path, [("a", np.zeros(2)), ("b", np.ones(1)), ("a", np.ones(2))], {})
+        _write_tensors(path, [("a", np.zeros(2)), ("b", np.ones(1)), ("a", np.ones(2))], {})
         with pytest.raises(CheckpointError, match="'a' appears twice"):
             load_tensors(path)
+
+    @pytest.mark.parametrize(
+        "tensors, metadata, message",
+        [
+            ([("a", np.zeros(2)), ("b", np.ones(1)), ("a", np.ones(2))], {}, "'a' appears twice"),
+            ([("a", np.zeros(2))], [], "metadata must be a dict"),
+            ([("a", np.zeros(2))], None, "metadata must be a dict"),
+        ],
+    )
+    def test_save_rejects_what_load_rejects(self, tmp_path, tensors, metadata, message):
+        path = tmp_path / "model.bmck"
+        save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=message):
+            save_tensors(path, tensors, metadata)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "name.bmck"

@@ -1,11 +1,14 @@
 """Encoder/decoder forward oracles, end-to-end gradients, training behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from beamseq import nn
 from beamseq.data import Dataset, TrainingSample, split_of_trajectory
 from beamseq.nn import CheckpointError, finite_diff_check, params_items
+from beamseq.nn.checkpoint import _write_tensors
 from beamseq.seq2seq import (
     EncoderOutput,
     Seq2SeqHyper,
@@ -270,6 +273,130 @@ class TestEndToEndGradients:
         assert err < 1e-4
 
 
+def per_step_forward_backward(model, feats, targets, rng):
+    """Oracle for ``_batch_forward_backward``: the teacher-forced training step
+    run one time step at a time through every layer, with one dropout draw per
+    step, and the backward pass accumulating per-step parameter gradients."""
+    hp = model.hyper
+    b, t, _ = feats.shape
+    h, k_steps = hp.hidden, hp.horizon
+    grads = {layer: nn.zeros_like_params(getattr(model, layer)) for layer in model._LAYERS}
+
+    proj, dense_cache = nn.dense_forward(model.enc_in, feats.reshape(b * t, -1))
+    proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng, True)
+    x = proj.reshape(b, t, h)
+    h1 = c1 = h2 = c2 = np.zeros((b, h))
+    states = np.empty((b, t, h))
+    enc_steps = []
+    for k in range(t):
+        h1, c1, cache1 = nn.lstm_cell_forward(model.enc_l1, x[:, k], h1, c1)
+        mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng, True)
+        h2, c2, cache2 = nn.lstm_cell_forward(model.enc_l2, mid, h2, c2)
+        states[:, k] = h2
+        enc_steps.append((cache1, drop_cache, cache2))
+
+    tokens = np.column_stack([np.full(b, hp.start_token), targets[:, :-1]])
+    logits = np.empty((b, k_steps, hp.num_beams))
+    dec_steps = []
+    for k in range(k_steps):
+        embedded, ecache = nn.embedding_forward(model.emb, tokens[:, k])
+        h1, c1, cache1 = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
+        mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng, True)
+        h2, c2, cache2 = nn.lstm_cell_forward(model.dec_l2, mid, h2, c2)
+        _, _, combined, acache = nn.attention_forward(model.att, h2, states)
+        logits[:, k], ocache = nn.dense_forward(model.out, combined)
+        dec_steps.append((ecache, cache1, drop_cache, cache2, acache, ocache))
+    losses, d_flat = nn.softmax_cross_entropy_batch(
+        logits.reshape(b * k_steps, -1), targets.reshape(-1)
+    )
+    d_logits = (d_flat / (b * k_steps)).reshape(b, k_steps, -1)
+
+    dh1 = dc1 = dh2 = dc2 = np.zeros((b, h))
+    d_states = np.zeros((b, t, h))
+    for k in reversed(range(k_steps)):
+        ecache, cache1, drop_cache, cache2, acache, ocache = dec_steps[k]
+        g_out, d_comb = nn.dense_backward(ocache, d_logits[:, k])
+        g_att, d_query, d_enc = nn.attention_backward(acache, d_comb)
+        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_query + dh2, dc2)
+        d_mid = nn.dropout_backward(drop_cache, d_mid)
+        g1, d_emb, dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
+        d_states += d_enc
+        for layer, g in (("out", g_out), ("att", g_att), ("dec_l2", g2), ("dec_l1", g1),
+                         ("emb", nn.embedding_backward(ecache, d_emb))):
+            nn.accumulate_params(grads[layer], g)
+    dx = np.empty((b, t, h))
+    for k in reversed(range(t)):
+        cache1, drop_cache, cache2 = enc_steps[k]
+        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_states[:, k] + dh2, dc2)
+        d_mid = nn.dropout_backward(drop_cache, d_mid)
+        g1, dx[:, k], dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
+        nn.accumulate_params(grads["enc_l2"], g2)
+        nn.accumulate_params(grads["enc_l1"], g1)
+    flat = nn.dropout_backward(drop_in_cache, dx.reshape(b * t, h))
+    g_dense, _ = nn.dense_backward(dense_cache, flat)
+    nn.accumulate_params(grads["enc_in"], g_dense)
+    return float(losses.mean()), grads
+
+
+def per_step_greedy(model, enc, horizon):
+    """Oracle for greedy decoding: every decoder layer one step at a time."""
+    b = enc.states.shape[0]
+    tokens = np.full(b, model.hyper.start_token)
+    h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
+    labels = np.empty((b, horizon), dtype=np.int64)
+    for k in range(horizon):
+        embedded, _ = nn.embedding_forward(model.emb, tokens)
+        h1, c1, _ = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
+        h2, c2, _ = nn.lstm_cell_forward(model.dec_l2, h1, h2, c2)
+        _, _, combined, _ = nn.attention_forward(model.att, h2, enc.states)
+        logits, _ = nn.dense_forward(model.out, combined)
+        labels[:, k] = tokens = np.argmax(logits, axis=1)
+    return labels
+
+
+ORACLE_SHAPES = {
+    "micro": (dataclasses.replace(MICRO, dropout=0.2), 2),
+    "b3_t4_k4": (
+        Seq2SeqHyper(
+            feature_dim=3, history=4, horizon=4, num_beams=7, hidden=5, embed_dim=3, dropout=0.2
+        ),
+        3,
+    ),
+}
+
+
+class TestLayerByLayerMatchesPerStepOracle:
+    @pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+    def test_training_step(self, shape):
+        hyper, batch = ORACLE_SHAPES[shape]
+        model = init_model(hyper, seed=17)
+        data_rng = np.random.default_rng(18)
+        feats = data_rng.normal(size=(batch, hyper.history, hyper.feature_dim))
+        targets = data_rng.integers(0, hyper.num_beams, size=(batch, hyper.horizon))
+        loss, _, grads = _batch_forward_backward(
+            model, feats, targets, np.random.default_rng(19)
+        )
+        want_loss, want_grads = per_step_forward_backward(
+            model, feats, targets, np.random.default_rng(19)
+        )
+        assert loss == want_loss
+        got, want = model.grads_to_dict(grads), model.grads_to_dict(want_grads)
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+    def test_greedy_labels(self, shape):
+        hyper, batch = ORACLE_SHAPES[shape]
+        model = init_model(hyper, seed=20)
+        feats = np.random.default_rng(21).normal(size=(8, hyper.history, hyper.feature_dim))
+        enc, _ = _encode_batch(model, feats, training=False)
+        want = per_step_greedy(model, enc, hyper.horizon)
+        for i, window in enumerate(feats):
+            np.testing.assert_array_equal(decode_greedy(model, encode(model, window)), want[i])
+
+
 class TestTraining:
     def test_same_seed_identical_first_epoch(self):
         ds = synthetic_dataset()
@@ -366,6 +493,17 @@ class TestTraining:
         assert lines[1].startswith("epoch,")
         assert len(lines) == 2 + len(history)
 
+    def test_failed_history_write_keeps_previous_file(self, tmp_path):
+        row = {"epoch": 0, "train_loss": 1.5, "val_loss": 1.6, "train_acc": 0.2,
+               "val_acc": 0.1, "clip_events": 0}
+        out = tmp_path / "history.csv"
+        write_history(out, [row], provenance="seed=1")
+        before = out.read_bytes()
+        with pytest.raises(KeyError):
+            write_history(out, [row, {"epoch": 1}])  # fails after the header and row 0
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestCheckpoints:
     def test_roundtrip_identical_inference(self, tmp_path):
@@ -421,7 +559,7 @@ class TestCheckpoints:
         path = tmp_path / "model.bmck"
         save_model(path, micro_model())
         tensors, _ = nn.load_tensors(path)
-        nn.save_tensors(path, list(tensors.items()), metadata)
+        _write_tensors(path, list(tensors.items()), metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_model(path)
 
@@ -429,7 +567,7 @@ class TestCheckpoints:
         path = tmp_path / "model.bmck"
         save_model(path, micro_model())
         tensors, meta = nn.load_tensors(path)
-        nn.save_tensors(path, [*tensors.items(), ("out.bias", tensors["out.bias"])], meta)
+        _write_tensors(path, [*tensors.items(), ("out.bias", tensors["out.bias"])], meta)
         with pytest.raises(CheckpointError, match="'out.bias' appears twice"):
             load_model(path)
 
@@ -491,7 +629,7 @@ class TestTrainStateCheckpoint:
     def test_metadata_that_is_not_an_object_rejected(self, state_file, metadata):
         path, _ = state_file
         tensors, _ = nn.load_tensors(path)
-        nn.save_tensors(path, list(tensors.items()), metadata)
+        _write_tensors(path, list(tensors.items()), metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_train_state(path)
 
