@@ -1,8 +1,22 @@
-"""Atomic file replacement shared by every writer in the package."""
+"""Atomic file replacement, and the npz container of checkpoints and channel
+grids: one uncompressed ``.npy`` member per array plus ``metadata.npy``, the
+UTF-8 JSON of a metadata object as uint8, read with ``allow_pickle=False``."""
 
+import json
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
+
+_METADATA = "metadata"
+
+# What np.load and zipfile raise for a malformed archive: a bad or CRC-failing
+# zip, truncation, a missing member, an unknown compression method (NotImplementedError),
+# an encrypted member (RuntimeError) or a seek outside the file (OSError).
+_MALFORMED = (zipfile.BadZipFile, EOFError, ValueError, KeyError, NotImplementedError,
+              RuntimeError, OSError)
 
 
 @contextmanager
@@ -18,3 +32,50 @@ def atomic_write(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def save_npz(path, arrays: dict[str, np.ndarray], metadata) -> None:
+    """Write ``arrays`` and the JSON of ``metadata`` to ``path`` (no ``.npz``
+    suffix is appended), replacing it atomically."""
+    meta = np.frombuffer(json.dumps(metadata, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    with atomic_write(path) as fh:  # a handle: given a path, numpy appends ".npz"
+        np.savez(fh, **arrays, **{_METADATA: meta})
+
+
+def load_npz(path, error) -> tuple[dict[str, np.ndarray], dict]:
+    """``(arrays, metadata)`` of a ``save_npz`` file, arrays in file order.
+
+    Raises ``error`` for a file that is not an npz archive, is truncated or
+    corrupt, repeats a member, holds a member that is not an array, or lacks
+    a metadata member that is a JSON object. A file that cannot be opened
+    raises the ``OSError`` of ``open``.
+    """
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            bare = isinstance(archive, np.ndarray)
+            if not bare:
+                with archive:
+                    names = archive.zip.namelist()
+                    members = {name: archive[name] for name in names}
+        except _MALFORMED as exc:
+            raise error(f"malformed npz file {path}: {exc!r}") from exc
+    if bare:
+        raise error(f"{path} is a bare .npy array, not an npz archive")
+    if len(members) != len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise error(f"{twice.removesuffix('.npy')!r} appears twice")
+    arrays = {}
+    for name, value in members.items():
+        if not (name.endswith(".npy") and isinstance(value, np.ndarray)):
+            raise error(f"member {name!r} is not a .npy array")
+        arrays[name.removesuffix(".npy")] = value
+    if _METADATA not in arrays:
+        raise error("no metadata member")
+    try:
+        metadata = json.loads(arrays.pop(_METADATA).tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"bad metadata block: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise error(f"metadata is a JSON {type(metadata).__name__}, not an object")
+    return arrays, metadata

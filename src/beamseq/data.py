@@ -9,7 +9,7 @@ Dataset file layout (magic ``BMSQ``, little-endian):
     magic | version u32 | X u32 | F u32 | T u32 | K u32 | count u32
     feature mean f64*F | feature std f64*F
     metadata length u32 | metadata UTF-8 JSON
-    per record: features f32 (T*F row-major) | labels u16*K | traj id u32 | start slot u32
+    records: one packed structured array of ``_record_dtype(T, F, K)``
 """
 
 from __future__ import annotations
@@ -304,6 +304,12 @@ _META_KEYS = (
 )
 
 
+def _record_dtype(t: int, f: int, k: int) -> np.dtype:
+    """One packed record; features row-major. ``ValueError`` beyond 2 GiB."""
+    return np.dtype([("features", "<f4", (t, f)), ("labels", "<u2", (k,)),
+                     ("trajectory_id", "<u4"), ("start_slot", "<u4")])
+
+
 def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     """Write ``dataset`` to ``path``, replacing it atomically.
 
@@ -332,6 +338,10 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
             raise ValueError("sample shape does not match dataset header")
         if np.any(s.labels >= dataset.num_beams) or np.any(s.labels < 0):
             raise ValueError(f"sample labels outside [0, {dataset.num_beams})")
+    records = np.array(
+        [(s.features, s.labels, s.trajectory_id, s.start_slot) for s in dataset.samples],
+        dtype=_record_dtype(t, f, k),
+    )
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIIII", FORMAT_VERSION, dataset.num_beams, f, t, k, n))
@@ -339,10 +349,7 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         fh.write(dataset.feature_std.astype("<f8").tobytes())
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        for s in dataset.samples:
-            fh.write(s.features.astype("<f4").tobytes())
-            fh.write(s.labels.astype("<u2").tobytes())
-            fh.write(struct.pack("<II", s.trajectory_id, s.start_slot))
+        fh.write(records.view(np.uint8))  # no copy, unlike tobytes()
 
 
 def load_dataset(path) -> Dataset:
@@ -373,25 +380,28 @@ def load_dataset(path) -> Dataset:
         header["split_ratios"] = tuple(header["split_ratios"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
-    samples = []
-    feat_bytes = 4 * t * f
-    label_bytes = 2 * k
-    for _ in range(count):
-        chunk, off = take(off, feat_bytes)
-        feats = np.frombuffer(chunk, dtype="<f4").reshape(t, f).astype(np.float64)
-        chunk, off = take(off, label_bytes)
-        labels = np.frombuffer(chunk, dtype="<u2").copy()
-        if np.any(labels >= x):
-            raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
-        chunk, off = take(off, 8)
-        traj_id, start = struct.unpack("<II", chunk)
-        samples.append(
-            TrainingSample(
-                features=feats, labels=labels, trajectory_id=traj_id, start_slot=start
-            )
+    try:
+        dtype = _record_dtype(t, f, k)
+    except ValueError as exc:
+        raise DatasetFormatError(f"bad record shape T={t}, F={f}, K={k}: {exc}") from exc
+    end = off + count * dtype.itemsize
+    if end > len(buf):
+        raise DatasetFormatError("truncated dataset file")
+    if end < len(buf):
+        raise DatasetFormatError(f"{len(buf) - end} trailing bytes")
+    records = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
+    labels = records["labels"].copy()
+    if count and labels.max() >= x:
+        raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
+    samples = [
+        TrainingSample(features=feats, labels=lab, trajectory_id=traj_id, start_slot=start)
+        for feats, lab, traj_id, start in zip(
+            records["features"].astype(np.float64),
+            labels,
+            records["trajectory_id"].tolist(),
+            records["start_slot"].tolist(),
         )
-    if off != len(buf):
-        raise DatasetFormatError(f"{len(buf) - off} trailing bytes")
+    ]
     return Dataset(
         samples=samples,
         feature_mean=mean,

@@ -37,7 +37,6 @@ from .layers import (
     dropout_forward,
     dropout_backward,
     softmax,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
     init_dense,
     init_embedding,
@@ -72,7 +71,6 @@ __all__ = [
     "dropout_forward",
     "dropout_backward",
     "softmax",
-    "softmax_cross_entropy",
     "softmax_cross_entropy_batch",
     "init_dense",
     "init_embedding",

@@ -36,7 +36,6 @@ __all__ = [
     "dropout_forward",
     "dropout_backward",
     "softmax",
-    "softmax_cross_entropy",
     "softmax_cross_entropy_batch",
     "init_dense",
     "init_embedding",
@@ -415,11 +414,3 @@ def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):
     grads = np.exp(shifted - log_norm[:, None])
     grads[rows, targets] -= 1.0
     return losses, grads
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int):
-    """Single-sample convenience wrapper; returns (loss, grad_logits)."""
-    losses, grads = softmax_cross_entropy_batch(
-        np.asarray(logits, dtype=np.float64)[None, :], np.asarray([target])
-    )
-    return float(losses[0]), grads[0]

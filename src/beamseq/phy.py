@@ -96,7 +96,6 @@ class ChannelSnapshot:
     at one time slot."""
 
     coefficients: np.ndarray
-    slot_index: int = 0
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
@@ -199,14 +198,14 @@ def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
     return coeffs
 
 
-def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry, slot: int = 0) -> ChannelSnapshot:
+def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry) -> ChannelSnapshot:
     """One channel vector from a path list; the sum is exact, no noise."""
     if not paths:
         raise OutageError("no propagation path: cannot synthesize a channel")
     # one single-path channel per path, summed in path order: one kernel call, not P
     gains, aods = [[p.gain] for p in paths], [[p.aod] for p in paths]
     coeffs = synthesize_channels(gains, aods, bs).sum(axis=0)
-    return ChannelSnapshot(coefficients=coeffs, slot_index=slot)
+    return ChannelSnapshot(coefficients=coeffs)
 
 
 def build_dft_codebook(num_beams: int, num_antennas: int) -> Codebook:

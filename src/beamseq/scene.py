@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import atomic_write
-from .phy import ArrayGeometry, ChannelSnapshot, OutageError, PathComponent, synthesize_channels
+from ._files import load_npz, save_npz
+from .phy import ArrayGeometry, PathComponent, synthesize_channels
 
 __all__ = [
     "Wall",
@@ -38,7 +38,6 @@ __all__ = [
     "trace_paths",
     "ChannelGrid",
     "build_channel_grid",
-    "snap_to_grid",
     "snap_positions",
 ]
 
@@ -534,37 +533,30 @@ class ChannelGrid:
     def paths_at(self, bs_id: str, flat_index: int) -> list[PathComponent]:
         return _path_list(*(getattr(self, f)[bs_id][flat_index] for f, _ in _TABLES[:4]))
 
-    def snapshot_at(self, bs_id: str, flat_index: int, slot: int = 0) -> ChannelSnapshot:
-        if self.outage(bs_id)[flat_index]:
-            raise OutageError(f"grid point {flat_index} is in outage for {bs_id}")
-        return ChannelSnapshot(
-            coefficients=self.snapshots[bs_id][flat_index].copy(), slot_index=slot
-        )
-
     def outage(self, bs_id: str) -> np.ndarray:
         return ~self.path_valid[bs_id].any(axis=1)
 
     def save(self, path) -> None:
-        payload = {"scene_json": np.frombuffer(
-            json.dumps(self.scene.to_dict(), sort_keys=True).encode(), dtype=np.uint8
-        )}
-        payload["bs_ids"] = np.array(list(self.bs_ids))
-        for bs_id in self.bs_ids:
-            for name, key in _TABLES:
-                payload[f"{bs_id}__{key}"] = getattr(self, name)[bs_id]
-        # A file handle, not a path: given a path, numpy appends ".npz".
-        with atomic_write(path) as fh:
-            np.savez_compressed(fh, **payload)
+        arrays = {
+            f"{bs_id}__{key}": getattr(self, name)[bs_id]
+            for bs_id in self.bs_ids
+            for name, key in _TABLES
+        }
+        save_npz(path, arrays, {"scene": self.scene.to_dict(), "bs_ids": list(self.bs_ids)})
 
     @classmethod
     def load(cls, path) -> "ChannelGrid":
-        with np.load(path, allow_pickle=False) as data:
-            scene = scene_from_dict(json.loads(bytes(data["scene_json"]).decode()))
-            bs_ids = tuple(str(b) for b in data["bs_ids"])
+        """Read a ``save`` file; a malformed one raises ``ValueError``."""
+        arrays, meta = load_npz(path, ValueError)
+        try:
+            scene = scene_from_dict(meta["scene"])
+            bs_ids = tuple(meta["bs_ids"])
             tables = {
-                name: {bs_id: data[f"{bs_id}__{key}"] for bs_id in bs_ids}
+                name: {bs_id: arrays[f"{bs_id}__{key}"] for bs_id in bs_ids}
                 for name, key in _TABLES
             }
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"bad channel grid file: {exc!r}") from exc
         return cls(scene=scene, bs_ids=bs_ids, **tables)
 
 
@@ -619,8 +611,3 @@ def snap_positions(positions: np.ndarray, grid: GridSpec) -> np.ndarray:
         idx_per_axis.append(np.clip(k, 0, n - 1))
     out[:] = idx_per_axis[0] * grid.n_y + idx_per_axis[1]
     return out
-
-
-def snap_to_grid(position, grid: GridSpec) -> int:
-    """Flat index of the grid point nearest to ``position``."""
-    return int(snap_positions(np.asarray(position, dtype=float)[None, :], grid)[0])

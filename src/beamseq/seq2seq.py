@@ -342,8 +342,9 @@ def _batch_forward_backward(model, feats, targets, rng):
     return loss, accuracy, grads
 
 
-def _evaluate_teacher_forced(model, feats, targets, batch_size=256):
-    """Inference-mode loss/accuracy over a split."""
+def _evaluate_teacher_forced(model, feats, targets, batch_size):
+    """Inference-mode loss/accuracy over a split, ``batch_size`` windows at a
+    time, so that validation holds no more than a training batch does."""
     n = feats.shape[0]
     if n == 0:
         return float("nan"), float("nan")
@@ -439,7 +440,7 @@ def train(
         train_loss = epoch_loss / n
         train_acc = epoch_correct / n
         if have_val:
-            val_loss, val_acc = _evaluate_teacher_forced(model, val_x, val_y)
+            val_loss, val_acc = _evaluate_teacher_forced(model, val_x, val_y, config.batch_size)
         else:
             val_loss, val_acc = train_loss, train_acc
         history.append(

@@ -241,6 +241,17 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
 
+    def test_record_shape_too_large_rejected(self, tmp_path, small_dataset):
+        # T = 2**31 - 1 in the header: a record of more than 2 GiB, which no
+        # numpy dtype can describe
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<I", 2**31 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="record shape"):
+            load_dataset(path)
+
     def test_truncation_rejected(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bmsq"
         save_dataset(small_dataset, path)

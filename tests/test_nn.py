@@ -1,8 +1,9 @@
 """Layer forward/backward correctness, Adam, dropout, and checkpoints."""
 
 import inspect
-import struct
+import io
 import textwrap
+import zipfile
 
 import numpy as np
 import pytest
@@ -43,11 +44,9 @@ from beamseq.nn import (
     params_items,
     save_tensors,
     softmax,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
     zeros_like_params,
 )
-from beamseq.nn.checkpoint import _write_tensors
 from beamseq.seq2seq import (
     Seq2SeqHyper,
     _batch_forward_backward,
@@ -291,24 +290,24 @@ class TestAttention:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = softmax_cross_entropy(np.zeros(4), 2)
-        assert loss == pytest.approx(np.log(4.0), abs=1e-12)
+        losses, _ = softmax_cross_entropy_batch(np.zeros((1, 4)), np.array([2]))
+        assert losses[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_near_one_hot(self):
-        logits = np.zeros(6)
-        logits[3] = 50.0
-        loss, _ = softmax_cross_entropy(logits, 3)
-        assert loss < 1e-20
+        logits = np.zeros((1, 6))
+        logits[0, 3] = 50.0
+        losses, _ = softmax_cross_entropy_batch(logits, np.array([3]))
+        assert losses[0] < 1e-20
 
     def test_grad_finite_difference(self):
         rng = rng_for(18)
-        logits = rng.normal(size=10)
-        target = 4
+        logits = rng.normal(size=(3, 10))
+        targets = np.array([4, 0, 9])
 
         def loss():
-            return softmax_cross_entropy(logits, target)[0]
+            return float(softmax_cross_entropy_batch(logits, targets)[0].sum())
 
-        _, grad = softmax_cross_entropy(logits, target)
+        _, grad = softmax_cross_entropy_batch(logits, targets)
         err = finite_diff_check(loss, [logits], [grad], rng, max_probes_per_tensor=10)
         assert err < 1e-6
 
@@ -321,7 +320,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(4), 4)
+            softmax_cross_entropy_batch(np.zeros((1, 4)), np.array([4]))
 
     def test_batch_matches_single(self):
         rng = rng_for(20)
@@ -329,9 +328,9 @@ class TestSoftmaxCrossEntropy:
         targets = rng.integers(0, 7, size=5)
         losses, grads = softmax_cross_entropy_batch(logits, targets)
         for b in range(5):
-            loss_b, grad_b = softmax_cross_entropy(logits[b], int(targets[b]))
-            assert losses[b] == pytest.approx(loss_b, abs=1e-15)
-            np.testing.assert_allclose(grads[b], grad_b, atol=1e-15)
+            loss_b, grad_b = softmax_cross_entropy_batch(logits[b : b + 1], targets[b : b + 1])
+            assert losses[b] == pytest.approx(loss_b[0], abs=1e-15)
+            np.testing.assert_allclose(grads[b], grad_b[0], atol=1e-15)
 
 
 class TestDropout:
@@ -534,7 +533,7 @@ class TestCheckpoint:
             ("scalarish", rng.normal(size=(1,))),
         ]
         meta = {"arch": {"hidden": 4}, "seed": 7}
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_tensors(path, tensors, meta)
         loaded, meta2 = load_tensors(path)
         assert meta2 == meta
@@ -542,7 +541,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name], arr)
 
     def test_corrupted_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bmck"
+        path = tmp_path / "bad.npz"
         save_tensors(path, [("a", np.zeros(2))], {})
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
@@ -550,21 +549,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_tensors(path)
 
-    def test_huge_dims_reported_as_truncation(self, tmp_path):
-        # 2**93 values would wrap to 0 in int64 and fail in reshape instead.
-        path = tmp_path / "huge.bmck"
-        name = b"a"
-        path.write_bytes(
-            b"BMCK"
-            + struct.pack("<III", 1, 1, len(name))
-            + name
-            + struct.pack("<4I", 3, 2**31, 2**31, 2**31)
+    def test_huge_dims_rejected(self, tmp_path):
+        # A member whose .npy header declares 2**93 values and holds none;
+        # the count wraps to 0 in int64, so numpy's reshape fails.
+        path = tmp_path / "huge.npz"
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (2**31,) * 3}
         )
-        with pytest.raises(CheckpointError, match="truncated"):
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("t/a.npy", header.getvalue())
+        with pytest.raises(CheckpointError):
             load_tensors(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
         before = path.read_bytes()
         with pytest.raises(ValueError):
@@ -575,7 +574,7 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_truncation_rejected(self, tmp_path):
-        path = tmp_path / "trunc.bmck"
+        path = tmp_path / "trunc.npz"
         save_tensors(path, [("a", np.arange(10.0))], {"k": 1})
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 6])
@@ -583,7 +582,7 @@ class TestCheckpoint:
             load_tensors(path)
 
     def test_truncation_at_every_offset_rejected(self, tmp_path):
-        path = tmp_path / "tiny.bmck"
+        path = tmp_path / "tiny.npz"
         save_tensors(path, [("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(1))], {"k": 1})
         raw = path.read_bytes()
         assert set(load_tensors(path)[0]) == {"w", "b"}
@@ -593,8 +592,10 @@ class TestCheckpoint:
                 load_tensors(path)
 
     @given(
+        # NUL is the one name character a zip member cannot hold; see
+        # test_nul_in_tensor_name_rejected
         tensors=st.dictionaries(
-            st.text(max_size=12),
+            st.text(st.characters(exclude_characters="\0"), max_size=12),
             hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4).flatmap(
                 lambda shape: hnp.arrays(np.float64, shape)
             ),
@@ -609,7 +610,7 @@ class TestCheckpoint:
     )
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_is_exact(self, tmp_path_factory, tensors, metadata):
-        path = tmp_path_factory.mktemp("bmck") / "t.bmck"
+        path = tmp_path_factory.mktemp("ckpt") / "t.npz"
         save_tensors(path, list(tensors.items()), metadata)
         loaded, meta = load_tensors(path)
         assert meta == metadata
@@ -619,16 +620,49 @@ class TestCheckpoint:
             assert loaded[name].tobytes() == arr.tobytes()  # NaN payloads and -0.0 too
 
     @pytest.mark.parametrize("metadata", [[], "x", 5, None])
-    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, metadata):
-        path = tmp_path / "meta.bmck"
-        _write_tensors(path, [("a", np.zeros(2))], metadata)
+    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, write_archive, metadata):
+        path = tmp_path / "meta.npz"
+        write_archive(path, [("t/a", np.zeros(2))], metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_tensors(path)
 
-    def test_duplicate_tensor_name_rejected(self, tmp_path):
-        path = tmp_path / "dup.bmck"
-        _write_tensors(path, [("a", np.zeros(2)), ("b", np.ones(1)), ("a", np.ones(2))], {})
-        with pytest.raises(CheckpointError, match="'a' appears twice"):
+    def test_duplicate_tensor_name_rejected(self, tmp_path, write_archive):
+        path = tmp_path / "dup.npz"
+        write_archive(path, [("t/a", np.zeros(2)), ("t/b", np.ones(1)), ("t/a", np.ones(2))], {})
+        with pytest.raises(CheckpointError, match="'t/a' appears twice"):
+            load_tensors(path)
+
+    def test_non_float64_tensor_rejected(self, tmp_path, write_archive):
+        path = tmp_path / "int.npz"
+        write_archive(path, [("t/a", np.arange(3))], {})
+        with pytest.raises(CheckpointError, match="'a' is int64, not float64"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([("t/a.npy", b"not an array"), ("metadata.npy", b"{}")], "not a .npy array"),
+            ([("t/a.npy", np.zeros(2))], "no metadata member"),
+            ([("metadata.npy", np.frombuffer(b'{"k": ', np.uint8))], "bad metadata block"),
+        ],
+        ids=["raw-member", "no-metadata", "metadata-not-json"],
+    )
+    def test_malformed_archive_rejected(self, tmp_path, members, message):
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, content in members:
+                if isinstance(content, np.ndarray):
+                    with zf.open(name, "w") as fh:
+                        np.lib.format.write_array(fh, content)
+                else:
+                    zf.writestr(name, content)
+        with pytest.raises(CheckpointError, match=message):
+            load_tensors(path)
+
+    def test_bare_npy_rejected(self, tmp_path):
+        path = tmp_path / "bare.npy"
+        np.save(path, np.arange(3.0))
+        with pytest.raises(CheckpointError, match="not an npz archive"):
             load_tensors(path)
 
     @pytest.mark.parametrize(
@@ -640,7 +674,7 @@ class TestCheckpoint:
         ],
     )
     def test_save_rejects_what_load_rejects(self, tmp_path, tensors, metadata, message):
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
         before = path.read_bytes()
         with pytest.raises(ValueError, match=message):
@@ -648,17 +682,11 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_non_utf8_tensor_name_rejected(self, tmp_path):
-        path = tmp_path / "name.bmck"
-        name = b"\xff\xfe"
-        path.write_bytes(
-            b"BMCK"
-            + struct.pack("<III", 1, 1, len(name))
-            + name
-            + struct.pack("<II", 1, 1)
-            + struct.pack("<d", 1.0)
-            + struct.pack("<I", 2)
-            + b"{}"
-        )
-        with pytest.raises(CheckpointError, match="not UTF-8"):
-            load_tensors(path)
+    def test_nul_in_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="holds NUL"):
+            save_tensors(path, [("a\0b", np.zeros(1))], {})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,6 @@
 """Scene generation, path tracing, channel grid, snapping, trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from beamseq.scene import (
     build_channel_grid,
     generate_scene,
     snap_positions,
-    snap_to_grid,
     trace_paths,
 )
 
@@ -250,7 +250,7 @@ class TestChannelGrid:
             fh.write(b"PK\x03\x04")
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        monkeypatch.setattr(np, "savez", disk_full)
         with pytest.raises(OSError):
             grid.save(path)
         monkeypatch.undo()
@@ -258,6 +258,29 @@ class TestChannelGrid:
         loaded = ChannelGrid.load(path)
         np.testing.assert_array_equal(loaded.snapshots["rsu0"], grid.snapshots["rsu0"])
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "metadata", [{}, {"scene": 5, "bs_ids": []}, {"scene": {"stations": []}}]
+    )
+    def test_bad_metadata_rejected(self, tmp_path, write_archive, metadata):
+        path = tmp_path / "grid.npz"
+        write_archive(path, [], metadata)
+        with pytest.raises(ValueError, match="bad channel grid file"):
+            ChannelGrid.load(path)
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path, los_scene):
+        g = los_scene.grid  # two points
+        tiny = dataclasses.replace(
+            los_scene, grid=dataclasses.replace(g, extent=(2 * g.spacing, g.spacing))
+        )
+        path = tmp_path / "grid.npz"
+        build_channel_grid(tiny, bs_ids=("rsu0",)).save(path)
+        raw = path.read_bytes()
+        assert ChannelGrid.load(path).scene.digest() == tiny.digest()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                ChannelGrid.load(path)
 
 
 @st.composite
@@ -287,38 +310,37 @@ class TestSnapToGrid:
     GRID = GridSpec(origin=(0.0, 0.0), extent=(2.0, 1.0), spacing=0.05)
 
     def test_exact_point_maps_to_itself(self):
-        idx = snap_to_grid(self.GRID.point_at(33), self.GRID)
-        assert idx == 33
+        idx = snap_positions(self.GRID.point_at(33), self.GRID)
+        assert idx.tolist() == [33]
 
     def test_midpoint_rule(self):
         # 0.024 past a point stays, 0.026 moves on; exact midpoint goes lower
-        assert snap_to_grid((0.024, 0.0), self.GRID) == 0
-        assert snap_to_grid((0.026, 0.0), self.GRID) == self.GRID.n_y
-        assert snap_to_grid((0.25, 0.0), GridSpec((0.0, 0.0), (2.0, 1.0), 0.5)) == 0
+        positions = [(0.024, 0.0), (0.026, 0.0)]
+        assert snap_positions(positions, self.GRID).tolist() == [0, self.GRID.n_y]
+        assert snap_positions((0.25, 0.0), GridSpec((0.0, 0.0), (2.0, 1.0), 0.5)).tolist() == [0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         grid = GridSpec(origin=(-1.0, 2.0), extent=(1.5, 1.0), spacing=0.25)
         pts = grid.points()
-        for _ in range(300):
-            pos = np.array(
-                [
-                    rng.uniform(-1.0 - 0.124, -1.0 + 1.25 + 0.124),
-                    rng.uniform(2.0 - 0.124, 2.0 + 0.75 + 0.124),
-                ]
-            )
+        positions = np.column_stack(
+            [
+                rng.uniform(-1.0 - 0.124, -1.0 + 1.25 + 0.124, size=300),
+                rng.uniform(2.0 - 0.124, 2.0 + 0.75 + 0.124, size=300),
+            ]
+        )
+        for pos, idx in zip(positions, snap_positions(positions, grid)):
             d = np.linalg.norm(pts - pos, axis=1)
-            best = np.flatnonzero(d <= d.min() + 1e-12).min()
-            assert snap_to_grid(pos, grid) == best
+            assert idx == np.flatnonzero(d <= d.min() + 1e-12).min()
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
-            snap_to_grid((-0.5, 0.0), self.GRID)
+            snap_positions((-0.5, 0.0), self.GRID)
         with pytest.raises(ValueError):
-            snap_to_grid((0.0, 1.2), self.GRID)
+            snap_positions((0.0, 1.2), self.GRID)
 
     def test_half_spacing_overhang_accepted(self):
-        assert snap_to_grid((-0.025, 0.0), self.GRID) == 0
+        assert snap_positions((-0.025, 0.0), self.GRID).tolist() == [0]
 
     @given(grids_and_positions(dyadic=True))
     @settings(max_examples=200, deadline=None)

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from beamseq import nn
+from beamseq import nn, seq2seq
 from beamseq.data import Dataset, TrainingSample, split_of_trajectory
 from beamseq.nn import CheckpointError, finite_diff_check, params_items
-from beamseq.nn.checkpoint import _write_tensors
 from beamseq.seq2seq import (
     EncoderOutput,
     Seq2SeqHyper,
@@ -433,6 +432,19 @@ class TestTraining:
         val_losses = [row["val_loss"] for row in history]
         assert state.best_val_loss == pytest.approx(min(val_losses))
 
+    def test_validation_runs_in_training_batches(self, monkeypatch):
+        ds = synthetic_dataset(n_train=4, n_val=7)
+        sizes = []
+
+        def spy(model, feats, *args, **kwargs):
+            sizes.append(feats.shape[0])
+            return _encode_batch(model, feats, *args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, "_encode_batch", spy)
+        train(micro_model(), ds, TrainConfig(batch_size=3, max_epochs=1, seed=2))
+        assert sum(sizes) == 4 + 7  # every training and validation window went through
+        assert max(sizes) <= 3
+
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         ds = synthetic_dataset(n_train=8, n_val=3)
         straight_cfg = TrainConfig(batch_size=4, max_epochs=4, patience=100, seed=9)
@@ -440,7 +452,7 @@ class TestTraining:
 
         first_cfg = TrainConfig(batch_size=4, max_epochs=2, patience=100, seed=9)
         model, first_hist, state = train(micro_model(seed=4), ds, first_cfg)
-        path = tmp_path / "state.bmck"
+        path = tmp_path / "state.npz"
         save_train_state(path, model, state)
         model2, state2, _ = load_train_state(path)
         resumed_cfg = TrainConfig(batch_size=4, max_epochs=4, patience=100, seed=9)
@@ -508,7 +520,7 @@ class TestTraining:
 class TestCheckpoints:
     def test_roundtrip_identical_inference(self, tmp_path):
         model = micro_model(seed=21)
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_model(path, model, {"note": "test"})
         loaded, meta = load_model(path)
         assert meta["note"] == "test"
@@ -521,7 +533,7 @@ class TestCheckpoints:
             )
 
     def test_corrupted_magic_rejected(self, tmp_path):
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())
         raw = bytearray(path.read_bytes())
         raw[:4] = b"JUNK"
@@ -539,7 +551,7 @@ class TestCheckpoints:
 
     def test_per_gate_checkpoint_rejected_by_name(self, tmp_path):
         # The layout before the gates were fused: one tensor per gate.
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())
         tensors, meta = nn.load_tensors(path)
         for layer in ("enc_l1", "enc_l2", "dec_l1", "dec_l2"):
@@ -555,20 +567,21 @@ class TestCheckpoints:
                 assert repr(name) in str(info.value)
 
     @pytest.mark.parametrize("metadata", [[], "x", 5, None])
-    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, metadata):
-        path = tmp_path / "model.bmck"
+    def test_metadata_that_is_not_an_object_rejected(self, tmp_path, write_archive, metadata):
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())
         tensors, _ = nn.load_tensors(path)
-        _write_tensors(path, list(tensors.items()), metadata)
+        write_archive(path, [(f"t/{k}", v) for k, v in tensors.items()], metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_model(path)
 
-    def test_duplicate_tensor_rejected(self, tmp_path):
-        path = tmp_path / "model.bmck"
+    def test_duplicate_tensor_rejected(self, tmp_path, write_archive):
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())
         tensors, meta = nn.load_tensors(path)
-        _write_tensors(path, [*tensors.items(), ("out.bias", tensors["out.bias"])], meta)
-        with pytest.raises(CheckpointError, match="'out.bias' appears twice"):
+        members = [(f"t/{k}", v) for k, v in [*tensors.items(), ("out.bias", tensors["out.bias"])]]
+        write_archive(path, members, meta)
+        with pytest.raises(CheckpointError, match="'t/out.bias' appears twice"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -577,7 +590,7 @@ class TestCheckpoints:
          ("num_beams", None), ("dropout", "0.1"), ("dropout", 1.0)],
     )
     def test_hyperparameter_of_wrong_type_rejected(self, tmp_path, field, value):
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())
         tensors, meta = nn.load_tensors(path)
         meta["hyper"][field] = value
@@ -586,7 +599,7 @@ class TestCheckpoints:
             load_model(path)
 
     def test_feature_dim_mismatch_surfaces(self, tmp_path):
-        path = tmp_path / "model.bmck"
+        path = tmp_path / "model.npz"
         save_model(path, micro_model())  # feature_dim = 3
         loaded, _ = load_model(path)
         with pytest.raises(ValueError):
@@ -599,7 +612,7 @@ class TestTrainStateCheckpoint:
         ds = synthetic_dataset(n_train=8, n_val=3)
         cfg = TrainConfig(batch_size=4, max_epochs=2, patience=100, seed=9)
         model, _, state = train(micro_model(seed=4), ds, cfg)
-        path = tmp_path / "state.bmck"
+        path = tmp_path / "state.npz"
         save_train_state(path, model, state)
         return path, state
 
@@ -626,10 +639,10 @@ class TestTrainStateCheckpoint:
             load_train_state(path)
 
     @pytest.mark.parametrize("metadata", [[], "x", 5, None])
-    def test_metadata_that_is_not_an_object_rejected(self, state_file, metadata):
+    def test_metadata_that_is_not_an_object_rejected(self, state_file, write_archive, metadata):
         path, _ = state_file
         tensors, _ = nn.load_tensors(path)
-        _write_tensors(path, list(tensors.items()), metadata)
+        write_archive(path, [(f"t/{k}", v) for k, v in tensors.items()], metadata)
         with pytest.raises(CheckpointError, match="not an object"):
             load_train_state(path)
 
