@@ -3,6 +3,7 @@ grids: one uncompressed ``.npy`` member per array plus ``metadata.npy``, the
 UTF-8 JSON of a metadata object as uint8, read with ``allow_pickle=False``."""
 
 import json
+import math
 import os
 import zipfile
 from contextlib import contextmanager
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 
 _METADATA = "metadata"
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
 
 # What np.load and zipfile raise for a malformed archive: a bad or CRC-failing
 # zip, truncation, a missing member, an unknown compression method (NotImplementedError),
@@ -42,12 +45,36 @@ def save_npz(path, arrays: dict[str, np.ndarray], metadata) -> None:
         np.savez(fh, **arrays, **{_METADATA: meta})
 
 
+def _check_member_sizes(zf: zipfile.ZipFile) -> None:
+    """Raise ValueError when a ``.npy`` member's header declares a data size
+    other than the bytes that follow it, before numpy allocates the declared
+    shape: a header can claim far more than its member holds. A member
+    without the ``.npy`` magic is left to ``load_npz``'s own checks."""
+    for info in zf.infolist():
+        if not info.filename.endswith(".npy"):
+            continue
+        with zf.open(info) as fh:
+            magic = fh.read(np.lib.format.MAGIC_LEN)
+            if not magic.startswith(np.lib.format.MAGIC_PREFIX):
+                continue
+            version = tuple(magic[-2:])
+            if version not in _HEADER_READERS:
+                raise ValueError(f"member {info.filename!r} has .npy version {version}")
+            shape, _, dtype = _HEADER_READERS[version](fh)
+            held = info.file_size - fh.tell()
+        declared = math.prod(shape) * dtype.itemsize
+        if declared != held:
+            raise ValueError(f"member {info.filename!r} declares {shape} {dtype}, "
+                             f"{declared} bytes, but holds {held}")
+
+
 def load_npz(path, error) -> tuple[dict[str, np.ndarray], dict]:
     """``(arrays, metadata)`` of a ``save_npz`` file, arrays in file order.
 
     Raises ``error`` for a file that is not an npz archive, is truncated or
-    corrupt, repeats a member, holds a member that is not an array, or lacks
-    a metadata member that is a JSON object. A file that cannot be opened
+    corrupt, repeats a member, holds a member that is not an array or whose
+    header declares more or less data than it holds, or lacks a metadata
+    member that is a JSON object. A file that cannot be opened
     raises the ``OSError`` of ``open``.
     """
     with open(path, "rb") as fh:
@@ -56,6 +83,7 @@ def load_npz(path, error) -> tuple[dict[str, np.ndarray], dict]:
             bare = isinstance(archive, np.ndarray)
             if not bare:
                 with archive:
+                    _check_member_sizes(archive.zip)
                     names = archive.zip.namelist()
                     members = {name: archive[name] for name in names}
         except _MALFORMED as exc:

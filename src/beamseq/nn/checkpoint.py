@@ -27,8 +27,8 @@ def save_tensors(path, named_tensors: list[tuple[str, np.ndarray]], metadata: di
 
     Raises ``ValueError``, before the file is opened, for what ``load_tensors``
     would reject or lose: a tensor name that appears twice, a name holding NUL
-    (zip member names end there), metadata that is not a dict, or a tensor
-    that does not cast to float64.
+    (zip member names end there) or a lone surrogate (they are UTF-8),
+    metadata that is not a dict, or a tensor that does not cast to float64.
     """
     if not isinstance(metadata, dict):
         raise ValueError(f"metadata must be a dict, got {type(metadata).__name__}")
@@ -38,6 +38,10 @@ def save_tensors(path, named_tensors: list[tuple[str, np.ndarray]], metadata: di
             raise ValueError(f"tensor {name!r} appears twice")
         if "\0" in name:
             raise ValueError(f"tensor name {name!r} holds NUL")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"tensor name {name!r} is not valid UTF-8") from exc
         arrays[_PREFIX + name] = np.asarray(tensor, dtype=np.float64)
     save_npz(path, arrays, metadata)
 

@@ -143,6 +143,17 @@ class Codebook:
         return self.matrix[:, index]
 
 
+def _checked_angles(angle) -> np.ndarray:
+    """``angle`` as float64; raises ValueError unless every entry is finite
+    and within [-pi/2, pi/2] (up to ``_ANGLE_TOL``)."""
+    angle = np.asarray(angle, dtype=np.float64)
+    if not np.all(np.isfinite(angle)):
+        raise ValueError("angle must be finite")
+    if np.any(np.abs(angle) > math.pi / 2 + _ANGLE_TOL):
+        raise ValueError(f"angle={np.abs(angle).max()} outside broadside range [-pi/2, pi/2]")
+    return angle
+
+
 def _scaled_steering(geometry: ArrayGeometry, angle, first) -> np.ndarray:
     """first * a(angle), shape ``(..., N)``, built by doubling the geometric
     progression a_i = z^i, z = exp(j*phi), phi = -2*pi*spacing*sin(angle):
@@ -154,12 +165,8 @@ def _scaled_steering(geometry: ArrayGeometry, angle, first) -> np.ndarray:
     for a power of two k, so element i is ``first`` times one factor per set
     bit of i. Its rounding error grows with that count (at most log2(N)
     products), on top of the phase rounding any per-element formula has.
+    The caller validates ``angle`` (``_checked_angles``).
     """
-    angle = np.asarray(angle, dtype=np.float64)
-    if not np.all(np.isfinite(angle)):
-        raise ValueError("angle must be finite")
-    if np.any(np.abs(angle) > math.pi / 2 + _ANGLE_TOL):
-        raise ValueError(f"angle={np.abs(angle).max()} outside broadside range [-pi/2, pi/2]")
     n = geometry.num_antennas
     phase = -2.0 * np.pi * geometry.spacing_wavelengths * np.sin(angle)
     out = np.empty(np.broadcast_shapes(angle.shape, np.shape(first)) + (n,), dtype=np.complex128)
@@ -180,22 +187,47 @@ def steering_vector(geometry: ArrayGeometry, angle) -> np.ndarray:
     Built by doubling from log2(N) exponentials (``_scaled_steering``); every
     element is within 1e-12 relative of a term-by-term exp per element.
     """
-    return _scaled_steering(geometry, angle, 1.0)
+    return _scaled_steering(geometry, _checked_angles(angle), 1.0)
 
 
 def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
     """Superpose P paths per channel, gains and aods (..., P) -> (..., N): each
-    adds gain * a(aod) (the single-antenna receiver contributes 1). Each term
-    is one doubling progression started at its gain (``_scaled_steering``),
-    added from zero in slot order one slot at a time, so memory stays at one
-    (..., N) term and no (..., P, N) array is formed. Against a term-by-term
-    sum the result is within 1e-12 of the channel's norm."""
+    adds gain * a(aod) (the single-antenna receiver contributes 1). Every aod
+    is validated, zero-gain entries included.
+
+    A slot is *shared* when all its non-zero gains carry one aod. A
+    single-bounce scatterer path leaves the BS toward the scatterer, so its
+    aod is the same at every receiver point (slots where the path is blocked
+    hold gain 0 and aod 0). Shared slots are summed per distinct angle, in
+    slot order, so g and -g on one angle cancel exactly, and added as one
+    GEMM: the (..., angles) sums times the (angles, N) steering vectors. The
+    other slots (line of sight, wall reflections) vary from channel to
+    channel; each is one doubling progression started at its gain
+    (``_scaled_steering``), added in slot order, so memory stays at one
+    (..., N) term and no (..., P, N) array is formed. Slots with no non-zero
+    gain add nothing. Against a term-by-term sum the result is within 1e-12
+    of the channel's norm."""
     gains = np.asarray(gains, dtype=np.complex128)
-    aods = np.asarray(aods, dtype=np.float64)
-    coeffs = np.zeros(gains.shape[:-1] + (geometry.num_antennas,), dtype=np.complex128)
-    for s in range(gains.shape[-1]):
-        coeffs += _scaled_steering(geometry, aods[..., s], gains[..., s])
-    return coeffs
+    aods = _checked_angles(aods)
+    lead, n_slots = gains.shape[:-1], gains.shape[-1]
+    rows = math.prod(lead)
+    gains, aods = gains.reshape(rows, n_slots), aods.reshape(rows, n_slots)
+    # the least and greatest aod among each slot's non-zero gains: equal
+    # when the slot is shared, lo > hi when it has no non-zero gain
+    live = gains != 0
+    lo = np.min(aods, axis=0, initial=np.inf, where=live)
+    hi = np.max(aods, axis=0, initial=-np.inf, where=live)
+    coeffs = np.zeros((rows, geometry.num_antennas), dtype=np.complex128)
+    shared = np.flatnonzero(lo == hi)
+    if shared.size:
+        angles, which = np.unique(lo[shared], return_inverse=True)
+        summed = np.zeros((rows, angles.size), dtype=np.complex128)
+        for s, k in zip(shared, which):
+            summed[:, k] += gains[:, s]
+        np.matmul(summed, _scaled_steering(geometry, angles, 1.0), out=coeffs)
+    for s in np.flatnonzero(lo < hi):
+        coeffs += _scaled_steering(geometry, aods[:, s], gains[:, s])
+    return coeffs.reshape(lead + (geometry.num_antennas,))
 
 
 def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry) -> ChannelSnapshot:

@@ -550,8 +550,7 @@ class TestCheckpoint:
             load_tensors(path)
 
     def test_huge_dims_rejected(self, tmp_path):
-        # A member whose .npy header declares 2**93 values and holds none;
-        # the count wraps to 0 in int64, so numpy's reshape fails.
+        # A member whose .npy header declares 2**93 values and holds none.
         path = tmp_path / "huge.npz"
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
@@ -560,6 +559,21 @@ class TestCheckpoint:
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("t/a.npy", header.getvalue())
         with pytest.raises(CheckpointError):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("shape", [(2**33,), (2**40,), (1,), (3,)])
+    def test_header_size_other_than_data_rejected(self, tmp_path, shape):
+        # 16 bytes of float64 data under a header declaring another shape;
+        # (2**33,) used to escape as a MemoryError while allocating 64 GiB.
+        path = tmp_path / "huge.npz"
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            member, {"descr": "<f8", "fortran_order": False, "shape": shape}
+        )
+        member.write(np.zeros(2).tobytes())
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("t/a.npy", member.getvalue())
+        with pytest.raises(CheckpointError, match="declares"):
             load_tensors(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
@@ -592,10 +606,12 @@ class TestCheckpoint:
                 load_tensors(path)
 
     @given(
-        # NUL is the one name character a zip member cannot hold; see
-        # test_nul_in_tensor_name_rejected
+        # NUL and lone surrogates are the name characters a zip member cannot
+        # hold; see test_nul_in_tensor_name_rejected and
+        # test_surrogate_in_tensor_name_rejected
         tensors=st.dictionaries(
-            st.text(st.characters(exclude_characters="\0"), max_size=12),
+            st.text(st.characters(exclude_characters="\0", exclude_categories=("Cs",)),
+                    max_size=12),
             hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4).flatmap(
                 lambda shape: hnp.arrays(np.float64, shape)
             ),
@@ -679,6 +695,15 @@ class TestCheckpoint:
         before = path.read_bytes()
         with pytest.raises(ValueError, match=message):
             save_tensors(path, tensors, metadata)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_surrogate_in_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not valid UTF-8"):
+            save_tensors(path, [("a\ud800", np.zeros(1))], {})
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 

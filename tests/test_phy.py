@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamseq.phy import (
     ArrayGeometry,
@@ -140,6 +142,115 @@ class TestDoublingKernel:
         assert batch.shape == (4, 3, 2, 128)
         for idx, angle in np.ndenumerate(angles):
             np.testing.assert_array_equal(batch[idx], steering_vector(geom(128), float(angle)))
+
+
+def batch_oracle(gains, aods, n):
+    """``term_by_term`` row by row for (M, P) path tables."""
+    return np.array([
+        term_by_term([PathComponent(gain=g, aod=a, aoa=0.0) for g, a in zip(gs, as_)], n)
+        for gs, as_ in zip(gains, aods)
+    ])
+
+
+def assert_rows_match(got, want):
+    err = np.linalg.norm(got - want, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=-1))
+
+
+class TestSharedAngleSynthesis:
+    """Slots whose non-zero gains all carry one aod go through one GEMM; the
+    rest through the doubling kernel. Both against the term-by-term oracle."""
+
+    @staticmethod
+    def mixed_batch(seed, m=6):
+        # slots 0 and 2 vary per row; 1, 3 and 4 are shared, 3 and 4 on one
+        # angle; slot 5 is shared but blocked (gain 0, aod 0) on some rows
+        rng = np.random.default_rng(seed)
+        gains = rng.normal(size=(m, 6)) + 1j * rng.normal(size=(m, 6))
+        aods = np.empty((m, 6))
+        aods[:, [0, 2]] = rng.uniform(-np.pi / 2, np.pi / 2, size=(m, 2))
+        aods[:, 1], aods[:, 3:5], aods[:, 5] = -0.4, np.pi / 2, 1.1
+        blocked = np.arange(m) % 3 == 1
+        gains[blocked, 5], aods[blocked, 5] = 0.0, 0.0
+        return gains, aods
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_mixed_shared_and_varying_slots_match_oracle(self, n):
+        gains, aods = self.mixed_batch(n)
+        got = synthesize_channels(gains, aods, geom(n))
+        assert got.shape == (6, n)
+        assert_rows_match(got, batch_oracle(gains, aods, n))
+        # a leading batch shape is kept
+        np.testing.assert_array_equal(
+            synthesize_channels(gains.reshape(2, 3, 6), aods.reshape(2, 3, 6), geom(n)),
+            got.reshape(2, 3, n),
+        )
+
+    @pytest.mark.parametrize("n", [1, 33, 128])
+    def test_shared_slot_with_blocked_rows_at_aod_zero(self, n):
+        # as _trace_points writes a scatterer slot: one angle where the path
+        # exists, gain 0 and aod 0 where it is blocked
+        gains = np.array([[0.3 - 0.2j], [0.0], [-0.1 + 0.5j], [0.0], [0.7j]])
+        aods = np.where(gains != 0, 0.9, 0.0)
+        got = synthesize_channels(gains, aods, geom(n))
+        assert_rows_match(got, batch_oracle(gains, aods, n))
+        np.testing.assert_array_equal(got[[1, 3]], np.zeros((2, n)))
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_opposite_gains_on_one_shared_angle_cancel_exactly(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for aod in EDGE_ANGLES + [0.2]:
+            coeffs = synthesize_channels(np.stack([g, -g], axis=1), np.full((4, 2), aod), geom(n))
+            np.testing.assert_array_equal(coeffs, np.zeros((4, n)))
+
+    @pytest.mark.parametrize("n", [1, 5, 128])
+    def test_all_zero_rows_stay_exactly_zero(self, n):
+        gains, aods = self.mixed_batch(n + 7)
+        gains[[0, 3]] = 0.0
+        aods[3] = 0.0
+        got = synthesize_channels(gains, aods, geom(n))
+        np.testing.assert_array_equal(got[[0, 3]], np.zeros((2, n)))
+        assert_rows_match(got, batch_oracle(gains, aods, n))
+        np.testing.assert_array_equal(
+            synthesize_channels(np.zeros((3, 4)), np.zeros((3, 4)), geom(n)), np.zeros((3, n))
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.6, 2.0])
+    @pytest.mark.parametrize("slot", [0, 1, 5])  # varying, shared, shared with blocked rows
+    def test_bad_angle_on_zero_gain_entry_rejected(self, bad, slot):
+        gains, aods = self.mixed_batch(3)
+        gains[1, slot], aods[1, slot] = 0.0, bad
+        with pytest.raises(ValueError):
+            synthesize_channels(gains, aods, geom(8))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_oracle(self, data):
+        m, p = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        n = data.draw(st.sampled_from(KERNEL_SIZES[:-1]))
+        angle = st.floats(-np.pi / 2, np.pi / 2)
+        column_angle = st.one_of(st.sampled_from(EDGE_ANGLES + [0.3]), angle)
+        aods = np.empty((m, p))
+        for s in range(p):
+            if data.draw(st.booleans(), label=f"slot {s} shared"):
+                aods[:, s] = data.draw(column_angle)
+            else:
+                aods[:, s] = data.draw(st.lists(angle, min_size=m, max_size=m))
+        parts = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=2 * m * p, max_size=2 * m * p)))
+        gains = (parts[::2] + 1j * parts[1::2]).reshape(m, p)
+        zero = np.array(data.draw(st.lists(st.booleans(), min_size=m * p, max_size=m * p)))
+        gains[zero.reshape(m, p)] = 0.0
+        if data.draw(st.booleans(), label="blocked entries at aod 0"):
+            aods[gains == 0] = 0.0
+        got = synthesize_channels(gains, aods, geom(n))
+        want = batch_oracle(gains, aods, n)
+        # Roundoff scales with the terms, not with their sum: a g and -g on
+        # one angle, one in a shared slot and one in a varying slot, leave
+        # ~1e-16 |g| where the oracle cancels exactly.
+        terms = np.sqrt(n) * np.abs(gains).sum(axis=1)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * terms)
+        np.testing.assert_array_equal(got[terms == 0], 0.0)
 
 
 class TestSynthesizeChannel:

@@ -1,7 +1,9 @@
 """Scene generation, path tracing, channel grid, snapping, trajectories."""
 
 import dataclasses
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from beamseq.scene import (
     BaseStation,
     ChannelGrid,
     GridSpec,
+    Scatterer,
     Scene,
     SceneParams,
     Wall,
@@ -161,6 +164,49 @@ class TestTracePaths:
             assert pl.aod == pytest.approx(-pr.aod, abs=1e-12)
             assert abs(pl.gain) == pytest.approx(abs(pr.gain), rel=1e-12)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_property_mirrored_points_have_symmetric_aods(self, data):
+        # BS on the axis x = 15 looking up (+y), a wall above the grid that
+        # every reflection point falls on and no ray clears, and scatterers
+        # in mirrored pairs away from the grid; the point at 15 - dx mirrors
+        # the one at 15 + dx, so its scatterer 2k mirrors scatterer 2k + 1
+        bs_height = data.draw(st.floats(2.0, 25.0))
+        wall_y = data.draw(st.floats(10.5, 20.0))
+        scatterers = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            sx = data.draw(st.floats(0.0, 17.0))
+            sy = data.draw(st.one_of(st.floats(-3.0, -0.5), st.floats(10.2, wall_y - 0.2)))
+            height, gain_db = data.draw(st.floats(1.0, 4.0)), data.draw(st.floats(-25.0, -12.0))
+            scatterers += [Scatterer((15.0 - sx, sy), height, gain_db),
+                           Scatterer((15.0 + sx, sy), height, gain_db)]
+        scene = Scene(
+            carrier_hz=28e9,
+            rx_height=1.5,
+            stations={
+                "bs": BaseStation(
+                    bs_id="bs",
+                    position=(15.0, -data.draw(st.floats(5.0, 20.0))),
+                    height=bs_height,
+                    boresight=math.pi / 2,
+                    geometry=ArrayGeometry(num_antennas=8),
+                )
+            },
+            walls=(Wall(a=(-25.0, wall_y), b=(55.0, wall_y), height=bs_height + 1.0,
+                        reflection_loss_db=data.draw(st.floats(1.0, 10.0))),),
+            scatterers=tuple(scatterers),
+            grid=GridSpec(origin=(0.0, 0.0), extent=(30.0, 10.0), spacing=0.5),
+            seed=0,
+        )
+        dx, y = data.draw(st.floats(0.0, 15.0)), data.draw(st.floats(0.0, 10.0))
+        left = trace_paths(scene, "bs", np.array([15.0 - dx, y]))
+        right = trace_paths(scene, "bs", np.array([15.0 + dx, y]))
+        assert len(left) == len(right) == 2 + len(scatterers)
+        mirror = [0, 1] + [2 + (k ^ 1) for k in range(len(scatterers))]
+        for pl, k in zip(left, mirror):
+            assert pl.aod == pytest.approx(-right[k].aod, abs=1e-12)
+            assert abs(pl.gain) == pytest.approx(abs(right[k].gain), rel=1e-12)
+
     def test_blocking_wall_creates_outage(self):
         # wall dropped between the BS and the grid, taller than both
         geometry = ArrayGeometry(num_antennas=4)
@@ -204,6 +250,20 @@ class TestChannelGrid:
                     rtol=1e-12,
                     atol=1e-20,
                 )
+
+    def test_every_snapshot_matches_per_element_sum(self, rich_scene):
+        # independent of the synthesis kernel: each element is its own exp
+        grid = build_channel_grid(rich_scene)
+        for bs_id in ("rsu0", "rsu1", "mbs"):
+            geometry = rich_scene.station(bs_id).geometry
+            i = np.arange(geometry.num_antennas)
+            gains, aods = grid.path_gains[bs_id], grid.path_aods[bs_id]
+            phase = -2 * np.pi * geometry.spacing_wavelengths * i * np.sin(aods[..., None])
+            want = np.einsum("mp,mpn->mn", gains, np.exp(1j * phase))
+            got = grid.snapshots[bs_id]
+            assert got.shape == (rich_scene.grid.num_points, geometry.num_antennas)
+            err = np.linalg.norm(got - want, axis=1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
     def test_los_snapshot_is_scaled_steering_vector(self, los_scene):
         grid = build_channel_grid(los_scene, bs_ids=("rsu0",))
@@ -266,6 +326,20 @@ class TestChannelGrid:
         path = tmp_path / "grid.npz"
         write_archive(path, [], metadata)
         with pytest.raises(ValueError, match="bad channel grid file"):
+            ChannelGrid.load(path)
+
+    def test_header_declaring_more_than_member_holds_rejected(self, tmp_path):
+        # (2**33,) complex128 over 16 bytes: rejected before numpy allocates
+        # the 128 GiB the header declares
+        path = tmp_path / "grid.npz"
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            member, {"descr": "<c16", "fortran_order": False, "shape": (2**33,)}
+        )
+        member.write(np.zeros(1, dtype=complex).tobytes())
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("rsu0__snapshots.npy", member.getvalue())
+        with pytest.raises(ValueError, match="declares"):
             ChannelGrid.load(path)
 
     def test_truncation_at_every_offset_rejected(self, tmp_path, los_scene):
