@@ -193,6 +193,10 @@ def make_dataset(
     BS, labels from slots [t+1, t+K] of the target RSU, both read at the
     nearest grid point. Trajectories touching an outage point are dropped and
     counted. Feature standardization uses train-split statistics only.
+
+    Only the snapshot rows of grid points that a kept trajectory visits are
+    read: features and labels are computed for those rows, as one batch
+    each, so the finite check of ``preprocess_csi`` covers those rows only.
     """
     if stride is None:
         stride = horizon
@@ -209,12 +213,11 @@ def make_dataset(
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
 
-    src_feats = grid_features(grid, source_bs)
-    tgt_labels, _ = grid_beam_labels(grid, target_rsu, codebook)
     src_outage = grid.outage(source_bs)
     tgt_outage = grid.outage(target_rsu)
 
-    raw_samples = []  # (traj_id, start_slot, raw feats f64, labels, anchor_label, positions)
+    kept = []  # (traj_id, positions) of the trajectories that avoid outage
+    flats = []  # their snapped flat grid indices, one row each
     dropped = 0
     for traj_id in range(num_trajectories):
         rng = np.random.default_rng(
@@ -233,15 +236,28 @@ def make_dataset(
         if np.any(src_outage[flat]) or np.any(tgt_outage[flat]):
             dropped += 1
             continue
+        kept.append((traj_id, positions))
+        flats.append(flat)
+
+    # features and labels of the visited grid points only, one batch each;
+    # rows[i, s] is trajectory i's slot s as a row of ``visited``
+    flats = np.array(flats, dtype=np.int64).reshape(-1, slots_per_trajectory)
+    visited, rows = np.unique(flats, return_inverse=True)
+    rows = rows.reshape(flats.shape)
+    src_feats = preprocess_csi(grid.snapshots[source_bs][visited])
+    tgt_labels = best_beams(grid.snapshots[target_rsu][visited], codebook)[0].astype(np.uint16)
+
+    raw_samples = []  # (traj_id, start_slot, raw feats f64, labels, anchor_label, positions)
+    for (traj_id, positions), row in zip(kept, rows):
         for anchor in range(history - 1, slots_per_trajectory - horizon, stride):
             lo = anchor - history + 1
             raw_samples.append(
                 (
                     traj_id,
                     lo,
-                    src_feats[flat[lo : anchor + 1]],
-                    tgt_labels[flat[anchor + 1 : anchor + horizon + 1]].copy(),
-                    int(tgt_labels[flat[anchor]]),
+                    src_feats[row[lo : anchor + 1]],
+                    tgt_labels[row[anchor + 1 : anchor + horizon + 1]],
+                    int(tgt_labels[row[anchor]]),
                     positions[lo : anchor + horizon + 1].copy(),
                 )
             )

@@ -234,9 +234,10 @@ def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry) -> Channel
     """One channel vector from a path list; the sum is exact, no noise."""
     if not paths:
         raise OutageError("no propagation path: cannot synthesize a channel")
-    # one single-path channel per path, summed in path order: one kernel call, not P
-    gains, aods = [[p.gain] for p in paths], [[p.aod] for p in paths]
-    coeffs = synthesize_channels(gains, aods, bs).sum(axis=0)
+    # one doubling progression per path, started at its gain, summed in path order
+    gains = np.array([p.gain for p in paths], dtype=np.complex128)
+    aods = _checked_angles([p.aod for p in paths])
+    coeffs = _scaled_steering(bs, aods, gains).sum(axis=0)
     return ChannelSnapshot(coefficients=coeffs)
 
 

@@ -422,12 +422,15 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
     to_bs_az = np.arctan2(bs_pos[1] - points[:, 1], bs_pos[0] - points[:, 0])
 
     def fill(slot, ok, total_3d, dep_az, arr_az, extra_db):
+        """Write each of the slot's four columns whole, zero where ``ok`` is
+        False; a scalar ``dep_az`` (one departure for every point) is folded
+        once."""
         amp = lam / (4.0 * np.pi * np.maximum(total_3d, _EPS)) * 10.0 ** (extra_db / 20.0)
         phase = -2.0 * np.pi * total_3d / lam
-        gains[ok, slot] = (amp * np.exp(1j * phase))[ok]
-        aods[ok, slot] = _fold(dep_az - bs.boresight)[ok] if np.ndim(dep_az) else _fold(dep_az - bs.boresight)
-        aoas[ok, slot] = _fold(_wrap(arr_az - to_bs_az))[ok]
-        valid[ok, slot] = True
+        gains[:, slot] = np.where(ok, amp * np.exp(1j * phase), 0.0)
+        aods[:, slot] = np.where(ok, _fold(dep_az - bs.boresight), 0.0)
+        aoas[:, slot] = np.where(ok, _fold(_wrap(arr_az - to_bs_az)), 0.0)
+        valid[:, slot] = ok
 
     # line of sight
     rel = points - bs_pos
@@ -477,7 +480,7 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
         ok = (~leg2_blocked) & (leg2_3d > _EPS)
         dep_az = math.atan2(q[1] - bs_pos[1], q[0] - bs_pos[0])
         arr_az = np.arctan2(q[1] - points[:, 1], q[0] - points[:, 0])
-        fill(1 + n_walls + s_idx, ok, total_3d, np.full(m, dep_az), arr_az, scat.gain_db)
+        fill(1 + n_walls + s_idx, ok, total_3d, dep_az, arr_az, scat.gain_db)
 
     return gains, aods, aoas, valid
 

@@ -199,6 +199,58 @@ class TestMakeDataset:
         )
         assert ds.samples[0].features.shape == (50, 128)
 
+    def test_reads_only_visited_snapshot_rows(self, tmp_path, small_world, small_dataset):
+        # NaN everywhere a kept trajectory does not go: the bytes must not move
+        scene, grid, codebook = small_world
+        visited = np.unique(
+            np.concatenate([snap_positions(s.positions, scene.grid) for s in small_dataset.samples])
+        )
+        unvisited = np.setdiff1d(np.arange(scene.grid.num_points), visited)
+        assert unvisited.size
+        poisoned = {}
+        for bs_id, table in grid.snapshots.items():
+            poisoned[bs_id] = table.copy()
+            poisoned[bs_id][unvisited] = complex(np.nan, np.nan)
+        args = ("rsu0", "rsu1", 40, codebook)
+        kwargs = dict(seed=11, slots_per_trajectory=100)
+        save_dataset(make_dataset(scene, grid, *args, **kwargs), tmp_path / "clean.bmsq")
+        dirty = dataclasses.replace(grid, snapshots=poisoned)
+        save_dataset(make_dataset(scene, dirty, *args, **kwargs), tmp_path / "dirty.bmsq")
+        assert (tmp_path / "clean.bmsq").read_bytes() == (tmp_path / "dirty.bmsq").read_bytes()
+        # a non-finite visited row is still rejected
+        poisoned["rsu0"][visited[0]] = complex(np.inf, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_dataset(scene, dirty, *args, **kwargs)
+
+    def test_windows_equal_whole_grid_features_and_labels(self, small_world):
+        # overlapping windows and trailing slots no window reads
+        scene, grid, codebook = small_world
+        ds = make_dataset(
+            scene, grid, "rsu0", "rsu1", 25, codebook, seed=4,
+            history=20, horizon=10, stride=7, slots_per_trajectory=90,
+        )
+        feats = grid_features(grid, "rsu0")
+        labels, _ = grid_beam_labels(grid, "rsu1", codebook)
+        assert len({s.trajectory_id for s in ds.samples}) > 1
+        assert len(ds.samples) > len({s.trajectory_id for s in ds.samples})
+        for s in ds.samples:
+            flat = snap_positions(s.positions, scene.grid)
+            np.testing.assert_array_equal(
+                s.features, (feats[flat[:20]] - ds.feature_mean) / ds.feature_std
+            )
+            np.testing.assert_array_equal(s.labels, labels[flat[20:]])
+            assert s.labels.dtype == np.uint16
+            assert s.anchor_label == labels[flat[19]]
+
+    def test_every_trajectory_dropped_rejected(self, small_world):
+        scene, grid, codebook = small_world
+        dark = dict(grid.path_valid, rsu1=np.zeros_like(grid.path_valid["rsu1"]))
+        with pytest.raises(ValueError, match="no train-split samples"):
+            make_dataset(
+                scene, dataclasses.replace(grid, path_valid=dark), "rsu0", "rsu1", 6, codebook,
+                seed=1, slots_per_trajectory=100,
+            )
+
     def test_too_few_slots_rejected(self, small_world):
         scene, grid, codebook = small_world
         with pytest.raises(ValueError):

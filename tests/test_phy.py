@@ -268,6 +268,24 @@ class TestSynthesizeChannel:
         snap = synthesize_channel(paths, geom(8))
         np.testing.assert_allclose(snap.coefficients, np.zeros(8), atol=1e-16)
 
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_opposite_gains_on_one_angle_cancel_exactly(self, n):
+        rng = np.random.default_rng(n)
+        for aod in EDGE_ANGLES + [0.2]:
+            g = complex(*rng.normal(size=2))
+            paths = [PathComponent(gain=g, aod=aod, aoa=0.0), PathComponent(gain=-g, aod=aod, aoa=0.0)]
+            np.testing.assert_array_equal(synthesize_channel(paths, geom(n)).coefficients, np.zeros(n))
+
+    def test_equals_one_varying_slot_per_path(self):
+        # paths on distinct angles: the batched kernel builds each as its own
+        # progression too, so the two agree bit for bit
+        rng = np.random.default_rng(5)
+        gains = rng.normal(size=15) + 1j * rng.normal(size=15)
+        aods = rng.uniform(-np.pi / 2, np.pi / 2, size=15)
+        paths = [PathComponent(gain=complex(g), aod=float(a), aoa=0.0) for g, a in zip(gains, aods)]
+        batched = synthesize_channels(gains[:, None], aods[:, None], geom(128)).sum(axis=0)
+        np.testing.assert_array_equal(synthesize_channel(paths, geom(128)).coefficients, batched)
+
     def test_matches_elementwise_summation_oracle(self):
         rng = np.random.default_rng(7)
         n = 32

@@ -20,6 +20,7 @@ from beamseq.scene import (
     Scene,
     SceneParams,
     Wall,
+    _trace_points,
     build_channel_grid,
     generate_scene,
     snap_positions,
@@ -232,6 +233,82 @@ class TestTracePaths:
     def test_point_outside_grid_rejected(self, los_scene):
         with pytest.raises(ValueError):
             trace_paths(los_scene, "rsu0", np.array([100.0, 100.0]))
+
+
+@pytest.fixture(scope="module")
+def occluded_scene():
+    """A short tall wall inside the grid blocks the line of sight, and each
+    scatterer's second leg, for part of the points."""
+    return Scene(
+        carrier_hz=28e9,
+        rx_height=1.5,
+        stations={
+            "bs": BaseStation(
+                bs_id="bs",
+                position=(15.0, -5.0),
+                height=3.0,
+                boresight=math.pi / 2,
+                geometry=ArrayGeometry(num_antennas=8),
+            )
+        },
+        walls=(Wall(a=(5.0, 5.0), b=(10.0, 5.0), height=30.0, reflection_loss_db=4.0),),
+        scatterers=(Scatterer((20.0, 12.0), 2.0, -15.0), Scatterer((2.0, -2.0), 2.0, -18.0)),
+        grid=GridSpec(origin=(0.0, 0.0), extent=(30.0, 10.0), spacing=0.5),
+        seed=0,
+    )
+
+
+class TestPathTables:
+    """``_trace_points`` writes each slot's columns whole."""
+
+    @pytest.mark.parametrize("which", ["occluded", "rich"])
+    def test_invalid_entries_are_exactly_zero(self, which, occluded_scene, rich_scene):
+        scene = occluded_scene if which == "occluded" else rich_scene
+        for bs_id in scene.stations:
+            gains, aods, aoas, valid = _trace_points(
+                scene, scene.station(bs_id), scene.grid.points()
+            )
+            assert valid.dtype == bool and valid.any() and not valid.all()
+            for table in (gains, aods, aoas):
+                # +0.0 in every part: all bytes zero
+                assert not table[~valid].view(np.uint8).any()
+            assert np.all(gains[valid] != 0)
+
+    def test_occluded_scene_blocks_part_of_every_slot(self, occluded_scene):
+        valid = _trace_points(
+            occluded_scene, occluded_scene.station("bs"), occluded_scene.grid.points()
+        )[3]
+        assert np.all(valid.any(axis=0)) and not np.any(valid.all(axis=0))
+
+    @pytest.mark.parametrize("which", ["occluded", "rich"])
+    def test_scatterer_slot_carries_one_aod(self, which, occluded_scene, rich_scene):
+        scene = occluded_scene if which == "occluded" else rich_scene
+        first = 1 + len(scene.walls)
+        for bs_id in scene.stations:
+            bs = scene.station(bs_id)
+            _, aods, _, valid = _trace_points(scene, bs, scene.grid.points())
+            for s, scat in enumerate(scene.scatterers, start=first):
+                lit = aods[valid[:, s], s]
+                assert lit.size
+                az = math.atan2(scat.position[1] - bs.position[1], scat.position[0] - bs.position[0])
+                assert np.all(lit == lit[0])
+                assert lit[0] == pytest.approx(math.asin(math.sin(az - bs.boresight)), abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_property_point_subsets_give_the_full_grids_rows(self, occluded_scene, rich_scene, data):
+        scene = data.draw(st.sampled_from([occluded_scene, rich_scene]), label="scene")
+        bs = scene.station(data.draw(st.sampled_from(sorted(scene.stations)), label="bs"))
+        points = scene.grid.points()
+        full = _trace_points(scene, bs, points)
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=40)),
+            dtype=np.int64,
+        )
+        part = _trace_points(scene, bs, points[idx])
+        np.testing.assert_array_equal(part[3], full[3][idx])
+        for got, want in zip(part[:3], full[:3]):
+            np.testing.assert_allclose(got, want[idx], rtol=1e-12, atol=0.0)
 
 
 class TestChannelGrid:
