@@ -194,12 +194,18 @@ def make_dataset(
     nearest grid point. Trajectories touching an outage point are dropped and
     counted. Feature standardization uses train-split statistics only.
 
+    The windows are built as one batch: every trajectory is snapped to the
+    grid in one ``snap_positions`` call, each kept trajectory draws its split
+    once, and the samples are rows of one standardized (windows, T, F) array.
     Only the snapshot rows of grid points that a kept trajectory visits are
     read: features and labels are computed for those rows, as one batch
     each, so the finite check of ``preprocess_csi`` covers those rows only.
     """
     if stride is None:
         stride = horizon
+    for name, value in (("history", history), ("horizon", horizon), ("stride", stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if slots_per_trajectory is None:
         slots_per_trajectory = history + horizon
     if slots_per_trajectory < history + horizon:
@@ -213,76 +219,67 @@ def make_dataset(
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
 
-    src_outage = grid.outage(source_bs)
-    tgt_outage = grid.outage(target_rsu)
-
-    kept = []  # (traj_id, positions) of the trajectories that avoid outage
-    flats = []  # their snapped flat grid indices, one row each
-    dropped = 0
-    for traj_id in range(num_trajectories):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id])
-        )
-        traj = sample_trajectory(
+    positions = np.array([
+        sample_trajectory(
             scene,
-            rng,
+            np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id])),
             num_slots=slots_per_trajectory,
             speed_range=speed_range,
             accel_range=accel_range,
             dt=slot_seconds,
-        )
-        positions = traj.positions()
-        flat = snap_positions(positions, scene.grid)
-        if np.any(src_outage[flat]) or np.any(tgt_outage[flat]):
-            dropped += 1
-            continue
-        kept.append((traj_id, positions))
-        flats.append(flat)
+        ).positions()
+        for traj_id in range(num_trajectories)
+    ]).reshape(num_trajectories, slots_per_trajectory, 2)
+    flats = snap_positions(positions.reshape(-1, 2), scene.grid).reshape(positions.shape[:2])
+    outage = grid.outage(source_bs) | grid.outage(target_rsu)
+    kept = np.flatnonzero(~outage[flats].any(axis=1))
 
     # features and labels of the visited grid points only, one batch each;
-    # rows[i, s] is trajectory i's slot s as a row of ``visited``
-    flats = np.array(flats, dtype=np.int64).reshape(-1, slots_per_trajectory)
-    visited, rows = np.unique(flats, return_inverse=True)
-    rows = rows.reshape(flats.shape)
+    # rows[i, s] is kept trajectory i's slot s as a row of ``visited``
+    visited, rows = np.unique(flats[kept], return_inverse=True)
+    rows = rows.reshape(kept.size, slots_per_trajectory)
     src_feats = preprocess_csi(grid.snapshots[source_bs][visited])
     tgt_labels = best_beams(grid.snapshots[target_rsu][visited], codebook)[0].astype(np.uint16)
 
-    raw_samples = []  # (traj_id, start_slot, raw feats f64, labels, anchor_label, positions)
-    for (traj_id, positions), row in zip(kept, rows):
-        for anchor in range(history - 1, slots_per_trajectory - horizon, stride):
-            lo = anchor - history + 1
-            raw_samples.append(
-                (
-                    traj_id,
-                    lo,
-                    src_feats[row[lo : anchor + 1]],
-                    tgt_labels[row[anchor + 1 : anchor + horizon + 1]],
-                    int(tgt_labels[row[anchor]]),
-                    positions[lo : anchor + horizon + 1].copy(),
-                )
-            )
+    # window w of kept trajectory i reads slots starts[w] + [0, T+K); windows
+    # are ordered by trajectory, then by start slot
+    starts = np.arange(0, slots_per_trajectory - history - horizon + 1, stride)
+    slots = starts[:, None] + np.arange(history + horizon)
+    window_rows = rows[:, slots].reshape(-1, history + horizon)
+    features = src_feats[window_rows[:, :history]]  # standardized in place below
+    labels = tgt_labels[window_rows[:, history:]]
+    anchor_labels = tgt_labels[window_rows[:, history - 1]].tolist()
+    window_positions = positions[kept][:, slots].reshape(-1, history + horizon, 2)
 
-    train_rows = [
-        r[2]
-        for r in raw_samples
-        if split_of_trajectory(seed, r[0], split_ratios) == "train"
-    ]
-    if not train_rows:
+    is_train = np.array(
+        [split_of_trajectory(seed, traj_id, split_ratios) == "train" for traj_id in kept], dtype=bool
+    )
+    train_rows = features[np.repeat(is_train, starts.size)]
+    if not train_rows.size:
         raise ValueError("no train-split samples; increase num_trajectories")
-    stacked = np.concatenate(train_rows, axis=0)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), 1e-12)
+    train_rows = train_rows.reshape(-1, features.shape[-1])
+    mean = train_rows.mean(axis=0)
+    std = np.maximum(train_rows.std(axis=0), 1e-12)
+    features -= mean
+    features /= std
 
     samples = [
         TrainingSample(
-            features=(feats - mean) / std,
-            labels=labels,
+            features=feats,
+            labels=labs,
             trajectory_id=traj_id,
             start_slot=start,
             anchor_label=anchor_label,
-            positions=positions,
+            positions=pos,
         )
-        for traj_id, start, feats, labels, anchor_label, positions in raw_samples
+        for feats, labs, traj_id, start, anchor_label, pos in zip(
+            features,
+            labels,
+            np.repeat(kept, starts.size).tolist(),
+            np.tile(starts, kept.size).tolist(),
+            anchor_labels,
+            window_positions,
+        )
     ]
     return Dataset(
         samples=samples,
@@ -296,7 +293,7 @@ def make_dataset(
         seed=int(seed),
         scene_digest=scene.digest(),
         split_ratios=split_ratios,
-        dropped_trajectories=dropped,
+        dropped_trajectories=num_trajectories - kept.size,
         extra_metadata={
             "slots_per_trajectory": slots_per_trajectory,
             "stride": stride,

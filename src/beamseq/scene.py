@@ -489,16 +489,12 @@ def trace_paths(scene: Scene, bs_id: str, point) -> list[PathComponent]:
     """Propagation paths from one BS to a single receiver point.
 
     Returns [] when every path is blocked (the caller maps that to outage).
-    Slot order is LoS, then reflections in wall order, then scatterers.
+    Slot order is LoS, then reflections in wall order, then scatterers. A
+    point that ``snap_positions`` rejects, more than half a spacing beyond the
+    outermost grid points, raises ``ValueError``.
     """
     point = np.asarray(point, dtype=float)
-    ox, oy = scene.grid.origin
-    ex, ey = scene.grid.extent
-    half = scene.grid.spacing / 2.0
-    if not (
-        ox - half <= point[0] <= ox + ex + half and oy - half <= point[1] <= oy + ey + half
-    ):
-        raise ValueError(f"point {point} outside the receiver grid")
+    snap_positions(point, scene.grid)
     rows = _trace_points(scene, scene.station(bs_id), point[None, :])
     return _path_list(*(table[0] for table in rows))
 

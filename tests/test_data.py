@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamseq.data import (
+    _TAG_TRAJECTORY,
     LOG_EPSILON,
     Dataset,
     DatasetFormatError,
@@ -25,7 +26,8 @@ from beamseq.data import (
     save_dataset,
     split_of_trajectory,
 )
-from beamseq.phy import build_dft_codebook, optimal_beam, steering_vector
+from beamseq.mobility import sample_trajectory
+from beamseq.phy import best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
 
 
@@ -117,6 +119,51 @@ class TestGridDerived:
             assert rss[idx] == pytest.approx(
                 received_signal_strength(h, codebook.codeword(int(labels[idx]))), rel=1e-12
             )
+
+
+def reference_make_dataset(scene, grid, source_bs, target_rsu, num_trajectories, codebook,
+                           seed, history, horizon, stride, slots_per_trajectory):
+    """``make_dataset`` one item at a time: a snap and an outage check per
+    trajectory, a tuple per window, a split draw per window. Default speed,
+    acceleration, slot length and split ratios."""
+    src_outage, tgt_outage = grid.outage(source_bs), grid.outage(target_rsu)
+    kept, flats, dropped = [], [], 0
+    for traj_id in range(num_trajectories):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_TRAJECTORY, traj_id]))
+        positions = sample_trajectory(scene, rng, num_slots=slots_per_trajectory).positions()
+        flat = snap_positions(positions, scene.grid)
+        if np.any(src_outage[flat]) or np.any(tgt_outage[flat]):
+            dropped += 1
+            continue
+        kept.append((traj_id, positions))
+        flats.append(flat)
+    visited, rows = np.unique(np.array(flats), return_inverse=True)
+    rows = rows.reshape(len(flats), slots_per_trajectory)
+    src_feats = preprocess_csi(grid.snapshots[source_bs][visited])
+    tgt_labels = best_beams(grid.snapshots[target_rsu][visited], codebook)[0].astype(np.uint16)
+    raw = []  # (traj_id, start_slot, raw features, labels, anchor_label, positions)
+    for (traj_id, positions), row in zip(kept, rows):
+        for anchor in range(history - 1, slots_per_trajectory - horizon, stride):
+            lo = anchor - history + 1
+            raw.append((traj_id, lo, src_feats[row[lo : anchor + 1]],
+                        tgt_labels[row[anchor + 1 : anchor + horizon + 1]],
+                        int(tgt_labels[row[anchor]]), positions[lo : anchor + horizon + 1].copy()))
+    stacked = np.concatenate(
+        [r[2] for r in raw if split_of_trajectory(seed, r[0]) == "train"], axis=0
+    )
+    mean = stacked.mean(axis=0)
+    std = np.maximum(stacked.std(axis=0), 1e-12)
+    return Dataset(
+        samples=[
+            TrainingSample((feats - mean) / std, labels, traj_id, start, anchor, positions)
+            for traj_id, start, feats, labels, anchor, positions in raw
+        ],
+        feature_mean=mean, feature_std=std, num_beams=codebook.num_beams,
+        history=history, horizon=horizon, source_bs=source_bs, target_rsu=target_rsu,
+        seed=seed, scene_digest=scene.digest(), dropped_trajectories=dropped,
+        extra_metadata={"slots_per_trajectory": slots_per_trajectory, "stride": stride,
+                        "num_trajectories": num_trajectories},
+    )
 
 
 class TestMakeDataset:
@@ -257,6 +304,47 @@ class TestMakeDataset:
             make_dataset(
                 scene, grid, "rsu0", "rsu1", 5, codebook, seed=1, slots_per_trajectory=80
             )
+
+    @pytest.mark.parametrize(
+        "name, value", [("history", 0), ("history", -2), ("horizon", 0), ("stride", 0),
+                        ("stride", -1)]
+    )
+    def test_window_arguments_below_one_rejected(self, small_world, name, value):
+        scene, grid, codebook = small_world
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            make_dataset(
+                scene, grid, "rsu0", "rsu1", 5, codebook, seed=1, slots_per_trajectory=100,
+                **{name: value},
+            )
+
+    def test_matches_item_by_item_reference(self, tmp_path, small_world):
+        # outage on a band of rows drops some trajectories but not all;
+        # overlapping windows and trailing slots no window reads
+        scene, grid, codebook = small_world
+        valid = grid.path_valid["rsu1"].copy()
+        m = valid.shape[0]
+        valid[m // 3 : m // 3 + m // 8] = False
+        banded = dataclasses.replace(grid, path_valid=dict(grid.path_valid, rsu1=valid))
+        args = (scene, banded, "rsu0", "rsu1", 40, codebook, 6)
+        kwargs = dict(history=12, horizon=9, stride=4, slots_per_trajectory=45)
+        ds = make_dataset(*args, **kwargs)
+        ref = reference_make_dataset(*args, **kwargs)
+        assert 0 < ds.dropped_trajectories < 40
+        assert ds.dropped_trajectories == ref.dropped_trajectories
+        assert len({s.trajectory_id for s in ds.samples}) > 1
+        assert len({s.start_slot for s in ds.samples}) > 1
+        save_dataset(ds, tmp_path / "batch.bmsq")
+        save_dataset(ref, tmp_path / "reference.bmsq")
+        assert (tmp_path / "batch.bmsq").read_bytes() == (tmp_path / "reference.bmsq").read_bytes()
+        assert ds.feature_mean.tobytes() == ref.feature_mean.tobytes()
+        assert ds.feature_std.tobytes() == ref.feature_std.tobytes()
+        assert len(ds.samples) == len(ref.samples)
+        for a, b in zip(ds.samples, ref.samples):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert (a.trajectory_id, a.start_slot, a.anchor_label) == (
+                b.trajectory_id, b.start_slot, b.anchor_label
+            )
+            assert a.positions.tobytes() == b.positions.tobytes()
 
 
 class TestDatasetFile:

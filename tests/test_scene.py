@@ -171,7 +171,9 @@ class TestTracePaths:
         # BS on the axis x = 15 looking up (+y), a wall above the grid that
         # every reflection point falls on and no ray clears, and scatterers
         # in mirrored pairs away from the grid; the point at 15 - dx mirrors
-        # the one at 15 + dx, so its scatterer 2k mirrors scatterer 2k + 1
+        # the one at 15 + dx, so its scatterer 2k mirrors scatterer 2k + 1.
+        # The grid's outermost points are x = 0, 30 and y = 0, 10, so every
+        # drawn point is in the grid.
         bs_height = data.draw(st.floats(2.0, 25.0))
         wall_y = data.draw(st.floats(10.5, 20.0))
         scatterers = []
@@ -196,7 +198,7 @@ class TestTracePaths:
             walls=(Wall(a=(-25.0, wall_y), b=(55.0, wall_y), height=bs_height + 1.0,
                         reflection_loss_db=data.draw(st.floats(1.0, 10.0))),),
             scatterers=tuple(scatterers),
-            grid=GridSpec(origin=(0.0, 0.0), extent=(30.0, 10.0), spacing=0.5),
+            grid=GridSpec(origin=(0.0, 0.0), extent=(30.5, 10.5), spacing=0.5),
             seed=0,
         )
         dx, y = data.draw(st.floats(0.0, 15.0)), data.draw(st.floats(0.0, 10.0))
@@ -233,6 +235,23 @@ class TestTracePaths:
     def test_point_outside_grid_rejected(self, los_scene):
         with pytest.raises(ValueError):
             trace_paths(los_scene, "rsu0", np.array([100.0, 100.0]))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_in_grid_rule_is_snap_positions(self, los_scene, axis):
+        # a point is traceable exactly when it snaps: up to half a spacing
+        # beyond the outermost grid points at either edge
+        grid = los_scene.grid
+        spacing = grid.spacing
+        first = np.asarray(grid.origin, dtype=float)
+        last = first + spacing * (np.array([grid.n_x, grid.n_y]) - 1)
+        inside = (first + last) / 2
+        for edge, outward in ((last, 1.0), (first, -1.0)):
+            near, far = inside.copy(), inside.copy()
+            near[axis] = edge[axis] + outward * 0.49 * spacing
+            far[axis] = edge[axis] + outward * spacing
+            assert trace_paths(los_scene, "rsu0", near)
+            with pytest.raises(ValueError, match="outside grid"):
+                trace_paths(los_scene, "rsu0", far)
 
 
 @pytest.fixture(scope="module")
