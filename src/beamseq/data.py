@@ -128,11 +128,13 @@ class Dataset:
         return split_of_trajectory(self.seed, trajectory_id, self.split_ratios)
 
     def indices(self, split: str) -> list[int]:
+        """Positions of the split's samples, drawing the split once per
+        distinct trajectory."""
         if split not in SPLIT_NAMES:
             raise ValueError(f"unknown split {split!r}")
-        return [
-            i for i, s in enumerate(self.samples) if self.split_of(s.trajectory_id) == split
-        ]
+        ids = [s.trajectory_id for s in self.samples]
+        split_of = {t: self.split_of(t) for t in set(ids)}
+        return [i for i, t in enumerate(ids) if split_of[t] == split]
 
     def split_samples(self, split: str) -> list[TrainingSample]:
         return [self.samples[i] for i in self.indices(split)]

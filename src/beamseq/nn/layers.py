@@ -25,10 +25,16 @@ __all__ = [
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
+    "lstm_input_product",
+    "lstm_recurrence",
     "lstm_sequence_forward",
     "lstm_sequence_backward",
     "lstm_cell_forward",
     "lstm_cell_backward",
+    "attention_memory_forward",
+    "attention_memory_backward",
+    "attention_attend_forward",
+    "attention_attend_backward",
     "attention_sequence_forward",
     "attention_sequence_backward",
     "attention_forward",
@@ -209,25 +215,33 @@ def _gate_blocks(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, k * hid : (k + 1) * hid] for k in range(4)]
 
 
-def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
-    """Run the standard LSTM recurrence over a time-major sequence.
+def lstm_input_product(p: LSTMParams, x: np.ndarray) -> np.ndarray:
+    """The gate pre-activations that do not depend on h, ``x W_xᵀ + b`` (N, 4H),
+    for input rows x (N, D).
+
+    ``lstm_sequence_forward`` forms it as one GEMM over all S*B rows; a decoder
+    fed back its own tokens can form it once per vocabulary row and index it.
+    """
+    z = x @ p.wx.T
+    z += p.b
+    return z
+
+
+def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarray):
+    """Step the LSTM over input products ``act`` (S, B, 4H) from
+    ``lstm_input_product``, from the state (h0, c0) (B, H).
 
     i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
-    x: (S, B, D); h0, c0: (B, H). Returns (h (S, B, H), c_S (B, H), cache).
-
-    ``x W_xᵀ`` for all S steps is one GEMM before the loop, so the loop does
-    only ``h W_hᵀ``, the gates and the cell. The gate activations overwrite
-    their pre-activations in one (S, B, 4H) buffer; h and c are kept as
-    (S+1, B, H) stacks, and the returned h is a view of its stack.
+    Each step adds only ``h W_hᵀ`` before the gates and the cell. The gate
+    activations overwrite ``act``; h and c are kept as (S+1, B, H) stacks, and
+    the returned h (S, B, H) is a view of its stack. Returns (h, c_S, cache).
     """
-    if x.ndim != 3 or x.shape[2] != p.input_size:
-        raise ValueError(f"lstm expects x of shape (S, B, {p.input_size}), got {x.shape}")
-    s, b, d = x.shape
     hid = p.hidden_size
+    if act.ndim != 3 or act.shape[2] != 4 * hid:
+        raise ValueError(f"lstm expects input products (S, B, {4 * hid}), got {act.shape}")
+    s, b, _ = act.shape
     if h0.shape != (b, hid) or c0.shape != (b, hid):
         raise ValueError(f"lstm state shapes {h0.shape}, {c0.shape} vs (B, H) = {(b, hid)}")
-    x2 = x.reshape(s * b, d)
-    act = (x2 @ p.wx.T).reshape(s, b, 4 * hid)
     hs = np.empty((s + 1, b, hid))
     cs = np.empty((s + 1, b, hid))
     tcs = np.empty((s, b, hid))
@@ -236,7 +250,6 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
     for t in range(s):
         a = act[t]
         a += hs[t] @ p.wh.T
-        a += p.b
         i, f, g, o = _gate_blocks(a)
         _sigmoid_(a[:, : 2 * hid])  # i and f together
         np.tanh(g, out=g)
@@ -247,7 +260,21 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
         np.multiply(o, tcs[t], out=hs[t + 1])
     if not np.all(np.isfinite(hs[1:])):
         raise NumericError("non-finite LSTM activation")
-    return hs[1:], cs[s], (p, x2, hs, cs, act, tcs)
+    return hs[1:], cs[s], (hs, cs, act, tcs)
+
+
+def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
+    """Run the LSTM over a time-major sequence x (S, B, D) from (h0, c0)
+    (B, H): ``lstm_input_product`` over all S*B rows in one GEMM, then
+    ``lstm_recurrence``. Returns (h (S, B, H), c_S (B, H), cache).
+    """
+    if x.ndim != 3 or x.shape[2] != p.input_size:
+        raise ValueError(f"lstm expects x of shape (S, B, {p.input_size}), got {x.shape}")
+    s, b, d = x.shape
+    x2 = x.reshape(s * b, d)
+    act = lstm_input_product(p, x2).reshape(s, b, 4 * p.hidden_size)
+    h, c, cache = lstm_recurrence(p, act, h0, c0)
+    return h, c, (p, x2, *cache)
 
 
 def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
@@ -298,53 +325,108 @@ def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# global attention (multiplicative score), batched over decoder steps
+# global attention (multiplicative score): a memory projected once per
+# encoding, attended from any number of queries
 
 
-def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
-    """Attend from K queries per sequence over its encoder states, with
-    score_s = q^T W h_s.
+def attention_memory_forward(p: AttentionParams, enc_states: np.ndarray):
+    """Project encoder states (B, T, H) into the attention memory: keys
+    ``H_enc W_scoreᵀ``, so that score_t = q·key_t = qᵀ W h_t, and values
+    ``H_enc W_cᵀ`` with W_c the context half ``w_combine[:, :H]``, so that
+    the context term of the combine layer is the weighted sum of values.
 
-    query: (B, K, H); enc_states: (B, T, H). Returns (context (B, K, H),
-    weights (B, K, T), combined (B, K, H), cache) where
-    combined = tanh(W_c [context; query] + b). Scores and context are batched
-    matmuls, and the two projections are one GEMM each over B*K rows.
+    Each is one GEMM over all B*T rows. Returns ((keys, values), cache).
     """
     if enc_states.ndim != 3 or enc_states.shape[1] < 1:
         raise ValueError(f"encoder states must be (B, T>=1, H), got {enc_states.shape}")
-    if query.ndim != 3 or query.shape[::2] != enc_states.shape[::2]:
-        raise ValueError(f"query {query.shape} is not (B, K, H) for states {enc_states.shape}")
+    b, t, hid = enc_states.shape
+    e2 = enc_states.reshape(b * t, hid)
+    keys = (e2 @ p.w_score.T).reshape(b, t, hid)
+    values = (e2 @ p.w_combine[:, :hid].T).reshape(b, t, hid)
+    return (keys, values), (p, e2)
+
+
+def attention_memory_backward(cache, d_keys: np.ndarray, d_values: np.ndarray):
+    """Backward from the memory gradients (B, T, H) each; returns (grad of
+    ``w_score``, grad of ``w_combine[:, :H]``, denc (B, T, H))."""
+    p, e2 = cache
+    b, t, hid = d_keys.shape
+    dk = d_keys.reshape(b * t, hid)
+    dv = d_values.reshape(b * t, hid)
+    d_enc = dk @ p.w_score + dv @ p.w_combine[:, :hid]
+    return dk.T @ e2, dv.T @ e2, d_enc.reshape(b, t, hid)
+
+
+def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
+    """Attend from K queries per sequence, query (B, K, H), over a memory from
+    ``attention_memory_forward``.
+
+    weights = softmax(q·keys) (B, K, T) and
+    combined = tanh(weights·values + W_q q + b) (B, K, H), with W_q the query
+    half ``w_combine[:, H:]``. The scores and the weighted sums are batched
+    matmuls; ``W_q q`` is one GEMM over B*K rows. Returns (weights, combined,
+    cache).
+    """
+    keys, values = memory
+    if query.ndim != 3 or query.shape[::2] != keys.shape[::2]:
+        raise ValueError(f"query {query.shape} is not (B, K, H) for memory {keys.shape}")
     b, k, hid = query.shape
     q2 = query.reshape(b * k, hid)
-    qp = (q2 @ p.w_score).reshape(b, k, hid)
-    weights = softmax(qp @ enc_states.transpose(0, 2, 1))
-    context = weights @ enc_states
-    cat = np.concatenate([context, query], axis=2).reshape(b * k, 2 * hid)
-    combined = np.tanh(cat @ p.w_combine.T + p.b_combine)
-    cache = (p, q2, enc_states, qp, weights, cat, combined)
-    return context, weights, combined.reshape(b, k, hid), cache
+    weights = softmax(q2.reshape(b, k, hid) @ keys.transpose(0, 2, 1))
+    z = (weights @ values).reshape(b * k, hid)
+    z += q2 @ p.w_combine[:, hid:].T
+    z += p.b_combine
+    combined = np.tanh(z, out=z)
+    cache = (p, q2, keys, values, weights, combined)
+    return weights, combined.reshape(b, k, hid), cache
+
+
+def attention_attend_backward(cache, grad_combined: np.ndarray):
+    """Backward from the combined outputs (B, K, H); returns (grad of
+    ``w_combine[:, H:]``, grad of ``b_combine``, dquery (B, K, H),
+    (d_keys, d_values) (B, T, H) each)."""
+    p, q2, keys, values, weights, combined = cache
+    b, k, _ = weights.shape
+    hid = q2.shape[1]
+    dz = grad_combined.reshape(b * k, hid) * (1.0 - combined * combined)
+    g_w_query = dz.T @ q2
+    g_b_combine = dz.sum(axis=0)
+    dz3 = dz.reshape(b, k, hid)
+    dweights = dz3 @ values.transpose(0, 2, 1)
+    d_values = weights.transpose(0, 2, 1) @ dz3
+    # softmax Jacobian applied row-wise
+    dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
+    d_keys = dscores.transpose(0, 2, 1) @ q2.reshape(b, k, hid)
+    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid) + dscores @ keys
+    return g_w_query, g_b_combine, dquery, (d_keys, d_values)
+
+
+def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
+    """Attend from K queries per sequence, query (B, K, H), over its encoder
+    states (B, T, H): ``attention_memory_forward`` then
+    ``attention_attend_forward``. Returns (context (B, K, H), weights
+    (B, K, T), combined (B, K, H), cache); combined = tanh(W_c [context;
+    query] + b) with context = weights·enc_states.
+    """
+    memory, memory_cache = attention_memory_forward(p, enc_states)
+    weights, combined, attend_cache = attention_attend_forward(p, memory, query)
+    return weights @ enc_states, weights, combined, (memory_cache, attend_cache)
 
 
 def attention_sequence_backward(cache, grad_combined: np.ndarray):
     """Backward from the combined outputs (B, K, H); returns (param grads,
     dquery (B, K, H), denc (B, T, H))."""
-    p, q2, enc_states, qp, weights, cat, combined = cache
-    b, k, hid = qp.shape
-    dz = grad_combined.reshape(b * k, hid) * (1.0 - combined * combined)
-    g_w_combine = dz.T @ cat
-    g_b_combine = dz.sum(axis=0)
-    dcat = dz @ p.w_combine
-    dcontext = dcat[:, :hid].reshape(b, k, hid)
-
-    dweights = dcontext @ enc_states.transpose(0, 2, 1)
-    # softmax Jacobian applied row-wise
-    dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
-    denc = weights.transpose(0, 2, 1) @ dcontext + dscores.transpose(0, 2, 1) @ qp
-    dqp = (dscores @ enc_states).reshape(b * k, hid)
-    g_w_score = q2.T @ dqp
-    dquery = dcat[:, hid:] + dqp @ p.w_score.T
-    grads = AttentionParams(w_score=g_w_score, w_combine=g_w_combine, b_combine=g_b_combine)
-    return grads, dquery.reshape(b, k, hid), denc
+    memory_cache, attend_cache = cache
+    g_w_query, g_b_combine, dquery, d_memory = attention_attend_backward(
+        attend_cache, grad_combined
+    )
+    g_w_score, g_w_context, denc = attention_memory_backward(memory_cache, *d_memory)
+    grads = AttentionParams(
+        w_score=g_w_score,
+        w_combine=np.concatenate([g_w_context, g_w_query], axis=1),
+        b_combine=g_b_combine,
+    )
+    return grads, dquery, denc
 
 
 def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):

@@ -11,10 +11,16 @@ feeding: the attention output goes only to the output projection, never into
 the next step's input. So once the decoder's inputs are known (all of them
 under teacher forcing, and the whole encoder input always), only the two LSTM
 recurrences of each stack have to run one time step after another. Each
-layer runs once over the whole sequence: the LSTM input products, attention,
-the combine layer and the output projection are each one batched product over
-all B*S rows, forward and backward. Greedy decoding still steps, because it
-feeds back its own argmax; it runs the same layers with S = 1.
+layer runs once over the whole sequence: the LSTM input products (bias
+included), the attention memory, attention, the combine layer and the output
+projection are each one batched product over all B*S rows, forward and
+backward.
+
+Greedy decoding still steps, because it feeds back its own argmax, so each
+step reads only the weights that act on the step's state: the attention
+memory (keys and the context half of the combine layer) is projected once
+per encoding, and the first decoder layer reads its input products from a
+table with one row per token, formed once per call from the embedding.
 """
 
 from __future__ import annotations
@@ -170,31 +176,6 @@ def _encode_backward(model, cache, d_states, d_finals, grads):
     grads["enc_in"], _ = nn.dense_backward(dense_cache, flat)
 
 
-def _decode(model: Seq2SeqModel, enc: EncoderOutput, tokens, carry, training: bool, rng=None):
-    """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention and the output
-    projection over S time-major input tokens (S, B), from
-    ``carry = (h1, c1, h2, c2)``; returns (logits (B, S, X), next carry, cache).
-
-    Attention output feeds only ``out``, never the next step's input, so the
-    recurrences are the only step-by-step work: each layer runs once over all S.
-    """
-    hp = model.hyper
-    s, b = tokens.shape
-    h1, c1, h2, c2 = carry
-    embedded, ecache = nn.embedding_forward(model.emb, tokens.reshape(-1))
-    out1, c1, cache1 = nn.lstm_sequence_forward(
-        model.dec_l1, embedded.reshape(s, b, -1), h1, c1
-    )
-    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
-    out2, c2, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, h2, c2)
-    _, _, combined, acache = nn.attention_sequence_forward(
-        model.att, out2.transpose(1, 0, 2), enc.states
-    )
-    logits, ocache = nn.dense_forward(model.out, combined.reshape(b * s, hp.hidden))
-    cache = (ecache, cache1, drop_cache, cache2, acache, ocache)
-    return logits.reshape(b, s, hp.num_beams), (out1[-1], c1, out2[-1], c2), cache
-
-
 def _decode_teacher_batch(
     model: Seq2SeqModel,
     enc: EncoderOutput,
@@ -202,6 +183,13 @@ def _decode_teacher_batch(
     training: bool,
     rng=None,
 ):
+    """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention and the output
+    projection over the K teacher tokens, which are the start token and then
+    every target but the last; returns (logits (B, K, X), cache).
+
+    Attention output feeds only ``out``, never the next step's input, so the
+    recurrences are the only step-by-step work: each layer runs once over all K.
+    """
     hp = model.hyper
     b, k_steps = targets.shape
     if k_steps != hp.horizon:
@@ -209,14 +197,23 @@ def _decode_teacher_batch(
     if np.any(targets < 0) or np.any(targets >= hp.num_beams):
         raise ValueError("target label out of range")
     tokens = np.vstack([np.full(b, hp.start_token, dtype=np.int64), targets[:, :-1].T])
-    carry = (enc.h1, enc.c1, enc.h2, enc.c2)
-    logits, _, cache = _decode(model, enc, tokens, carry, training, rng)
-    return logits, cache
+    embedded, ecache = nn.embedding_forward(model.emb, tokens.reshape(-1))
+    out1, _, cache1 = nn.lstm_sequence_forward(
+        model.dec_l1, embedded.reshape(k_steps, b, -1), enc.h1, enc.c1
+    )
+    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
+    out2, _, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, enc.h2, enc.c2)
+    _, _, combined, acache = nn.attention_sequence_forward(
+        model.att, out2.transpose(1, 0, 2), enc.states
+    )
+    logits, ocache = nn.dense_forward(model.out, combined.reshape(b * k_steps, hp.hidden))
+    cache = (ecache, cache1, drop_cache, cache2, acache, ocache)
+    return logits.reshape(b, k_steps, hp.num_beams), cache
 
 
 def _decode_backward(model, cache, d_logits, grads):
-    """Backward through ``_decode`` from zero gradients on its final carry;
-    returns (d_enc_states, encoder final grads)."""
+    """Backward through ``_decode_teacher_batch`` from zero gradients on the
+    decoder's final states; returns (d_enc_states, encoder final grads)."""
     ecache, cache1, drop_cache, cache2, acache, ocache = cache
     b, s, x = d_logits.shape
     grads["out"], d_comb = nn.dense_backward(ocache, d_logits.reshape(b * s, x))
@@ -234,17 +231,27 @@ def _decode_backward(model, cache, d_logits, grads):
 
 
 def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput, horizon: int):
-    """Autoregressive decoding: ``_decode`` one step (S = 1) at a time, fed
-    back its own argmax."""
+    """Autoregressive decoding, one step at a time, fed back its own argmax.
+
+    A step reads only the weights that act on the step's state: ``dec_l1``'s
+    recurrence is fed rows of its input products for the whole vocabulary,
+    formed once per call, and the attention memory is projected once per
+    encoding. No dropout runs at inference.
+    """
     hp = model.hyper
     b = enc.states.shape[0]
-    tokens = np.full((1, b), hp.start_token, dtype=np.int64)
+    token_gates = nn.lstm_input_product(model.dec_l1, model.emb.table)
+    memory, _ = nn.attention_memory_forward(model.att, enc.states)
+    tokens = np.full(b, hp.start_token)
+    h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
     labels = np.empty((b, horizon), dtype=np.int64)
-    carry = (enc.h1, enc.c1, enc.h2, enc.c2)
     for k in range(horizon):
-        step_logits, carry, _ = _decode(model, enc, tokens, carry, training=False)
-        labels[:, k] = np.argmax(step_logits[:, 0], axis=1)
-        tokens = labels[None, :, k]
+        out1, c1, _ = nn.lstm_recurrence(model.dec_l1, token_gates[tokens][None], h1, c1)
+        out2, c2, _ = nn.lstm_sequence_forward(model.dec_l2, out1, h2, c2)
+        h1, h2 = out1[0], out2[0]
+        _, combined, _ = nn.attention_attend_forward(model.att, memory, h2[:, None])
+        logits, _ = nn.dense_forward(model.out, combined[:, 0])
+        labels[:, k] = tokens = np.argmax(logits, axis=1)
     return labels
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from beamseq import data
 from beamseq.data import (
     _TAG_TRAJECTORY,
     LOG_EPSILON,
@@ -37,6 +38,16 @@ def small_world():
     grid = build_channel_grid(scene, bs_ids=("rsu0", "rsu1"))
     codebook = build_dft_codebook(256, 32)
     return scene, grid, codebook
+
+
+@pytest.fixture(scope="module")
+def strided_dataset(small_world):
+    # several overlapping windows per trajectory
+    scene, grid, codebook = small_world
+    return make_dataset(
+        scene, grid, "rsu0", "rsu1", 25, codebook, seed=4,
+        history=20, horizon=10, stride=7, slots_per_trajectory=90,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -269,13 +280,10 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="finite"):
             make_dataset(scene, dirty, *args, **kwargs)
 
-    def test_windows_equal_whole_grid_features_and_labels(self, small_world):
+    def test_windows_equal_whole_grid_features_and_labels(self, small_world, strided_dataset):
         # overlapping windows and trailing slots no window reads
         scene, grid, codebook = small_world
-        ds = make_dataset(
-            scene, grid, "rsu0", "rsu1", 25, codebook, seed=4,
-            history=20, horizon=10, stride=7, slots_per_trajectory=90,
-        )
+        ds = strided_dataset
         feats = grid_features(grid, "rsu0")
         labels, _ = grid_beam_labels(grid, "rsu1", codebook)
         assert len({s.trajectory_id for s in ds.samples}) > 1
@@ -288,6 +296,29 @@ class TestMakeDataset:
             np.testing.assert_array_equal(s.labels, labels[flat[20:]])
             assert s.labels.dtype == np.uint16
             assert s.anchor_label == labels[flat[19]]
+
+    def test_split_indices_match_per_sample_draws(self, strided_dataset):
+        ds = strided_dataset
+        for split in ("train", "val", "test"):
+            want = [
+                i for i, s in enumerate(ds.samples)
+                if split_of_trajectory(ds.seed, s.trajectory_id, ds.split_ratios) == split
+            ]
+            assert ds.indices(split) == want
+            assert [s.trajectory_id for s in ds.split_samples(split)] == [
+                ds.samples[i].trajectory_id for i in want
+            ]
+
+    def test_split_drawn_once_per_trajectory(self, strided_dataset, monkeypatch):
+        calls = []
+
+        def spy(seed, trajectory_id, *args):
+            calls.append(trajectory_id)
+            return split_of_trajectory(seed, trajectory_id, *args)
+
+        monkeypatch.setattr(data, "split_of_trajectory", spy)
+        strided_dataset.indices("train")
+        assert sorted(calls) == sorted({s.trajectory_id for s in strided_dataset.samples})
 
     def test_every_trajectory_dropped_rejected(self, small_world):
         scene, grid, codebook = small_world

@@ -2,6 +2,7 @@
 
 import inspect
 import io
+import math
 import textwrap
 import zipfile
 
@@ -288,6 +289,58 @@ class TestAttention:
             attention_sequence_forward(p, np.zeros((2, 3, 4)), np.zeros((1, 5, 4)))
 
 
+def term_by_term_attention(p, query, enc):
+    """weights (B, K, T) and combined (B, K, H) of the general score
+    qᵀ W_score h_t and the combine layer tanh(W_c [context; q] + b), each
+    term summed in Python loops over b, k, t and the hidden units."""
+    b_size, k_size, hid = query.shape
+    t_size = enc.shape[1]
+    weights = np.empty((b_size, k_size, t_size))
+    combined = np.empty((b_size, k_size, hid))
+    for b in range(b_size):
+        for k in range(k_size):
+            q = query[b, k]
+            scores = [
+                math.fsum(q[i] * p.w_score[i, j] * enc[b, t, j]
+                          for i in range(hid) for j in range(hid))
+                for t in range(t_size)
+            ]
+            exps = [math.exp(score - max(scores)) for score in scores]
+            for t in range(t_size):
+                weights[b, k, t] = exps[t] / math.fsum(exps)
+            context = [
+                math.fsum(weights[b, k, t] * enc[b, t, j] for t in range(t_size))
+                for j in range(hid)
+            ]
+            cat = context + list(q)
+            for o in range(hid):
+                combined[b, k, o] = math.tanh(
+                    math.fsum(p.w_combine[o, j] * cat[j] for j in range(2 * hid))
+                    + p.b_combine[o]
+                )
+    return weights, combined
+
+
+class TestAttentionMatchesTermByTerm:
+    @pytest.mark.parametrize("b, k, t, hid", [(2, 3, 5, 4), (3, 1, 4, 6), (2, 2, 1, 3)])
+    def test_memory_and_attend(self, b, k, t, hid):
+        rng = rng_for(38 + k)
+        p = init_attention(rng, hid)
+        p.b_combine[...] = rng.normal(size=hid)
+        query = rng.normal(size=(b, k, hid))
+        enc = rng.normal(size=(b, t, hid))
+        want_weights, want_combined = term_by_term_attention(p, query, enc)
+        memory, _ = nn.attention_memory_forward(p, enc)
+        weights, combined, _ = nn.attention_attend_forward(p, memory, query)
+        outputs = [(weights, want_weights), (combined, want_combined)]
+        if k == 1:
+            _, weights1, combined1, _ = attention_forward(p, query[:, 0], enc)
+            outputs += [(weights1, want_weights[:, 0]), (combined1, want_combined[:, 0])]
+        for got, want in outputs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         losses, _ = softmax_cross_entropy_batch(np.zeros((1, 4)), np.array([2]))
@@ -460,7 +513,8 @@ def _mutant(fn, old: str, new: str):
 
 
 # Single mutations of the backward math the training step runs: the LSTM step
-# inside lstm_sequence_backward's loop, and the batched attention backward.
+# inside lstm_sequence_backward's loop, and the two halves of the batched
+# attention backward, attend and memory.
 BACKWARD_MUTATIONS = {
     "forget_gate_sign_flipped": (
         layers._lstm_step_backward, "f[...] = dc * c_prev", "f[...] = -dc * c_prev"
@@ -475,9 +529,12 @@ BACKWARD_MUTATIONS = {
         layers._lstm_step_backward, "(1.0 - g * g)", "(1.0 - g)"
     ),
     "softmax_jacobian_without_weighted_sum": (
-        layers.attention_sequence_backward,
+        layers.attention_attend_backward,
         "weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))",
         "weights * dweights",
+    ),
+    "keys_term_dropped_from_d_enc_states": (
+        layers.attention_memory_backward, "d_enc = dk @ p.w_score + ", "d_enc = "
     ),
 }
 

@@ -15,6 +15,7 @@ from beamseq.seq2seq import (
     TrainConfig,
     TrainState,
     _batch_forward_backward,
+    _decode_greedy_batch,
     _decode_teacher_batch,
     _encode_batch,
     compute_loss,
@@ -394,6 +395,7 @@ class TestLayerByLayerMatchesPerStepOracle:
         want = per_step_greedy(model, enc, hyper.horizon)
         for i, window in enumerate(feats):
             np.testing.assert_array_equal(decode_greedy(model, encode(model, window)), want[i])
+        np.testing.assert_array_equal(_decode_greedy_batch(model, enc, hyper.horizon), want)
 
 
 class TestTraining:
