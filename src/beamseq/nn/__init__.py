@@ -20,91 +20,21 @@ values ``W_c h_t`` (W_c the context half of the combine layer);
 ``attention_attend_forward`` attends from K queries at once with batched
 matmuls over that memory. ``attention_sequence_forward`` runs the two. This
 fits a decoder without input feeding, whose layer inputs do not depend on the
-previous step's attention output. ``lstm_cell_*`` and ``attention_forward`` /
-``attention_backward`` are the S = 1 and K = 1 slices of the sequence forms.
+previous step's attention output. Attention returns the weights and the
+combined output ``tanh(W_c [context; q] + b)``, never the context itself.
+``lstm_cell_*`` and ``attention_forward`` / ``attention_backward`` are the
+S = 1 and K = 1 slices of the sequence forms.
+
+Dropout, and so the training mode of every forward, is on exactly when a
+generator is passed: ``rng=None`` is inference. Adam's decay rates and
+epsilon are the constants ``optim.BETA1``, ``optim.BETA2`` and ``optim.EPS``;
+only the step size is set per run.
 """
 
-from .layers import (
-    NumericError,
-    DenseParams,
-    EmbeddingParams,
-    LSTMParams,
-    AttentionParams,
-    dense_forward,
-    dense_backward,
-    embedding_forward,
-    embedding_backward,
-    lstm_input_product,
-    lstm_recurrence,
-    lstm_sequence_forward,
-    lstm_sequence_backward,
-    lstm_cell_forward,
-    lstm_cell_backward,
-    attention_memory_forward,
-    attention_memory_backward,
-    attention_attend_forward,
-    attention_attend_backward,
-    attention_sequence_forward,
-    attention_sequence_backward,
-    attention_forward,
-    attention_backward,
-    dropout_forward,
-    dropout_backward,
-    softmax,
-    softmax_cross_entropy_batch,
-    init_dense,
-    init_embedding,
-    init_lstm,
-    init_attention,
-    params_items,
-    zeros_like_params,
-    accumulate_params,
-)
-from .optim import AdamState, adam_init, adam_step, clip_global_norm
+from . import checkpoint, layers, optim
+from .checkpoint import *  # noqa: F403
 from .gradcheck import finite_diff_check
-from .checkpoint import CheckpointError, save_tensors, load_tensors
+from .layers import *  # noqa: F403
+from .optim import *  # noqa: F403
 
-__all__ = [
-    "NumericError",
-    "DenseParams",
-    "EmbeddingParams",
-    "LSTMParams",
-    "AttentionParams",
-    "dense_forward",
-    "dense_backward",
-    "embedding_forward",
-    "embedding_backward",
-    "lstm_input_product",
-    "lstm_recurrence",
-    "lstm_sequence_forward",
-    "lstm_sequence_backward",
-    "lstm_cell_forward",
-    "lstm_cell_backward",
-    "attention_memory_forward",
-    "attention_memory_backward",
-    "attention_attend_forward",
-    "attention_attend_backward",
-    "attention_sequence_forward",
-    "attention_sequence_backward",
-    "attention_forward",
-    "attention_backward",
-    "dropout_forward",
-    "dropout_backward",
-    "softmax",
-    "softmax_cross_entropy_batch",
-    "init_dense",
-    "init_embedding",
-    "init_lstm",
-    "init_attention",
-    "params_items",
-    "zeros_like_params",
-    "accumulate_params",
-    "AdamState",
-    "adam_init",
-    "adam_step",
-    "clip_global_norm",
-    "finite_diff_check",
-    "CheckpointError",
-    "save_tensors",
-    "load_tensors",
-]
+__all__ = [*layers.__all__, *optim.__all__, "finite_diff_check", *checkpoint.__all__]

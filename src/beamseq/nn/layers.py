@@ -4,8 +4,10 @@ The LSTM and attention kernels take whole sequences; see the package
 docstring for why, and for their single-step slices.
 
 Parameter containers are plain dataclasses of float64 arrays. ``params_items``
-/ ``zeros_like_params`` / ``accumulate_params`` give generic traversal so the
-optimizer and checkpoints never need layer-specific code.
+and ``accumulate_params`` give generic traversal so the optimizer and
+checkpoints never need layer-specific code.
+
+Dropout is on exactly when a generator is passed: ``rng=None`` is inference.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "init_lstm",
     "init_attention",
     "params_items",
-    "zeros_like_params",
     "accumulate_params",
 ]
 
@@ -103,12 +104,6 @@ def params_items(params, prefix: str = ""):
     """Yield (name, array) for every field of a parameter dataclass."""
     for f in dataclasses.fields(params):
         yield (prefix + f.name if prefix else f.name), getattr(params, f.name)
-
-
-def zeros_like_params(params):
-    return type(params)(
-        **{f.name: np.zeros_like(getattr(params, f.name)) for f in dataclasses.fields(params)}
-    )
 
 
 def accumulate_params(dst, src) -> None:
@@ -404,13 +399,13 @@ def attention_attend_backward(cache, grad_combined: np.ndarray):
 def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
     """Attend from K queries per sequence, query (B, K, H), over its encoder
     states (B, T, H): ``attention_memory_forward`` then
-    ``attention_attend_forward``. Returns (context (B, K, H), weights
-    (B, K, T), combined (B, K, H), cache); combined = tanh(W_c [context;
-    query] + b) with context = weights·enc_states.
+    ``attention_attend_forward``. Returns (weights (B, K, T), combined
+    (B, K, H), cache); combined = tanh(W_c [context; query] + b) with
+    context = weights·enc_states, which is never formed on its own.
     """
     memory, memory_cache = attention_memory_forward(p, enc_states)
     weights, combined, attend_cache = attention_attend_forward(p, memory, query)
-    return weights @ enc_states, weights, combined, (memory_cache, attend_cache)
+    return weights, combined, (memory_cache, attend_cache)
 
 
 def attention_sequence_backward(cache, grad_combined: np.ndarray):
@@ -431,9 +426,9 @@ def attention_sequence_backward(cache, grad_combined: np.ndarray):
 
 def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
     """One decoder step, query (B, H): ``attention_sequence_forward`` at K = 1.
-    Returns (context (B, H), weights (B, T), combined (B, H), cache)."""
-    context, weights, combined, cache = attention_sequence_forward(p, query[:, None], enc_states)
-    return context[:, 0], weights[:, 0], combined[:, 0], cache
+    Returns (weights (B, T), combined (B, H), cache)."""
+    weights, combined, cache = attention_sequence_forward(p, query[:, None], enc_states)
+    return weights[:, 0], combined[:, 0], cache
 
 
 def attention_backward(cache, grad_combined: np.ndarray):
@@ -446,12 +441,12 @@ def attention_backward(cache, grad_combined: np.ndarray):
 # dropout
 
 
-def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool):
+def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate). Identity when not training."""
+    1/(1-rate). Identity at inference, ``rng=None``."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)

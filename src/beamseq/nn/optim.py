@@ -1,42 +1,39 @@
-"""Adam optimizer over named float64 arrays, plus global-norm clipping."""
+"""Adam optimizer over named float64 arrays, plus global-norm clipping.
+
+Only the step size is set per run. The moment decay rates and the
+denominator's epsilon are the usual constants ``BETA1``, ``BETA2`` and
+``EPS``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["AdamState", "adam_init", "adam_step", "clip_global_norm"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment per named parameter and the shared step counter."""
+    """First/second moment per named parameter, the shared step counter and
+    the step size."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(
-    named_params: dict[str, np.ndarray],
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def adam_init(named_params: dict[str, np.ndarray], alpha: float = 1e-3) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in named_params.items()},
         v={k: np.zeros_like(p) for k, p in named_params.items()},
-        t=0,
         alpha=alpha,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -46,23 +43,23 @@ def adam_step(
     state: AdamState,
 ) -> None:
     """In-place update: m, v moving averages, bias correction, then
-    p -= alpha * m_hat / (sqrt(v_hat) + eps)."""
+    p -= alpha * m_hat / (sqrt(v_hat) + EPS)."""
     if set(named_params) != set(state.m):
         raise ValueError("parameter names do not match optimizer state")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, p in named_params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):

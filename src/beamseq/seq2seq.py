@@ -21,11 +21,17 @@ step reads only the weights that act on the step's state: the attention
 memory (keys and the context half of the combine layer) is projected once
 per encoding, and the first decoder layer reads its input products from a
 table with one row per token, formed once per call from the embedding.
+
+The batched passes take the dropout generator as ``rng``: training passes
+one, and ``rng=None`` is inference, with dropout off. Training and validation
+score a batch through the same teacher-forced forward and cross-entropy,
+``_score_teacher_forced``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -52,9 +58,7 @@ __all__ = [
     "TrainState",
     "init_model",
     "encode",
-    "decode_teacher_forced",
     "decode_greedy",
-    "compute_loss",
     "train",
     "save_model",
     "load_model",
@@ -140,7 +144,7 @@ def init_model(hyper: Seq2SeqHyper, seed: int) -> Seq2SeqModel:
 # wrappers). Activations between layers are time-major, (S, B, ·).
 
 
-def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, training: bool, rng=None):
+def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
     hp = model.hyper
     if feats.ndim != 3 or feats.shape[1] != hp.history or feats.shape[2] != hp.feature_dim:
         raise ValueError(
@@ -149,11 +153,11 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, training: bool, rng=No
     b, t, _ = feats.shape
     h = hp.hidden
     proj, dense_cache = nn.dense_forward(model.enc_in, feats.reshape(b * t, hp.feature_dim))
-    proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng, training)
+    proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng)
     zeros = np.zeros((b, h))
     x = proj.reshape(b, t, h).transpose(1, 0, 2)
     out1, c1, cache1 = nn.lstm_sequence_forward(model.enc_l1, x, zeros, zeros)
-    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
+    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
     out2, c2, cache2 = nn.lstm_sequence_forward(model.enc_l2, mid, zeros, zeros)
     output = EncoderOutput(
         states=np.ascontiguousarray(out2.transpose(1, 0, 2)),
@@ -176,13 +180,7 @@ def _encode_backward(model, cache, d_states, d_finals, grads):
     grads["enc_in"], _ = nn.dense_backward(dense_cache, flat)
 
 
-def _decode_teacher_batch(
-    model: Seq2SeqModel,
-    enc: EncoderOutput,
-    targets: np.ndarray,
-    training: bool,
-    rng=None,
-):
+def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.ndarray, rng=None):
     """Embedding, ``dec_l1``, dropout, ``dec_l2``, attention and the output
     projection over the K teacher tokens, which are the start token and then
     every target but the last; returns (logits (B, K, X), cache).
@@ -201,9 +199,9 @@ def _decode_teacher_batch(
     out1, _, cache1 = nn.lstm_sequence_forward(
         model.dec_l1, embedded.reshape(k_steps, b, -1), enc.h1, enc.c1
     )
-    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng, training)
+    mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
     out2, _, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, enc.h2, enc.c2)
-    _, _, combined, acache = nn.attention_sequence_forward(
+    _, combined, acache = nn.attention_sequence_forward(
         model.att, out2.transpose(1, 0, 2), enc.states
     )
     logits, ocache = nn.dense_forward(model.out, combined.reshape(b * k_steps, hp.hidden))
@@ -260,19 +258,8 @@ def encode(model: Seq2SeqModel, features: np.ndarray) -> EncoderOutput:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"expected a (T, F) matrix, got shape {features.shape}")
-    enc, _ = _encode_batch(model, features[None, :, :], training=False)
+    enc, _ = _encode_batch(model, features[None, :, :])
     return enc
-
-
-def decode_teacher_forced(
-    model: Seq2SeqModel, enc: EncoderOutput, target_labels: np.ndarray
-) -> np.ndarray:
-    """(K, X) logits with the decoder fed the start token then the targets."""
-    targets = np.asarray(target_labels, dtype=np.int64)
-    if targets.ndim != 1:
-        raise ValueError("target_labels must be 1-D")
-    logits, _ = _decode_teacher_batch(model, enc, targets[None, :], training=False)
-    return logits[0]
 
 
 def decode_greedy(model: Seq2SeqModel, enc: EncoderOutput, horizon: int | None = None):
@@ -282,12 +269,6 @@ def decode_greedy(model: Seq2SeqModel, enc: EncoderOutput, horizon: int | None =
     if not 1 <= horizon <= model.hyper.horizon:
         raise ValueError(f"horizon must be in [1, {model.hyper.horizon}], got {horizon}")
     return _decode_greedy_batch(model, enc, horizon)[0]
-
-
-def compute_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the K decoded slots."""
-    losses, _ = nn.softmax_cross_entropy_batch(logits, np.asarray(targets, dtype=np.int64))
-    return float(losses.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +282,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
-    stop_at_train_acc: float | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -333,20 +310,31 @@ class TrainState:
     live_params: dict[str, np.ndarray]
 
 
+def _score_teacher_forced(model, feats, targets, rng):
+    """Teacher-forced forward and cross-entropy over one batch, with dropout
+    iff ``rng`` is given. Returns (per-token losses (B*K,), count of tokens
+    whose argmax is the target, the losses' gradient on the logits (B*K, X),
+    caches).
+    """
+    enc, enc_cache = _encode_batch(model, feats, rng)
+    logits, dec_cache = _decode_teacher_batch(model, enc, targets, rng)
+    flat_logits = logits.reshape(-1, logits.shape[-1])
+    flat_targets = targets.reshape(-1)
+    losses, d_flat = nn.softmax_cross_entropy_batch(flat_logits, flat_targets)
+    correct = int(np.sum(np.argmax(flat_logits, axis=1) == flat_targets))
+    return losses, correct, d_flat, (enc_cache, dec_cache)
+
+
 def _batch_forward_backward(model, feats, targets, rng):
-    """One teacher-forced pass with dropout; returns loss, accuracy, grads."""
-    b, k_steps = targets.shape
-    enc, enc_cache = _encode_batch(model, feats, training=True, rng=rng)
-    logits, dec_caches = _decode_teacher_batch(model, enc, targets, training=True, rng=rng)
-    flat_logits = logits.reshape(b * k_steps, -1)
-    losses, d_flat = nn.softmax_cross_entropy_batch(flat_logits, targets.reshape(-1))
-    loss = float(losses.mean())
-    accuracy = float(np.mean(np.argmax(flat_logits, axis=1) == targets.reshape(-1)))
-    d_logits = (d_flat / (b * k_steps)).reshape(b, k_steps, -1)
+    """One teacher-forced training step; returns loss, accuracy, grads."""
+    losses, correct, d_flat, (enc_cache, dec_cache) = _score_teacher_forced(
+        model, feats, targets, rng
+    )
+    d_logits = (d_flat / losses.size).reshape(*targets.shape, -1)
     grads: dict = {}
-    d_enc_states, d_finals = _decode_backward(model, dec_caches, d_logits, grads)
+    d_enc_states, d_finals = _decode_backward(model, dec_cache, d_logits, grads)
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
-    return loss, accuracy, grads
+    return float(losses.mean()), correct / losses.size, grads
 
 
 def _evaluate_teacher_forced(model, feats, targets, batch_size):
@@ -358,13 +346,12 @@ def _evaluate_teacher_forced(model, feats, targets, batch_size):
     total_loss = 0.0
     total_correct = 0
     for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        enc, _ = _encode_batch(model, feats[lo:hi], training=False)
-        logits, _ = _decode_teacher_batch(model, enc, targets[lo:hi], training=False)
-        flat = logits.reshape(-1, logits.shape[-1])
-        losses, _ = nn.softmax_cross_entropy_batch(flat, targets[lo:hi].reshape(-1))
+        # [:2] lets go of the caches before the next batch runs
+        losses, correct = _score_teacher_forced(
+            model, feats[lo : lo + batch_size], targets[lo : lo + batch_size], None
+        )[:2]
         total_loss += float(losses.sum())
-        total_correct += int(np.sum(np.argmax(flat, axis=1) == targets[lo:hi].reshape(-1)))
+        total_correct += correct
     tokens = n * targets.shape[1]
     return total_loss / tokens, total_correct / tokens
 
@@ -398,13 +385,7 @@ def train(
             np.random.SeedSequence([int(config.seed), _TAG_TRAIN])
         )
         state = TrainState(
-            adam=nn.adam_init(
-                named,
-                alpha=config.learning_rate,
-                beta1=config.adam_beta1,
-                beta2=config.adam_beta2,
-                eps=config.adam_eps,
-            ),
+            adam=nn.adam_init(named, alpha=config.learning_rate),
             rng_state=rng.bit_generator.state,
             next_epoch=0,
             best_val_loss=float("inf"),
@@ -468,9 +449,6 @@ def train(
             state.epochs_since_best += 1
         state.next_epoch = epoch + 1
         state.rng_state = rng.bit_generator.state
-        if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
-            state.best_params = {k: v.copy() for k, v in named.items()}
-            break
         if state.epochs_since_best >= config.patience:
             break
     state.live_params = {k: v.copy() for k, v in named.items()}
@@ -480,7 +458,13 @@ def train(
 
 
 def write_history(path, history: list[dict], provenance: str = "") -> None:
-    """Write the per-epoch history as CSV, replacing ``path`` atomically."""
+    """Write the per-epoch history as CSV, replacing ``path`` atomically.
+
+    ``provenance`` becomes one ``#`` comment line above the header, so it may
+    not hold a line break; one raises ``ValueError`` before the file is opened.
+    """
+    if "\n" in provenance or "\r" in provenance:
+        raise ValueError(f"provenance {provenance!r} holds a line break")
     with atomic_write(path) as fh:
         if provenance:
             fh.write(f"# {provenance}\n".encode())
@@ -494,6 +478,14 @@ def write_history(path, history: list[dict], provenance: str = "") -> None:
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_model(path, model: Seq2SeqModel, extra_metadata: dict | None = None) -> None:
@@ -513,10 +505,7 @@ def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, 
         raise nn.CheckpointError(f"bad hyperparameter block: {exc!r}") from exc
     for f in fields(hyper):
         value = getattr(hyper, f.name)
-        if f.name == "dropout":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < 1
-        else:
-            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        ok = _is_real(value) and 0 <= value < 1 if f.name == "dropout" else _is_int(value, 1)
         if not ok:
             raise nn.CheckpointError(f"bad hyperparameter {f.name}={value!r}")
     model = init_model(hyper, seed=0)
@@ -563,13 +552,7 @@ def save_train_state(path, model: Seq2SeqModel, state: TrainState, extra: dict |
     meta = {
         "kind": "seq2seq-trainstate",
         "hyper": asdict(model.hyper),
-        "adam": {
-            "t": state.adam.t,
-            "alpha": state.adam.alpha,
-            "beta1": state.adam.beta1,
-            "beta2": state.adam.beta2,
-            "eps": state.adam.eps,
-        },
+        "adam": {"t": state.adam.t, "alpha": state.adam.alpha},
         "rng_state": json.dumps(state.rng_state),
         "next_epoch": state.next_epoch,
         "best_val_loss": state.best_val_loss,
@@ -584,7 +567,10 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
     """Read a ``save_train_state`` file. The returned ``(model, state)`` is a
     resume point: ``model`` holds the live weights, and
     ``train(model, ..., state=state)`` continues the run. A missing, extra or
-    misshapen tensor raises ``CheckpointError``."""
+    misshapen tensor, and a missing or ill-typed counter, step size or RNG
+    state, raise ``CheckpointError``. Adam keys other than ``t`` and ``alpha``,
+    such as the ``beta1``, ``beta2`` and ``eps`` that older files hold, are
+    ignored."""
     tensors, meta = nn.load_tensors(path)
     if meta.get("kind") != "seq2seq-trainstate":
         raise nn.CheckpointError(
@@ -595,17 +581,29 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
     for key, target in named.items():
         target[...] = tensors[key]
     try:
-        adam_meta = meta["adam"]
-        hyperparams = {k: adam_meta[k] for k in ("t", "alpha", "beta1", "beta2", "eps")}
+        t, alpha = meta["adam"]["t"], meta["adam"]["alpha"]
         counters = {k: meta[k] for k in ("next_epoch", "best_val_loss", "epochs_since_best")}
         rng_state = json.loads(meta["rng_state"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        np.random.PCG64().state = rng_state  # as ``train`` will
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise nn.CheckpointError(f"bad training-state metadata: {exc!r}") from exc
+    loss = counters["best_val_loss"]
+    for name, value, ok in (
+        ("adam.t", t, _is_int(t, 0)),
+        ("adam.alpha", alpha, _is_real(alpha) and 0 < alpha < math.inf),
+        ("next_epoch", counters["next_epoch"], _is_int(counters["next_epoch"], 0)),
+        ("epochs_since_best", counters["epochs_since_best"],
+         _is_int(counters["epochs_since_best"], 0)),
+        ("best_val_loss", loss, _is_real(loss) and not math.isnan(loss)),
+    ):
+        if not ok:
+            raise nn.CheckpointError(f"bad training-state metadata {name}={value!r}")
     state = TrainState(
         adam=AdamState(
             m={k: tensors[f"adam_m.{k}"] for k in named},
             v={k: tensors[f"adam_v.{k}"] for k in named},
-            **hyperparams,
+            t=t,
+            alpha=alpha,
         ),
         rng_state=rng_state,
         **counters,

@@ -46,7 +46,6 @@ from beamseq.nn import (
     save_tensors,
     softmax,
     softmax_cross_entropy_batch,
-    zeros_like_params,
 )
 from beamseq.seq2seq import (
     Seq2SeqHyper,
@@ -229,18 +228,23 @@ class TestAttention:
         state = rng.normal(size=4)
         enc = np.tile(state, (1, 5, 1))
         q = rng.normal(size=(1, 4))
-        context, weights, _, _ = attention_forward(p, q, enc)
+        weights, combined, _ = attention_forward(p, q, enc)
         np.testing.assert_allclose(weights, np.full((1, 5), 0.2), atol=1e-12)
-        np.testing.assert_allclose(context[0], state, atol=1e-12)
+        # the context, weights·states, is the shared state itself
+        want = np.tanh(p.w_combine @ np.concatenate([state, q[0]]) + p.b_combine)
+        np.testing.assert_allclose(combined[0], want, atol=1e-12)
 
     def test_single_state(self):
         rng = rng_for(15)
         p = init_attention(rng, 4)
         enc = rng.normal(size=(2, 1, 4))
         q = rng.normal(size=(2, 4))
-        context, weights, _, _ = attention_forward(p, q, enc)
+        weights, combined, _ = attention_forward(p, q, enc)
         np.testing.assert_allclose(weights, np.ones((2, 1)), atol=1e-15)
-        np.testing.assert_allclose(context, enc[:, 0, :], atol=1e-15)
+        # the context is the one state; summed in the kernel's order
+        w_context, w_query = np.split(p.w_combine, 2, axis=1)
+        want = np.tanh(enc[:, 0] @ w_context.T + q @ w_query.T + p.b_combine)
+        np.testing.assert_allclose(combined, want, atol=1e-15)
 
     def test_backward_finite_difference(self):
         rng = rng_for(16)
@@ -250,10 +254,10 @@ class TestAttention:
         w = rng.normal(size=(3, 4))
 
         def loss():
-            _, _, combined, _ = attention_forward(p, q, enc)
+            _, combined, _ = attention_forward(p, q, enc)
             return float(np.sum(w * combined))
 
-        _, _, _, cache = attention_forward(p, q, enc)
+        _, _, cache = attention_forward(p, q, enc)
         grads, dq, denc = attention_backward(cache, w)
         tensors = [p.w_score, p.w_combine, p.b_combine, q, enc]
         analytic = [grads.w_score, grads.w_combine, grads.b_combine, dq, denc]
@@ -273,10 +277,10 @@ class TestAttention:
         w = rng.normal(size=(2, 3, 4))
 
         def loss():
-            _, _, combined, _ = attention_sequence_forward(p, q, enc)
+            _, combined, _ = attention_sequence_forward(p, q, enc)
             return float(np.sum(w * combined))
 
-        _, _, _, cache = attention_sequence_forward(p, q, enc)
+        _, _, cache = attention_sequence_forward(p, q, enc)
         grads, dq, denc = attention_sequence_backward(cache, w)
         tensors = [p.w_score, p.w_combine, p.b_combine, q, enc]
         analytic = [grads.w_score, grads.w_combine, grads.b_combine, dq, denc]
@@ -334,7 +338,7 @@ class TestAttentionMatchesTermByTerm:
         weights, combined, _ = nn.attention_attend_forward(p, memory, query)
         outputs = [(weights, want_weights), (combined, want_combined)]
         if k == 1:
-            _, weights1, combined1, _ = attention_forward(p, query[:, 0], enc)
+            weights1, combined1, _ = attention_forward(p, query[:, 0], enc)
             outputs += [(weights1, want_weights[:, 0]), (combined1, want_combined[:, 0])]
         for got, want in outputs:
             assert got.shape == want.shape
@@ -346,11 +350,46 @@ class TestSoftmaxCrossEntropy:
         losses, _ = softmax_cross_entropy_batch(np.zeros((1, 4)), np.array([2]))
         assert losses[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
+    def test_uniform_logits_256(self):
+        logits = np.zeros((4, 256))
+        losses, _ = softmax_cross_entropy_batch(logits, np.array([0, 17, 99, 255]))
+        np.testing.assert_allclose(losses, np.log(256.0), rtol=0, atol=1e-12)
+        assert losses.mean() == pytest.approx(np.log(256.0), abs=1e-12)
+
     def test_near_one_hot(self):
         logits = np.zeros((1, 6))
         logits[0, 3] = 50.0
         losses, _ = softmax_cross_entropy_batch(logits, np.array([3]))
         assert losses[0] < 1e-20
+
+    def test_aligned_one_hot_logits(self):
+        # one aligned ±30 row per target
+        targets = np.array([1, 4, 0])
+        logits = np.full((3, 5), -30.0)
+        logits[np.arange(3), targets] = 30.0
+        losses, _ = softmax_cross_entropy_batch(logits, targets)
+        assert losses.mean() < 1e-20
+
+    def test_matches_per_step_mean_oracle(self):
+        rng = rng_for(7)
+        logits = rng.normal(size=(6, 9))
+        targets = rng.integers(0, 9, size=6)
+        per_step = []
+        for k in range(6):
+            p = np.exp(logits[k] - logits[k].max())
+            p /= p.sum()
+            per_step.append(-np.log(p[targets[k]]))
+        losses, _ = softmax_cross_entropy_batch(logits, targets)
+        assert losses.mean() == pytest.approx(np.mean(per_step), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "logits_shape, targets_shape", [((4, 9), (3,)), ((4, 9), (4, 1)), ((9,), (1,))]
+    )
+    def test_shape_mismatch_rejected(self, logits_shape, targets_shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            softmax_cross_entropy_batch(
+                np.zeros(logits_shape), np.zeros(targets_shape, dtype=np.int64)
+            )
 
     def test_grad_finite_difference(self):
         rng = rng_for(18)
@@ -389,18 +428,19 @@ class TestSoftmaxCrossEntropy:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = rng_for(21).normal(size=(3, 4))
-        y, _ = dropout_forward(x, 0.0, rng_for(0), training=True)
+        y, _ = dropout_forward(x, 0.0, rng_for(0))
         np.testing.assert_array_equal(y, x)
 
     def test_inference_identity_any_rate(self):
         x = rng_for(22).normal(size=(3, 4))
-        y, _ = dropout_forward(x, 0.7, rng_for(0), training=False)
+        y, cache = dropout_forward(x, 0.7, None)
         assert y is x
+        assert dropout_backward(cache, x) is x
 
     def test_survivor_fraction_and_mean(self):
         rng = rng_for(23)
         x = np.ones((1000, 1000))
-        y, _ = dropout_forward(x, 0.2, rng, training=True)
+        y, _ = dropout_forward(x, 0.2, rng)
         survivors = np.count_nonzero(y) / y.size
         assert survivors == pytest.approx(0.8, abs=0.002)
         assert y.mean() == pytest.approx(1.0, abs=0.005)
@@ -408,13 +448,13 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         rng = rng_for(24)
         x = np.ones((50, 50))
-        y, cache = dropout_forward(x, 0.3, rng, training=True)
+        y, cache = dropout_forward(x, 0.3, rng)
         dx = dropout_backward(cache, np.ones_like(x))
         np.testing.assert_array_equal(dx, y)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout_forward(np.ones(3), 1.0, rng_for(0), training=True)
+            dropout_forward(np.ones(3), 1.0, rng_for(0))
 
 
 class TestAdam:
@@ -482,8 +522,8 @@ def micro_seq2seq_check(corrupt=None):
     targets = rng.integers(0, 5, size=(2, 2))
 
     def loss_fn():
-        enc, _ = _encode_batch(model, feats, training=False)
-        logits, _ = _decode_teacher_batch(model, enc, targets, training=False)
+        enc, _ = _encode_batch(model, feats)
+        logits, _ = _decode_teacher_batch(model, enc, targets)
         losses, _ = softmax_cross_entropy_batch(logits.reshape(-1, 5), targets.reshape(-1))
         return float(losses.mean())
 
