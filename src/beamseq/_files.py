@@ -1,6 +1,7 @@
-"""Atomic file replacement, and the npz container of checkpoints and channel
-grids: one uncompressed ``.npy`` member per array plus ``metadata.npy``, the
-UTF-8 JSON of a metadata object as uint8, read with ``allow_pickle=False``."""
+"""Atomic file replacement, the npz container of checkpoints and channel
+grids (one uncompressed ``.npy`` member per array plus ``metadata.npy``, the
+UTF-8 JSON of a metadata object as uint8, read with ``allow_pickle=False``),
+and the type tests of file metadata values."""
 
 import json
 import math
@@ -20,6 +21,15 @@ _HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
 # an encrypted member (RuntimeError) or a seek outside the file (OSError).
 _MALFORMED = (zipfile.BadZipFile, EOFError, ValueError, KeyError, NotImplementedError,
               RuntimeError, OSError)
+
+
+def is_int(value, least) -> bool:
+    """An int, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @contextmanager

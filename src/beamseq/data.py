@@ -15,15 +15,16 @@ Dataset file layout (magic ``BMSQ``, little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import atomic_write, is_int, is_real
 from .mobility import sample_trajectory
-from .phy import ChannelSnapshot, Codebook, best_beams
+from .phy import Codebook, best_beams
 from .scene import ChannelGrid, Scene, snap_positions
 
 __all__ = [
@@ -59,10 +60,10 @@ class DatasetFormatError(RuntimeError):
 def preprocess_csi(h) -> np.ndarray:
     """Angular-domain log-amplitude features ln(|DFT_N(h)| + eps) of channels
     h (..., N), transformed along the last axis."""
-    coeffs = h.coefficients if isinstance(h, ChannelSnapshot) else np.asarray(h)
-    if not np.all(np.isfinite(coeffs)):
+    h = np.asarray(h)
+    if not np.all(np.isfinite(h)):
         raise ValueError("channel coefficients must be finite")
-    return np.log(np.abs(np.fft.fft(coeffs, axis=-1)) + LOG_EPSILON)
+    return np.log(np.abs(np.fft.fft(h, axis=-1)) + LOG_EPSILON)
 
 
 def grid_features(grid: ChannelGrid, bs_id: str) -> np.ndarray:
@@ -184,9 +185,6 @@ def make_dataset(
     horizon: int = 50,
     stride: int | None = None,
     slots_per_trajectory: int | None = None,
-    speed_range: tuple[float, float] = (10.0, 15.0),
-    accel_range: tuple[float, float] = (-3.0, 3.0),
-    slot_seconds: float = 1e-3,
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> Dataset:
     """Slide supervised windows along seeded trajectories.
@@ -226,9 +224,6 @@ def make_dataset(
             scene,
             np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id])),
             num_slots=slots_per_trajectory,
-            speed_range=speed_range,
-            accel_range=accel_range,
-            dt=slot_seconds,
         ).positions()
         for traj_id in range(num_trajectories)
     ]).reshape(num_trajectories, slots_per_trajectory, 2)
@@ -265,24 +260,10 @@ def make_dataset(
     features -= mean
     features /= std
 
-    samples = [
-        TrainingSample(
-            features=feats,
-            labels=labs,
-            trajectory_id=traj_id,
-            start_slot=start,
-            anchor_label=anchor_label,
-            positions=pos,
-        )
-        for feats, labs, traj_id, start, anchor_label, pos in zip(
-            features,
-            labels,
-            np.repeat(kept, starts.size).tolist(),
-            np.tile(starts, kept.size).tolist(),
-            anchor_labels,
-            window_positions,
-        )
-    ]
+    # one row per window, in ``TrainingSample`` field order
+    rows = zip(features, labels, np.repeat(kept, starts.size).tolist(),
+               np.tile(starts, kept.size).tolist(), anchor_labels, window_positions)
+    samples = [TrainingSample(*row) for row in rows]
     return Dataset(
         samples=samples,
         feature_mean=mean,
@@ -319,6 +300,21 @@ _META_KEYS = (
 )
 
 
+def _bad_header_values(header: dict) -> dict:
+    """The ``_META_KEYS`` entries whose values break the header's types:
+    ``seed`` is an int, ``split_ratios`` three finite reals,
+    ``dropped_trajectories`` an int >= 0, and the other three are strings."""
+    ratios = header["split_ratios"]
+    ok = {
+        "seed": is_int(header["seed"], -math.inf),
+        "split_ratios": isinstance(ratios, (list, tuple)) and len(ratios) == 3
+        and all(is_real(r) and -math.inf < r < math.inf for r in ratios),
+        "dropped_trajectories": is_int(header["dropped_trajectories"], 0),
+    }
+    return {key: value for key, value in header.items()
+            if not ok.get(key, isinstance(value, str))}
+
+
 def _record_dtype(t: int, f: int, k: int) -> np.dtype:
     """One packed record; features row-major. ``ValueError`` beyond 2 GiB."""
     return np.dtype([("features", "<f4", (t, f)), ("labels", "<u2", (k,)),
@@ -328,13 +324,17 @@ def _record_dtype(t: int, f: int, k: int) -> np.dtype:
 def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     """Write ``dataset`` to ``path``, replacing it atomically.
 
-    ``extra_metadata`` may not hold a header key, nor a ``config_hash`` other
-    than a non-empty ``config_hash`` argument: either would silently replace
-    the real value in the file, so it raises ``ValueError`` before the file is
-    opened. A ``config_hash`` in ``extra_metadata`` (where ``load_dataset``
+    A header value of the wrong type (``_bad_header_values``) raises
+    ``ValueError`` before the file is opened. So does ``extra_metadata`` that
+    holds a header key, or a ``config_hash`` other than a non-empty
+    ``config_hash`` argument: either would silently replace the real value in
+    the file. A ``config_hash`` in ``extra_metadata`` (where ``load_dataset``
     puts it) is written when the argument is empty, so a loaded dataset saves
     back to the same bytes.
     """
+    header = {key: getattr(dataset, key) for key in _META_KEYS}
+    if bad := _bad_header_values(header):
+        raise ValueError(f"ill-typed header values {bad}")
     shadowed = [key for key in _META_KEYS if key in dataset.extra_metadata]
     if config_hash and dataset.extra_metadata.get("config_hash", config_hash) != config_hash:
         shadowed.append("config_hash")
@@ -343,7 +343,7 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     t, k = dataset.history, dataset.horizon
     f, n = dataset.feature_dim, len(dataset.samples)
     meta = {
-        **{key: getattr(dataset, key) for key in _META_KEYS},
+        **header,
         "config_hash": config_hash,
         **dataset.extra_metadata,
     }
@@ -392,9 +392,11 @@ def load_dataset(path) -> Dataset:
     try:
         meta = json.loads(chunk.decode())
         header = {key: meta[key] for key in _META_KEYS}
-        header["split_ratios"] = tuple(header["split_ratios"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
+    if bad := _bad_header_values(header):
+        raise DatasetFormatError(f"bad dataset metadata values {bad}")
+    header["split_ratios"] = tuple(header["split_ratios"])
     try:
         dtype = _record_dtype(t, f, k)
     except ValueError as exc:
@@ -408,15 +410,9 @@ def load_dataset(path) -> Dataset:
     labels = records["labels"].copy()
     if count and labels.max() >= x:
         raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
-    samples = [
-        TrainingSample(features=feats, labels=lab, trajectory_id=traj_id, start_slot=start)
-        for feats, lab, traj_id, start in zip(
-            records["features"].astype(np.float64),
-            labels,
-            records["trajectory_id"].tolist(),
-            records["start_slot"].tolist(),
-        )
-    ]
+    rows = zip(records["features"].astype(np.float64), labels,
+               records["trajectory_id"].tolist(), records["start_slot"].tolist())
+    samples = [TrainingSample(*row) for row in rows]
     return Dataset(
         samples=samples,
         feature_mean=mean,

@@ -11,6 +11,10 @@ from .scene import GridSpec, Scene
 
 __all__ = ["Trajectory", "sample_trajectory", "TrajectoryError"]
 
+# uniform draws of a trajectory's initial speed (m/s) and acceleration (m/s^2)
+SPEED_RANGE = (10.0, 15.0)
+ACCEL_RANGE = (-3.0, 3.0)
+
 
 class TrajectoryError(RuntimeError):
     """Could not place a trajectory inside the grid within the retry budget."""
@@ -39,13 +43,12 @@ def sample_trajectory(
     scene: Scene,
     rng: np.random.Generator,
     num_slots: int,
-    speed_range: tuple[float, float] = (10.0, 15.0),
-    accel_range: tuple[float, float] = (-3.0, 3.0),
-    dt: float = 1e-3,
     max_retries: int = 1000,
 ) -> Trajectory:
     """Draw start/heading/speed/acceleration so every slot position stays on
-    the grid. Bounded retries; failure raises instead of truncating."""
+    the grid, speed from ``SPEED_RANGE`` and acceleration from
+    ``ACCEL_RANGE``, one slot every ``Trajectory.dt``. Bounded retries;
+    failure raises instead of truncating."""
     grid: GridSpec = scene.grid
     x_lo = grid.origin[0]
     x_hi = grid.origin[0] + (grid.n_x - 1) * grid.spacing
@@ -54,15 +57,10 @@ def sample_trajectory(
     for _ in range(max_retries):
         start = (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
         heading = rng.uniform(0.0, 2.0 * np.pi)
-        v0 = rng.uniform(*speed_range)
-        accel = rng.uniform(*accel_range)
+        v0 = rng.uniform(*SPEED_RANGE)
+        accel = rng.uniform(*ACCEL_RANGE)
         traj = Trajectory(
-            start=start,
-            heading=heading,
-            initial_speed=v0,
-            acceleration=accel,
-            num_slots=num_slots,
-            dt=dt,
+            start=start, heading=heading, initial_speed=v0, acceleration=accel, num_slots=num_slots
         )
         pos = traj.positions()
         if (

@@ -66,7 +66,10 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns (norm_before, clipped_flag). Scaling happens in place.
+    ``max_norm`` must be finite and > 0.
     """
+    if not 0 < max_norm < np.inf:
+        raise ValueError(f"max_norm must be finite and > 0, got {max_norm!r}")
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))

@@ -81,13 +81,9 @@ class PathComponent:
     aoa: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gain.real) and math.isfinite(self.gain.imag)):
+        if not np.isfinite(self.gain):
             raise ValueError("path gain must be finite")
-        for name, angle in (("aod", self.aod), ("aoa", self.aoa)):
-            if not math.isfinite(angle):
-                raise ValueError(f"{name} must be finite")
-            if abs(angle) > math.pi / 2 + _ANGLE_TOL:
-                raise ValueError(f"{name}={angle} outside broadside range [-pi/2, pi/2]")
+        _checked_angles([self.aod, self.aoa])
 
 
 @dataclass(frozen=True)
@@ -231,14 +227,12 @@ def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry) -> ChannelSnapshot:
-    """One channel vector from a path list; the sum is exact, no noise."""
+    """One channel vector from a path list: the one-row ``synthesize_channels``."""
     if not paths:
         raise OutageError("no propagation path: cannot synthesize a channel")
-    # one doubling progression per path, started at its gain, summed in path order
     gains = np.array([p.gain for p in paths], dtype=np.complex128)
-    aods = _checked_angles([p.aod for p in paths])
-    coeffs = _scaled_steering(bs, aods, gains).sum(axis=0)
-    return ChannelSnapshot(coefficients=coeffs)
+    aods = np.array([p.aod for p in paths])
+    return ChannelSnapshot(coefficients=synthesize_channels(gains[None], aods[None], bs)[0])
 
 
 def build_dft_codebook(num_beams: int, num_antennas: int) -> Codebook:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,76 +141,42 @@ class Scene:
         return self.stations[bs_id]
 
     def to_dict(self) -> dict:
-        return {
-            "carrier_hz": self.carrier_hz,
-            "rx_height": self.rx_height,
-            "seed": self.seed,
-            "grid": {
-                "origin": list(self.grid.origin),
-                "extent": list(self.grid.extent),
-                "spacing": self.grid.spacing,
-            },
-            "stations": {
-                sid: {
-                    "position": list(bs.position),
-                    "height": bs.height,
-                    "boresight": bs.boresight,
-                    "num_antennas": bs.geometry.num_antennas,
-                    "spacing_wavelengths": bs.geometry.spacing_wavelengths,
-                }
-                for sid, bs in sorted(self.stations.items())
-            },
-            "walls": [
-                {
-                    "a": list(w.a),
-                    "b": list(w.b),
-                    "height": w.height,
-                    "reflection_loss_db": w.reflection_loss_db,
-                }
-                for w in self.walls
-            ],
-            "scatterers": [
-                {"position": list(s.position), "height": s.height, "gain_db": s.gain_db}
-                for s in self.scatterers
-            ],
+        """The fields as JSON-ready values; a station flattens its geometry,
+        whose carrier is the scene's."""
+        stations = {
+            sid: {"position": bs.position, "height": bs.height, "boresight": bs.boresight,
+                  "num_antennas": bs.geometry.num_antennas,
+                  "spacing_wavelengths": bs.geometry.spacing_wavelengths}
+            for sid, bs in sorted(self.stations.items())
         }
+        return {**asdict(self), "stations": stations}
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _tupled(entry: dict) -> dict:
+    """A ``to_dict`` entry with its JSON lists back as tuples."""
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in entry.items()}
+
+
 def scene_from_dict(data: dict) -> Scene:
-    stations = {}
-    for sid, s in data["stations"].items():
-        stations[sid] = BaseStation(
-            bs_id=sid,
-            position=tuple(s["position"]),
-            height=s["height"],
-            boresight=s["boresight"],
-            geometry=ArrayGeometry(
-                num_antennas=s["num_antennas"],
-                spacing_wavelengths=s["spacing_wavelengths"],
-                carrier_hz=data["carrier_hz"],
-            ),
+    """The ``Scene`` that ``to_dict`` wrote, also after a JSON round trip."""
+    stations = {
+        sid: BaseStation(
+            bs_id=sid, position=tuple(s["position"]), height=s["height"], boresight=s["boresight"],
+            geometry=ArrayGeometry(s["num_antennas"], s["spacing_wavelengths"], data["carrier_hz"]),
         )
+        for sid, s in data["stations"].items()
+    }
     return Scene(
         carrier_hz=data["carrier_hz"],
         rx_height=data["rx_height"],
         stations=stations,
-        walls=tuple(
-            Wall(tuple(w["a"]), tuple(w["b"]), w["height"], w["reflection_loss_db"])
-            for w in data["walls"]
-        ),
-        scatterers=tuple(
-            Scatterer(tuple(s["position"]), s["height"], s["gain_db"])
-            for s in data["scatterers"]
-        ),
-        grid=GridSpec(
-            origin=tuple(data["grid"]["origin"]),
-            extent=tuple(data["grid"]["extent"]),
-            spacing=data["grid"]["spacing"],
-        ),
+        walls=tuple(Wall(**_tupled(w)) for w in data["walls"]),
+        scatterers=tuple(Scatterer(**_tupled(s)) for s in data["scatterers"]),
+        grid=GridSpec(**_tupled(data["grid"])),
         seed=data["seed"],
     )
 
@@ -594,19 +560,19 @@ def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> C
 def snap_positions(positions: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Flat grid indices of the nearest points; ties go to the lower index.
 
-    Positions may overhang the outermost points by up to half a spacing.
+    Positions may overhang the outermost points by up to half a spacing; one
+    beyond that, or not finite, raises ``ValueError``.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    out = np.empty(positions.shape[0], dtype=np.int64)
     idx_per_axis = []
     for axis, (n, origin) in enumerate(
         [(grid.n_x, grid.origin[0]), (grid.n_y, grid.origin[1])]
     ):
         q = (positions[:, axis] - origin) / grid.spacing
-        if np.any(q < -0.5 - 1e-9) or np.any(q > (n - 1) + 0.5 + 1e-9):
-            bad = positions[(q < -0.5 - 1e-9) | (q > (n - 1) + 0.5 + 1e-9)][0]
+        outside = ~((q >= -0.5 - 1e-9) & (q <= (n - 1) + 0.5 + 1e-9))  # NaN included
+        if np.any(outside):
+            bad = positions[outside][0]
             raise ValueError(f"position {bad} outside grid bounds plus half spacing")
         k = np.ceil(q - 0.5).astype(np.int64)  # exact midpoints round down
         idx_per_axis.append(np.clip(k, 0, n - 1))
-    out[:] = idx_per_axis[0] * grid.n_y + idx_per_axis[1]
-    return out
+    return idx_per_axis[0] * grid.n_y + idx_per_axis[1]

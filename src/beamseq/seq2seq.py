@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from ._files import atomic_write
+from ._files import atomic_write, is_int, is_real
 from .data import Dataset
 from .nn import (
     AdamState,
@@ -228,8 +228,9 @@ def _decode_backward(model, cache, d_logits, grads):
     return d_enc_states, (dh1, dc1, dh2, dc2)
 
 
-def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput, horizon: int):
-    """Autoregressive decoding, one step at a time, fed back its own argmax.
+def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput):
+    """Autoregressive decoding of ``hyper.horizon`` steps, one at a time,
+    fed back its own argmax.
 
     A step reads only the weights that act on the step's state: ``dec_l1``'s
     recurrence is fed rows of its input products for the whole vocabulary,
@@ -242,8 +243,8 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput, horizon: int):
     memory, _ = nn.attention_memory_forward(model.att, enc.states)
     tokens = np.full(b, hp.start_token)
     h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
-    labels = np.empty((b, horizon), dtype=np.int64)
-    for k in range(horizon):
+    labels = np.empty((b, hp.horizon), dtype=np.int64)
+    for k in range(hp.horizon):
         out1, c1, _ = nn.lstm_recurrence(model.dec_l1, token_gates[tokens][None], h1, c1)
         out2, c2, _ = nn.lstm_sequence_forward(model.dec_l2, out1, h2, c2)
         h1, h2 = out1[0], out2[0]
@@ -262,13 +263,9 @@ def encode(model: Seq2SeqModel, features: np.ndarray) -> EncoderOutput:
     return enc
 
 
-def decode_greedy(model: Seq2SeqModel, enc: EncoderOutput, horizon: int | None = None):
+def decode_greedy(model: Seq2SeqModel, enc: EncoderOutput):
     """Autoregressive argmax decoding: (K,) predicted beam labels."""
-    if horizon is None:
-        horizon = model.hyper.horizon
-    if not 1 <= horizon <= model.hyper.horizon:
-        raise ValueError(f"horizon must be in [1, {model.hyper.horizon}], got {horizon}")
-    return _decode_greedy_batch(model, enc, horizon)[0]
+    return _decode_greedy_batch(model, enc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +286,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        for name in ("learning_rate", "clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -480,14 +480,6 @@ def write_history(path, history: list[dict], provenance: str = "") -> None:
 # checkpoints
 
 
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def save_model(path, model: Seq2SeqModel, extra_metadata: dict | None = None) -> None:
     tensors = list(model.named_params().items())
     meta = {"kind": "seq2seq", "hyper": asdict(model.hyper)}
@@ -505,7 +497,7 @@ def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, 
         raise nn.CheckpointError(f"bad hyperparameter block: {exc!r}") from exc
     for f in fields(hyper):
         value = getattr(hyper, f.name)
-        ok = _is_real(value) and 0 <= value < 1 if f.name == "dropout" else _is_int(value, 1)
+        ok = is_real(value) and 0 <= value < 1 if f.name == "dropout" else is_int(value, 1)
         if not ok:
             raise nn.CheckpointError(f"bad hyperparameter {f.name}={value!r}")
     model = init_model(hyper, seed=0)
@@ -535,7 +527,7 @@ def load_model(path) -> tuple[Seq2SeqModel, dict]:
     return model, meta
 
 
-def save_train_state(path, model: Seq2SeqModel, state: TrainState, extra: dict | None = None):
+def save_train_state(path, model: Seq2SeqModel, state: TrainState):
     """Write a resume point: the live weights as the unprefixed tensors, plus
     ``best.*`` weights, ``adam_m.*``/``adam_v.*`` moments and the counters and
     RNG state in the metadata. ``model`` supplies only the architecture; its
@@ -558,8 +550,6 @@ def save_train_state(path, model: Seq2SeqModel, state: TrainState, extra: dict |
         "best_val_loss": state.best_val_loss,
         "epochs_since_best": state.epochs_since_best,
     }
-    if extra:
-        meta.update(extra)
     nn.save_tensors(path, tensors, meta)
 
 
@@ -589,12 +579,12 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
         raise nn.CheckpointError(f"bad training-state metadata: {exc!r}") from exc
     loss = counters["best_val_loss"]
     for name, value, ok in (
-        ("adam.t", t, _is_int(t, 0)),
-        ("adam.alpha", alpha, _is_real(alpha) and 0 < alpha < math.inf),
-        ("next_epoch", counters["next_epoch"], _is_int(counters["next_epoch"], 0)),
+        ("adam.t", t, is_int(t, 0)),
+        ("adam.alpha", alpha, is_real(alpha) and 0 < alpha < math.inf),
+        ("next_epoch", counters["next_epoch"], is_int(counters["next_epoch"], 0)),
         ("epochs_since_best", counters["epochs_since_best"],
-         _is_int(counters["epochs_since_best"], 0)),
-        ("best_val_loss", loss, _is_real(loss) and not math.isnan(loss)),
+         is_int(counters["epochs_since_best"], 0)),
+        ("best_val_loss", loss, is_real(loss) and not math.isnan(loss)),
     ):
         if not ok:
             raise nn.CheckpointError(f"bad training-state metadata {name}={value!r}")

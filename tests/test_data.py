@@ -439,23 +439,56 @@ class TestDatasetFile:
         (meta_len,) = struct.unpack("<I", raw[at : at + 4])
         return at, at + 4 + meta_len
 
-    @pytest.mark.parametrize("fault", ["not-utf8", "not-json", "not-object", "missing-key"])
+    # header key -> an ill-typed value, per fault name
+    BAD_HEADER_VALUES = {
+        "seed-float": ("seed", 1.5),
+        "seed-bool": ("seed", True),
+        "seed-string": ("seed", "7"),
+        "ratios-short": ("split_ratios", [0.8]),
+        "ratios-nan": ("split_ratios", [0.8, float("nan"), 0.1]),
+        "ratios-inf": ("split_ratios", [0.8, 0.1, float("inf")]),
+        "ratios-string": ("split_ratios", "abc"),
+        "ratios-bool": ("split_ratios", [True, 0.1, 0.1]),
+        "dropped-negative": ("dropped_trajectories", -1),
+        "dropped-float": ("dropped_trajectories", 2.0),
+        "source-not-string": ("source_bs", 3),
+        "target-not-string": ("target_rsu", None),
+        "digest-not-string": ("scene_digest", ["ab"]),
+    }
+
+    @pytest.mark.parametrize(
+        "fault", ["not-utf8", "not-json", "not-object", "missing-key", *BAD_HEADER_VALUES]
+    )
     def test_bad_metadata_rejected(self, tmp_path, small_dataset, fault):
         path = tmp_path / "ds.bmsq"
         save_dataset(small_dataset, path)
         raw = path.read_bytes()
         lo, hi = self._metadata_span(raw)
         meta = json.loads(raw[lo + 4 : hi])
-        del meta["source_bs"]
+        if fault in self.BAD_HEADER_VALUES:
+            key, value = self.BAD_HEADER_VALUES[fault]
+            meta[key] = value
+        else:
+            del meta["source_bs"]
         block = {
             "not-utf8": b'{"seed": "\xff"}',
             "not-json": b'{"seed": 11,',
             "not-object": b"[11]",
-            "missing-key": json.dumps(meta).encode(),
-        }[fault]
+        }.get(fault, json.dumps(meta).encode())
         path.write_bytes(raw[:lo] + struct.pack("<I", len(block)) + block + raw[hi:])
         with pytest.raises(DatasetFormatError, match="metadata"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("fault", list(BAD_HEADER_VALUES))
+    def test_bad_header_rejected_on_save(self, tmp_path, small_dataset, fault):
+        path = tmp_path / "ds.bmsq"
+        save_dataset(small_dataset, path)
+        before = path.read_bytes()
+        key, value = self.BAD_HEADER_VALUES[fault]
+        with pytest.raises(ValueError, match="ill-typed header values"):
+            save_dataset(dataclasses.replace(small_dataset, **{key: value}), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_failed_save_keeps_previous_file(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bmsq"

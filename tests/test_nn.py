@@ -494,6 +494,14 @@ class TestAdam:
         norm2, clipped2 = clip_global_norm(grads, 10.0)
         assert not clipped2
 
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.inf, np.nan])
+    def test_clip_global_norm_rejects_bad_max_norm(self, max_norm):
+        # a negative bound would flip every gradient, so Adam would climb the loss
+        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_global_norm(grads, max_norm)
+        np.testing.assert_array_equal(grads["a"], [3.0, 0.0])
+
 
 class TestFiniteDiffLinear:
     def test_linear_function_at_roundoff(self):

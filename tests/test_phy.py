@@ -276,14 +276,13 @@ class TestSynthesizeChannel:
             paths = [PathComponent(gain=g, aod=aod, aoa=0.0), PathComponent(gain=-g, aod=aod, aoa=0.0)]
             np.testing.assert_array_equal(synthesize_channel(paths, geom(n)).coefficients, np.zeros(n))
 
-    def test_equals_one_varying_slot_per_path(self):
-        # paths on distinct angles: the batched kernel builds each as its own
-        # progression too, so the two agree bit for bit
+    def test_is_one_row_of_the_batched_kernel(self):
+        # a path list is one row of path slots: the two agree bit for bit
         rng = np.random.default_rng(5)
         gains = rng.normal(size=15) + 1j * rng.normal(size=15)
         aods = rng.uniform(-np.pi / 2, np.pi / 2, size=15)
         paths = [PathComponent(gain=complex(g), aod=float(a), aoa=0.0) for g, a in zip(gains, aods)]
-        batched = synthesize_channels(gains[:, None], aods[:, None], geom(128)).sum(axis=0)
+        batched = synthesize_channels(gains[None], aods[None], geom(128))[0]
         np.testing.assert_array_equal(synthesize_channel(paths, geom(128)).coefficients, batched)
 
     def test_matches_elementwise_summation_oracle(self):
@@ -504,6 +503,15 @@ class TestValidation:
     def test_path_component_angle_range(self):
         with pytest.raises(ValueError):
             PathComponent(gain=1.0 + 0j, aod=2.5, aoa=0.0)
+
+    @pytest.mark.parametrize(
+        "gain, aod, aoa",
+        [(complex(np.nan, 0.0), 0.0, 0.0), (complex(0.0, np.inf), 0.0, 0.0),
+         (1.0 + 0j, np.nan, 0.0), (1.0 + 0j, 0.0, np.inf), (1.0 + 0j, 0.0, -2.5)],
+    )
+    def test_path_component_rejects_non_finite_and_out_of_range(self, gain, aod, aoa):
+        with pytest.raises(ValueError):
+            PathComponent(gain=gain, aod=aod, aoa=aoa)
 
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):

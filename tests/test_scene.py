@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import math
 import zipfile
 
@@ -23,6 +24,7 @@ from beamseq.scene import (
     _trace_points,
     build_channel_grid,
     generate_scene,
+    scene_from_dict,
     snap_positions,
     trace_paths,
 )
@@ -55,6 +57,13 @@ class TestGenerateScene:
         a = generate_scene(coarse_params(), seed=42)
         b = generate_scene(coarse_params(), seed=43)
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize("name", ["rich_scene", "los_scene"])
+    def test_dict_json_round_trip(self, request, name):
+        scene = request.getfixturevalue(name)
+        back = scene_from_dict(json.loads(json.dumps(scene.to_dict())))
+        assert back == scene
+        assert back.digest() == scene.digest()
 
     def test_default_antenna_counts(self):
         scene = generate_scene(coarse_params(), seed=0)
@@ -235,6 +244,9 @@ class TestTracePaths:
     def test_point_outside_grid_rejected(self, los_scene):
         with pytest.raises(ValueError):
             trace_paths(los_scene, "rsu0", np.array([100.0, 100.0]))
+        # a non-finite point is outside the grid, not a point in outage
+        with pytest.raises(ValueError, match="outside grid"):
+            trace_paths(los_scene, "rsu0", [np.nan, 1.0])
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_in_grid_rule_is_snap_positions(self, los_scene, axis):
@@ -508,6 +520,9 @@ class TestSnapToGrid:
             snap_positions((-0.5, 0.0), self.GRID)
         with pytest.raises(ValueError):
             snap_positions((0.0, 1.2), self.GRID)
+        for bad in ([np.nan, 0.3], [0.3, np.nan], [np.inf, 0.3]):
+            with pytest.raises(ValueError, match="outside grid"):
+                snap_positions([bad], self.GRID)
 
     def test_half_spacing_overhang_accepted(self):
         assert snap_positions((-0.025, 0.0), self.GRID).tolist() == [0]

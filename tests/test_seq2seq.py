@@ -381,7 +381,7 @@ class TestLayerByLayerMatchesPerStepOracle:
         want = per_step_greedy(model, enc, hyper.horizon)
         for i, window in enumerate(feats):
             np.testing.assert_array_equal(decode_greedy(model, encode(model, window)), want[i])
-        np.testing.assert_array_equal(_decode_greedy_batch(model, enc, hyper.horizon), want)
+        np.testing.assert_array_equal(_decode_greedy_batch(model, enc), want)
 
 
 class TestTraining:
@@ -416,6 +416,12 @@ class TestTraining:
         assert len(history) <= 60
         val_losses = [row["val_loss"] for row in history]
         assert state.best_val_loss == pytest.approx(min(val_losses))
+
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_config_rejects_step_sizes_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_validation_runs_in_training_batches(self, monkeypatch):
         ds = synthetic_dataset(n_train=4, n_val=7)
