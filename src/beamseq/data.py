@@ -52,6 +52,9 @@ _TAG_SPLIT = 3
 
 SPLIT_NAMES = ("train", "val", "test")
 
+# train windows per block when summing the feature statistics
+_STATS_BLOCK = 64
+
 
 class DatasetFormatError(RuntimeError):
     """Malformed or truncated dataset file."""
@@ -148,7 +151,7 @@ class Dataset:
                 np.empty((0, self.history, self.feature_dim)),
                 np.empty((0, self.horizon), dtype=np.int64),
             )
-        feats = np.stack([s.features for s in chosen]).astype(np.float64)
+        feats = np.stack([s.features for s in chosen]).astype(np.float64, copy=False)
         labels = np.stack([s.labels for s in chosen]).astype(np.int64)
         return feats, labels
 
@@ -173,6 +176,47 @@ def split_of_trajectory(
     return "test"
 
 
+def _train_statistics(features: np.ndarray, train_windows: np.ndarray):
+    """Per-feature mean and std over the rows of ``features[train_windows]``
+    (windows, T, F), equal to the bytes of ``.mean(axis=0)`` and ``.std(axis=0)``
+    on those rows stacked as (rows, F), without stacking them.
+
+    numpy adds the rows of such a reduction one after another, so the rows
+    are summed in blocks of ``_STATS_BLOCK`` windows gathered into one buffer
+    whose first row carries the running total: the additions run in the same
+    order, while a total of per-block partial sums would round differently.
+    The squared deviations are summed the same way, and std = sqrt(sum / n)
+    as numpy's ``_var`` takes it. With one feature numpy sums the column
+    pairwise instead, so that case reduces the stacked rows as before.
+    """
+    t, f = features.shape[1:]
+    n = train_windows.size * t
+    if f == 1:
+        rows = features[train_windows].reshape(n, 1)
+        return rows.mean(axis=0), rows.std(axis=0)
+    buf = np.empty((1 + _STATS_BLOCK * t, f))
+
+    def row_sum(center):
+        total = None
+        for lo in range(0, train_windows.size, _STATS_BLOCK):
+            chosen = train_windows[lo : lo + _STATS_BLOCK]
+            block = buf[1 : 1 + chosen.size * t]
+            # mode="clip" writes straight into ``out``; "raise" would buffer
+            np.take(features, chosen, axis=0, out=block.reshape(-1, t, f), mode="clip")
+            if center is not None:
+                block -= center
+                block *= block
+            if total is None:
+                total = np.add.reduce(block, axis=0)
+            else:
+                buf[0] = total
+                total = np.add.reduce(buf[: 1 + block.shape[0]], axis=0)
+        return total
+
+    mean = row_sum(None) / n
+    return mean, np.sqrt(row_sum(mean) / n)
+
+
 def make_dataset(
     scene: Scene,
     grid: ChannelGrid,
@@ -192,7 +236,11 @@ def make_dataset(
     Window anchored at slot t: features from slots [t-T+1, t] of the source
     BS, labels from slots [t+1, t+K] of the target RSU, both read at the
     nearest grid point. Trajectories touching an outage point are dropped and
-    counted. Feature standardization uses train-split statistics only.
+    counted. Feature standardization uses train-split statistics only, summed
+    over the train rows in row order without copying them
+    (``_train_statistics``). ``split_ratios`` must be a distribution: three
+    finite shares >= 0 that sum to 1 within 1e-9, with a train share > 0;
+    other ratios raise ``ValueError``.
 
     The windows are built as one batch: every trajectory is snapped to the
     grid in one ``snap_positions`` call, each kept trajectory draws its split
@@ -215,6 +263,12 @@ def make_dataset(
         )
     if target_rsu not in ("rsu0", "rsu1"):
         raise ValueError(f"target must be an RSU, got {target_rsu!r}")
+    if (len(split_ratios) != 3 or not all(0 <= r < math.inf for r in split_ratios)
+            or abs(sum(split_ratios) - 1) > 1e-9 or split_ratios[0] == 0):
+        raise ValueError(
+            f"split_ratios must be three finite shares >= 0 summing to 1 with a train "
+            f"share > 0, got {split_ratios!r}"
+        )
     for bs_id in (source_bs, target_rsu):
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
@@ -251,12 +305,11 @@ def make_dataset(
     is_train = np.array(
         [split_of_trajectory(seed, traj_id, split_ratios) == "train" for traj_id in kept], dtype=bool
     )
-    train_rows = features[np.repeat(is_train, starts.size)]
-    if not train_rows.size:
+    train_windows = np.flatnonzero(np.repeat(is_train, starts.size))
+    if not train_windows.size:
         raise ValueError("no train-split samples; increase num_trajectories")
-    train_rows = train_rows.reshape(-1, features.shape[-1])
-    mean = train_rows.mean(axis=0)
-    std = np.maximum(train_rows.std(axis=0), 1e-12)
+    mean, std = _train_statistics(features, train_windows)
+    std = np.maximum(std, 1e-12)
     features -= mean
     features /= std
 

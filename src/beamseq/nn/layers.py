@@ -229,7 +229,9 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
     i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
     Each step adds only ``h W_hᵀ`` before the gates and the cell. The gate
     activations overwrite ``act``; h and c are kept as (S+1, B, H) stacks, and
-    the returned h (S, B, H) is a view of its stack. Returns (h, c_S, cache).
+    the returned h (S, B, H) is a view of its stack. tanh(c) goes through one
+    (B, H) buffer and is not kept: the cache holds (hs, cs, act), and the
+    backward pass recomputes tanh(c) from cs. Returns (h, c_S, cache).
     """
     hid = p.hidden_size
     if act.ndim != 3 or act.shape[2] != 4 * hid:
@@ -239,7 +241,7 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
         raise ValueError(f"lstm state shapes {h0.shape}, {c0.shape} vs (B, H) = {(b, hid)}")
     hs = np.empty((s + 1, b, hid))
     cs = np.empty((s + 1, b, hid))
-    tcs = np.empty((s, b, hid))
+    tc = np.empty((b, hid))
     hs[0] = h0
     cs[0] = c0
     for t in range(s):
@@ -251,11 +253,11 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
         _sigmoid_(o)
         np.multiply(f, cs[t], out=cs[t + 1])
         cs[t + 1] += i * g
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(o, tcs[t], out=hs[t + 1])
+        np.tanh(cs[t + 1], out=tc)
+        np.multiply(o, tc, out=hs[t + 1])
     if not np.all(np.isfinite(hs[1:])):
         raise NumericError("non-finite LSTM activation")
-    return hs[1:], cs[s], (hs, cs, act, tcs)
+    return hs[1:], cs[s], (hs, cs, act)
 
 
 def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
@@ -274,8 +276,8 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
 
 def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
     """Backward through one step whose gate activations [i, f, g, o] are
-    ``a`` (B, 4H). Overwrites ``a`` with the pre-activation gradient dz and
-    returns (dh_prev, dc_prev)."""
+    ``a`` (B, 4H) and whose tanh(c) is ``tc`` (B, H). Overwrites ``a`` with
+    the pre-activation gradient dz and returns (dh_prev, dc_prev)."""
     i, f, g, o = _gate_blocks(a)
     dc = dc + dh * o * (1.0 - tc * tc)
     dc_prev = dc * f
@@ -293,15 +295,19 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     dh0, dc0).
 
     The loop runs only the step math; the weight gradients and dx are one GEMM
-    each over all S*B rows after it. It consumes the cache: the activation
-    buffer is overwritten with dz, so call it once per forward.
+    each over all S*B rows after it. Each step recomputes tanh(c) from the
+    cached c stack, the same ufunc on the same values as the forward pass, so
+    the gradients equal those from a cached tanh(c) bit for bit. It consumes
+    the cache: the activation buffer is overwritten with dz, so call it once
+    per forward.
     """
-    p, x2, hs, cs, act, tcs = cache
-    s, b, hid = tcs.shape
+    p, x2, hs, cs, act = cache
+    s, b, _ = act.shape
+    hid = p.hidden_size
     dh = np.zeros((b, hid))
     dc = grad_c
     for t in reversed(range(s)):
-        dh, dc = _lstm_step_backward(act[t], tcs[t], cs[t], grad_h[t] + dh, dc, p.wh)
+        dh, dc = _lstm_step_backward(act[t], np.tanh(cs[t + 1]), cs[t], grad_h[t] + dh, dc, p.wh)
     dz = act.reshape(s * b, 4 * hid)
     grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs[:-1].reshape(s * b, hid), b=dz.sum(axis=0))
     return grads, (dz @ p.wx).reshape(s, b, -1), dh, dc

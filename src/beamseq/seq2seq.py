@@ -333,6 +333,7 @@ def _batch_forward_backward(model, feats, targets, rng):
     d_logits = (d_flat / losses.size).reshape(*targets.shape, -1)
     grads: dict = {}
     d_enc_states, d_finals = _decode_backward(model, dec_cache, d_logits, grads)
+    del dec_cache  # the decoder activations are not held through the encoder backward
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
     return float(losses.mean()), correct / losses.size, grads
 

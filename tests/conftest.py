@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import json
+import tracemalloc
 import warnings
 import zipfile
 
@@ -25,3 +26,21 @@ def write_archive():
                         np.lib.format.write_array(fh, np.asarray(array))
 
     return write
+
+
+@pytest.fixture
+def traced_memory():
+    """``measure(call)``: run ``call()`` under ``tracemalloc``; returns (its
+    result, the bytes it allocated that are still held when it returns, the
+    peak of its allocations above those)."""
+
+    def measure(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, retained, peak - retained
+
+    return measure

@@ -329,6 +329,55 @@ class TestMakeDataset:
                 seed=1, slots_per_trajectory=100,
             )
 
+    @pytest.mark.parametrize(
+        "ratios",
+        [(2.0, 0.1, 0.1), (0.0, 0.5, 0.5), (-1.0, 5.0, 0.0), (0.8, float("nan"), 0.1),
+         (0.8, 0.1, float("inf")), (0.5, 0.3, 0.1), (0.8, 0.2)],
+    )
+    def test_split_ratios_not_a_distribution_rejected(self, small_world, monkeypatch, ratios):
+        # rejected before any trajectory is drawn
+        scene, grid, codebook = small_world
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trajectory drawn")
+
+        monkeypatch.setattr(data, "sample_trajectory", no_draw)
+        with pytest.raises(ValueError, match="split_ratios"):
+            make_dataset(
+                scene, grid, "rsu0", "rsu1", 20, codebook, seed=1, slots_per_trajectory=100,
+                split_ratios=ratios,
+            )
+
+    @pytest.mark.parametrize("ratios", [(0.7, 0.2, 0.1), (1.0, 0.0, 0.0), (0.5, 0.5 - 1e-10, 0.0)])
+    def test_split_ratios_summing_to_one_accepted(self, small_world, ratios):
+        scene, grid, codebook = small_world
+        ds = make_dataset(
+            scene, grid, "rsu0", "rsu1", 10, codebook, seed=1, slots_per_trajectory=100,
+            split_ratios=ratios,
+        )
+        assert ds.split_ratios == ratios
+        assert ds.indices("train")
+
+    def test_statistics_hold_no_copy_of_the_train_rows(self, small_world, traced_memory):
+        # overlapping windows, so the features outweigh the visited grid rows
+        scene, grid, codebook = small_world
+        ds, _, peak = traced_memory(lambda: make_dataset(
+            scene, grid, "rsu0", "rsu1", 40, codebook, seed=6,
+            history=12, horizon=9, stride=4, slots_per_trajectory=45,
+        ))
+        features = len(ds.samples) * 12 * ds.feature_dim * 8
+        assert peak < 1.0 * features
+
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_arrays_copy_features_once(self, tmp_path, small_dataset, traced_memory, reload):
+        ds = small_dataset
+        if reload:
+            save_dataset(ds, tmp_path / "ds.bmsq")
+            ds = load_dataset(tmp_path / "ds.bmsq")
+        (feats, labels), _, peak = traced_memory(lambda: ds.arrays("train"))
+        assert feats.dtype == np.float64 and labels.dtype == np.int64
+        assert peak < feats.nbytes / 2
+
     def test_too_few_slots_rejected(self, small_world):
         scene, grid, codebook = small_world
         with pytest.raises(ValueError):
@@ -360,6 +409,8 @@ class TestMakeDataset:
         kwargs = dict(history=12, horizon=9, stride=4, slots_per_trajectory=45)
         ds = make_dataset(*args, **kwargs)
         ref = reference_make_dataset(*args, **kwargs)
+        # the train statistics are summed over more than one block of windows
+        assert len(ds.indices("train")) > data._STATS_BLOCK
         assert 0 < ds.dropped_trajectories < 40
         assert ds.dropped_trajectories == ref.dropped_trajectories
         assert len({s.trajectory_id for s in ds.samples}) > 1
@@ -376,6 +427,19 @@ class TestMakeDataset:
                 b.trajectory_id, b.start_slot, b.anchor_label
             )
             assert a.positions.tobytes() == b.positions.tobytes()
+
+
+    def test_one_feature_statistics_match_reference(self):
+        # numpy sums a single column pairwise, not row by row
+        scene = generate_scene(SceneParams(grid_spacing=0.5, mbs_antennas=1), seed=3)
+        grid = build_channel_grid(scene, bs_ids=("mbs", "rsu1"))
+        args = (scene, grid, "mbs", "rsu1", 30, build_dft_codebook(256, 32), 6)
+        kwargs = dict(history=12, horizon=9, stride=4, slots_per_trajectory=45)
+        ds = make_dataset(*args, **kwargs)
+        ref = reference_make_dataset(*args, **kwargs)
+        assert ds.feature_dim == 1
+        assert ds.feature_mean.tobytes() == ref.feature_mean.tobytes()
+        assert ds.feature_std.tobytes() == ref.feature_std.tobytes()
 
 
 class TestDatasetFile:

@@ -208,6 +208,17 @@ class TestLstmSequence:
         err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=32)
         assert err < 1e-5
 
+    def test_cache_holds_no_tanh_c_stack(self, traced_memory):
+        # input products (4 units of S*B*H floats) and the h and c stacks
+        # (S+1 steps each); tanh(c) is recomputed by the backward pass
+        s, b, hid = 30, 16, 64
+        rng = rng_for(35)
+        p = init_lstm(rng, hid, hid)
+        x = rng.normal(size=(s, b, hid))
+        zeros = np.zeros((b, hid))
+        _, retained, _ = traced_memory(lambda: lstm_sequence_forward(p, x, zeros, zeros))
+        assert retained < 6.5 * s * b * hid * 8
+
     def test_non_finite_activation_raises(self):
         p = init_lstm(rng_for(33), 3, 4)
         x = np.zeros((3, 2, 3))
