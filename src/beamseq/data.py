@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +54,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 # train windows per block when summing the feature statistics
 _STATS_BLOCK = 64
+# records per block when widening a dataset file's features to float64
+_LOAD_BLOCK = 64
 
 
 class DatasetFormatError(RuntimeError):
@@ -421,50 +423,61 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
 
 
 def load_dataset(path) -> Dataset:
-    buf = Path(path).read_bytes()
+    """Read a ``save_dataset`` file. The header comes from the open file and
+    the records ``_LOAD_BLOCK`` at a time, each block widened into one
+    preallocated (n, T, F) float64 array, so loading holds little more than
+    it returns. Sizes are checked against the file's length before any read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(off, n):
-        if off + n > len(buf):
+        def take(n):
+            if fh.tell() + n > size:
+                raise DatasetFormatError("truncated dataset file")
+            return fh.read(n)
+
+        chunk = take(4)
+        if chunk != MAGIC:
+            raise DatasetFormatError(f"bad magic {chunk!r}")
+        version, x, f, t, k, count = struct.unpack("<IIIIII", take(24))
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"unsupported dataset version {version}")
+        mean = np.frombuffer(take(8 * f), dtype="<f8").copy()
+        std = np.frombuffer(take(8 * f), dtype="<f8").copy()
+        (meta_len,) = struct.unpack("<I", take(4))
+        chunk = take(meta_len)
+        try:
+            meta = json.loads(chunk.decode())
+            header = {key: meta[key] for key in _META_KEYS}
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
+        if bad := _bad_header_values(header):
+            raise DatasetFormatError(f"bad dataset metadata values {bad}")
+        header["split_ratios"] = tuple(header["split_ratios"])
+        try:
+            dtype = _record_dtype(t, f, k)
+        except ValueError as exc:
+            raise DatasetFormatError(f"bad record shape T={t}, F={f}, K={k}: {exc}") from exc
+        end = fh.tell() + count * dtype.itemsize
+        if end > size:
             raise DatasetFormatError("truncated dataset file")
-        return buf[off : off + n], off + n
-
-    chunk, off = take(0, 4)
-    if chunk != MAGIC:
-        raise DatasetFormatError(f"bad magic {chunk!r}")
-    chunk, off = take(off, 24)
-    version, x, f, t, k, count = struct.unpack("<IIIIII", chunk)
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported dataset version {version}")
-    chunk, off = take(off, 8 * f)
-    mean = np.frombuffer(chunk, dtype="<f8").copy()
-    chunk, off = take(off, 8 * f)
-    std = np.frombuffer(chunk, dtype="<f8").copy()
-    chunk, off = take(off, 4)
-    (meta_len,) = struct.unpack("<I", chunk)
-    chunk, off = take(off, meta_len)
-    try:
-        meta = json.loads(chunk.decode())
-        header = {key: meta[key] for key in _META_KEYS}
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
-    if bad := _bad_header_values(header):
-        raise DatasetFormatError(f"bad dataset metadata values {bad}")
-    header["split_ratios"] = tuple(header["split_ratios"])
-    try:
-        dtype = _record_dtype(t, f, k)
-    except ValueError as exc:
-        raise DatasetFormatError(f"bad record shape T={t}, F={f}, K={k}: {exc}") from exc
-    end = off + count * dtype.itemsize
-    if end > len(buf):
-        raise DatasetFormatError("truncated dataset file")
-    if end < len(buf):
-        raise DatasetFormatError(f"{len(buf) - end} trailing bytes")
-    records = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
-    labels = records["labels"].copy()
+        if end < size:
+            raise DatasetFormatError(f"{size - end} trailing bytes")
+        features = np.empty((count, t, f))
+        labels = np.empty((count, k), dtype="<u2")
+        ids: list[int] = []
+        starts: list[int] = []
+        block = np.empty(min(count, _LOAD_BLOCK), dtype=dtype)
+        for lo in range(0, count, _LOAD_BLOCK):
+            part = block[: count - lo]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise DatasetFormatError("truncated dataset file")
+            features[lo : lo + len(part)] = part["features"]
+            labels[lo : lo + len(part)] = part["labels"]
+            ids += part["trajectory_id"].tolist()
+            starts += part["start_slot"].tolist()
     if count and labels.max() >= x:
         raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
-    rows = zip(records["features"].astype(np.float64), labels,
-               records["trajectory_id"].tolist(), records["start_slot"].tolist())
+    rows = zip(features, labels, ids, starts)
     samples = [TrainingSample(*row) for row in rows]
     return Dataset(
         samples=samples,

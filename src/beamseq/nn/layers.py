@@ -8,6 +8,9 @@ and ``accumulate_params`` give generic traversal so the optimizer and
 checkpoints never need layer-specific code.
 
 Dropout is on exactly when a generator is passed: ``rng=None`` is inference.
+
+Each forward returns its cache as a list, and the matching backward consumes
+it through ``_consume``; see the package docstring.
 """
 
 from __future__ import annotations
@@ -111,6 +114,13 @@ def accumulate_params(dst, src) -> None:
         getattr(dst, f.name).__iadd__(getattr(src, f.name))
 
 
+def _consume(cache: list) -> tuple:
+    """The entries of a forward's cache, which is left empty."""
+    entries = tuple(cache)
+    cache.clear()
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # initialization: uniform U[-k, k] with k = 1/sqrt(fan_in)
 
@@ -158,11 +168,11 @@ def dense_forward(p: DenseParams, x: np.ndarray):
     if x.ndim != 2 or x.shape[1] != p.weight.shape[1]:
         raise ValueError(f"dense expects (B, {p.weight.shape[1]}), got {x.shape}")
     y = x @ p.weight.T + p.bias
-    return y, (p, x)
+    return y, [p, x]
 
 
 def dense_backward(cache, grad_y: np.ndarray):
-    p, x = cache
+    p, x = _consume(cache)
     grads = DenseParams(weight=grad_y.T @ x, bias=grad_y.sum(axis=0))
     grad_x = grad_y @ p.weight
     return grads, grad_x
@@ -181,11 +191,11 @@ def embedding_forward(p: EmbeddingParams, tokens: np.ndarray):
         raise ValueError(
             f"token out of range [0, {p.table.shape[0]}): {tokens.min()}..{tokens.max()}"
         )
-    return p.table[tokens], (p, tokens)
+    return p.table[tokens], [p, tokens]
 
 
 def embedding_backward(cache, grad_y: np.ndarray):
-    p, tokens = cache
+    p, tokens = _consume(cache)
     grads = EmbeddingParams(table=np.zeros_like(p.table))
     np.add.at(grads.table, tokens, grad_y)
     return grads
@@ -271,7 +281,7 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
     x2 = x.reshape(s * b, d)
     act = lstm_input_product(p, x2).reshape(s, b, 4 * p.hidden_size)
     h, c, cache = lstm_recurrence(p, act, h0, c0)
-    return h, c, (p, x2, *cache)
+    return h, c, [p, x2, *cache]
 
 
 def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
@@ -298,18 +308,20 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     each over all S*B rows after it. Each step recomputes tanh(c) from the
     cached c stack, the same ufunc on the same values as the forward pass, so
     the gradients equal those from a cached tanh(c) bit for bit. It consumes
-    the cache: the activation buffer is overwritten with dz, so call it once
-    per forward.
+    the cache: the activation buffer is overwritten with dz, the c stack is
+    dropped after the loop and the input and h stack before dx is formed.
     """
-    p, x2, hs, cs, act = cache
+    p, x2, hs, cs, act = _consume(cache)
     s, b, _ = act.shape
     hid = p.hidden_size
     dh = np.zeros((b, hid))
     dc = grad_c
     for t in reversed(range(s)):
         dh, dc = _lstm_step_backward(act[t], np.tanh(cs[t + 1]), cs[t], grad_h[t] + dh, dc, p.wh)
+    del cs
     dz = act.reshape(s * b, 4 * hid)
     grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs[:-1].reshape(s * b, hid), b=dz.sum(axis=0))
+    del x2, hs
     return grads, (dz @ p.wx).reshape(s, b, -1), dh, dc
 
 
@@ -344,17 +356,18 @@ def attention_memory_forward(p: AttentionParams, enc_states: np.ndarray):
     e2 = enc_states.reshape(b * t, hid)
     keys = (e2 @ p.w_score.T).reshape(b, t, hid)
     values = (e2 @ p.w_combine[:, :hid].T).reshape(b, t, hid)
-    return (keys, values), (p, e2)
+    return (keys, values), [p, e2]
 
 
 def attention_memory_backward(cache, d_keys: np.ndarray, d_values: np.ndarray):
     """Backward from the memory gradients (B, T, H) each; returns (grad of
     ``w_score``, grad of ``w_combine[:, :H]``, denc (B, T, H))."""
-    p, e2 = cache
+    p, e2 = _consume(cache)
     b, t, hid = d_keys.shape
     dk = d_keys.reshape(b * t, hid)
     dv = d_values.reshape(b * t, hid)
-    d_enc = dk @ p.w_score + dv @ p.w_combine[:, :hid]
+    d_enc = dk @ p.w_score
+    d_enc += dv @ p.w_combine[:, :hid]
     return dk.T @ e2, dv.T @ e2, d_enc.reshape(b, t, hid)
 
 
@@ -378,27 +391,39 @@ def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
     z += q2 @ p.w_combine[:, hid:].T
     z += p.b_combine
     combined = np.tanh(z, out=z)
-    cache = (p, q2, keys, values, weights, combined)
+    cache = [p, q2, keys, values, weights, combined]
     return weights, combined.reshape(b, k, hid), cache
 
 
 def attention_attend_backward(cache, grad_combined: np.ndarray):
     """Backward from the combined outputs (B, K, H); returns (grad of
     ``w_combine[:, H:]``, grad of ``b_combine``, dquery (B, K, H),
-    (d_keys, d_values) (B, T, H) each)."""
-    p, q2, keys, values, weights, combined = cache
+    (d_keys, d_values) (B, T, H) each).
+
+    dz overwrites the cached combined output, so the layer that reads it must
+    have run its backward first.
+    """
+    p, q2, keys, values, weights, dz = _consume(cache)
     b, k, _ = weights.shape
     hid = q2.shape[1]
-    dz = grad_combined.reshape(b * k, hid) * (1.0 - combined * combined)
+    # dz = grad_combined * (1 - combined * combined), formed in place
+    np.multiply(dz, dz, out=dz)
+    np.subtract(1.0, dz, out=dz)
+    np.multiply(grad_combined.reshape(b * k, hid), dz, out=dz)
     g_w_query = dz.T @ q2
     g_b_combine = dz.sum(axis=0)
     dz3 = dz.reshape(b, k, hid)
     dweights = dz3 @ values.transpose(0, 2, 1)
     d_values = weights.transpose(0, 2, 1) @ dz3
+    del values
     # softmax Jacobian applied row-wise
     dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
+    del weights, dweights
     d_keys = dscores.transpose(0, 2, 1) @ q2.reshape(b, k, hid)
-    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid) + dscores @ keys
+    del q2
+    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid)
+    del dz, dz3
+    dquery += dscores @ keys
     return g_w_query, g_b_combine, dquery, (d_keys, d_values)
 
 
@@ -411,13 +436,13 @@ def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states
     """
     memory, memory_cache = attention_memory_forward(p, enc_states)
     weights, combined, attend_cache = attention_attend_forward(p, memory, query)
-    return weights, combined, (memory_cache, attend_cache)
+    return weights, combined, [memory_cache, attend_cache]
 
 
 def attention_sequence_backward(cache, grad_combined: np.ndarray):
     """Backward from the combined outputs (B, K, H); returns (param grads,
     dquery (B, K, H), denc (B, T, H))."""
-    memory_cache, attend_cache = cache
+    memory_cache, attend_cache = _consume(cache)
     g_w_query, g_b_combine, dquery, d_memory = attention_attend_backward(
         attend_cache, grad_combined
     )
@@ -456,13 +481,13 @@ def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None)
         return x, None
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    return x * keep * scale, (keep, scale)
+    return x * keep * scale, [keep, scale]
 
 
 def dropout_backward(cache, grad_y: np.ndarray):
     if cache is None:
         return grad_y
-    keep, scale = cache
+    keep, scale = _consume(cache)
     return grad_y * keep * scale
 
 

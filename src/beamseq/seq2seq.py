@@ -22,6 +22,14 @@ memory (keys and the context half of the combine layer) is projected once
 per encoding, and the first decoder layer reads its input products from a
 table with one row per token, formed once per call from the embedding.
 
+A training step holds only what its backward still reads. Every backward
+consumes its layer's cache (see ``nn``), and the step pops the caches in
+reverse layer order: the decoder's output projection, attention, ``dec_l2``,
+``dec_l1`` and embedding, then the encoder's ``enc_l2``, ``enc_l1`` and input
+projection. So each layer's activations are gone before the layer below runs
+its backward, and nothing is recomputed. The previous batch's gradients are
+dropped before the next batch runs.
+
 The batched passes take the dropout generator as ``rng``: training passes
 one, and ``rng=None`` is inference, with dropout off. Training and validation
 score a batch through the same teacher-forced forward and cross-entropy,
@@ -163,21 +171,23 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
         states=np.ascontiguousarray(out2.transpose(1, 0, 2)),
         h1=out1[-1], c1=c1, h2=out2[-1], c2=c2,
     )
-    return output, (dense_cache, drop_in_cache, cache1, drop_cache, cache2)
+    return output, [dense_cache, drop_in_cache, cache1, drop_cache, cache2]
 
 
 def _encode_backward(model, cache, d_states, d_finals, grads):
-    dense_cache, drop_in_cache, cache1, drop_cache, cache2 = cache
+    """Backward through ``_encode_batch``, popping each layer's cache as its
+    backward runs, so ``enc_l2``'s is gone before ``enc_l1``'s backward."""
     b, t, h = d_states.shape
     dh1, dc1, dh2, dc2 = d_finals
-    d_out2 = d_states.transpose(1, 0, 2).copy()
-    d_out2[-1] += dh2
-    grads["enc_l2"], d_mid, _, _ = nn.lstm_sequence_backward(cache2, d_out2, dc2)
-    d_out1 = nn.dropout_backward(drop_cache, d_mid)
-    d_out1[-1] += dh1
-    grads["enc_l1"], dx, _, _ = nn.lstm_sequence_backward(cache1, d_out1, dc1)
-    flat = nn.dropout_backward(drop_in_cache, dx.transpose(1, 0, 2).reshape(b * t, h))
-    grads["enc_in"], _ = nn.dense_backward(dense_cache, flat)
+    d_out = d_states.transpose(1, 0, 2).copy()
+    d_out[-1] += dh2
+    grads["enc_l2"], d_out, _, _ = nn.lstm_sequence_backward(cache.pop(), d_out, dc2)
+    d_out = nn.dropout_backward(cache.pop(), d_out)
+    d_out[-1] += dh1
+    grads["enc_l1"], dx, _, _ = nn.lstm_sequence_backward(cache.pop(), d_out, dc1)
+    del d_out
+    flat = nn.dropout_backward(cache.pop(), dx.transpose(1, 0, 2).reshape(b * t, h))
+    grads["enc_in"], _ = nn.dense_backward(cache.pop(), flat)
 
 
 def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.ndarray, rng=None):
@@ -205,26 +215,32 @@ def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.n
         model.att, out2.transpose(1, 0, 2), enc.states
     )
     logits, ocache = nn.dense_forward(model.out, combined.reshape(b * k_steps, hp.hidden))
-    cache = (ecache, cache1, drop_cache, cache2, acache, ocache)
+    cache = [ecache, cache1, drop_cache, cache2, acache, ocache]
     return logits.reshape(b, k_steps, hp.num_beams), cache
 
 
 def _decode_backward(model, cache, d_logits, grads):
     """Backward through ``_decode_teacher_batch`` from zero gradients on the
-    decoder's final states; returns (d_enc_states, encoder final grads)."""
-    ecache, cache1, drop_cache, cache2, acache, ocache = cache
+    decoder's final states; returns (d_enc_states, encoder final grads).
+
+    Each layer's cache is popped as its backward runs, output projection
+    first, so a layer's activations are gone before the layer below runs.
+    """
     b, s, x = d_logits.shape
-    grads["out"], d_comb = nn.dense_backward(ocache, d_logits.reshape(b * s, x))
+    grads["out"], d_comb = nn.dense_backward(cache.pop(), d_logits.reshape(b * s, x))
     grads["att"], d_query, d_enc_states = nn.attention_sequence_backward(
-        acache, d_comb.reshape(b, s, -1)
+        cache.pop(), d_comb.reshape(b, s, -1)
     )
+    del d_comb
     zeros = np.zeros((b, model.hyper.hidden))
     grads["dec_l2"], d_mid, dh2, dc2 = nn.lstm_sequence_backward(
-        cache2, d_query.transpose(1, 0, 2), zeros
+        cache.pop(), d_query.transpose(1, 0, 2), zeros
     )
-    d_mid = nn.dropout_backward(drop_cache, d_mid)
-    grads["dec_l1"], d_emb, dh1, dc1 = nn.lstm_sequence_backward(cache1, d_mid, zeros)
-    grads["emb"] = nn.embedding_backward(ecache, d_emb.reshape(s * b, -1))
+    del d_query
+    d_mid = nn.dropout_backward(cache.pop(), d_mid)
+    grads["dec_l1"], d_emb, dh1, dc1 = nn.lstm_sequence_backward(cache.pop(), d_mid, zeros)
+    del d_mid
+    grads["emb"] = nn.embedding_backward(cache.pop(), d_emb.reshape(s * b, -1))
     return d_enc_states, (dh1, dc1, dh2, dc2)
 
 
@@ -282,10 +298,10 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
+            value = getattr(self, name)
+            if not is_int(value, least):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         for name in ("learning_rate", "clip_norm"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
@@ -298,7 +314,9 @@ class TrainState:
     ``live_params`` are the weights the optimizer reached at the end of the
     last epoch run; the Adam moments and RNG state belong to them, so training
     resumes from them. ``best_params`` are the weights of the epoch with the
-    lowest validation loss, which ``train`` returns in the model.
+    lowest validation loss, which ``train`` returns in the model. Until an
+    epoch has set them (in a run that ran no epoch, or whose every validation
+    loss was inf), they are a copy of the live weights.
     """
 
     adam: AdamState
@@ -333,7 +351,6 @@ def _batch_forward_backward(model, feats, targets, rng):
     d_logits = (d_flat / losses.size).reshape(*targets.shape, -1)
     grads: dict = {}
     d_enc_states, d_finals = _decode_backward(model, dec_cache, d_logits, grads)
-    del dec_cache  # the decoder activations are not held through the encoder backward
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
     return float(losses.mean()), correct / losses.size, grads
 
@@ -391,7 +408,7 @@ def train(
             next_epoch=0,
             best_val_loss=float("inf"),
             epochs_since_best=0,
-            best_params={k: v.copy() for k, v in named.items()},
+            best_params={},  # the first epoch sets them
             live_params={},
         )
     else:
@@ -424,6 +441,7 @@ def train(
             _, clipped = nn.clip_global_norm(grad_dict, config.clip_norm)
             clip_events += int(clipped)
             nn.adam_step(named, grad_dict, state.adam)
+            del grads, grad_dict  # not held through the next batch
             epoch_loss += loss * len(batch)
             epoch_correct += acc * len(batch)
         train_loss = epoch_loss / n
@@ -453,6 +471,8 @@ def train(
         if state.epochs_since_best >= config.patience:
             break
     state.live_params = {k: v.copy() for k, v in named.items()}
+    if not state.best_params:
+        state.best_params = {k: v.copy() for k, v in named.items()}
     for key, value in state.best_params.items():
         named[key][...] = value
     return model, history, state

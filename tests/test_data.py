@@ -637,6 +637,37 @@ class TestDatasetFile:
             with pytest.raises(DatasetFormatError):
                 load_dataset(path)
 
+    def test_load_peaks_near_what_it_returns(self, tmp_path, traced_memory):
+        # 800 windows in blocks of data._LOAD_BLOCK: a block of float32
+        # records is a few percent of the float64 features it widens into
+        rng = np.random.default_rng(41)
+        t, f, k, n = 10, 16, 4, 800
+        assert n > 10 * data._LOAD_BLOCK
+        ds = Dataset(
+            samples=[
+                TrainingSample(
+                    features=rng.normal(size=(t, f)).astype(np.float32).astype(np.float64),
+                    labels=rng.integers(0, 9, size=k).astype(np.uint16),
+                    trajectory_id=i, start_slot=3 * i,
+                )
+                for i in range(n)
+            ],
+            feature_mean=rng.normal(size=f), feature_std=rng.uniform(1, 2, size=f),
+            num_beams=9, history=t, horizon=k, source_bs="rsu0", target_rsu="rsu1",
+            seed=5, scene_digest="ab",
+        )
+        path = tmp_path / "ds.bmsq"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        loaded, retained, peak_above = traced_memory(lambda: load_dataset(path))
+        assert peak_above <= 0.10 * retained
+        for a, b in zip(loaded.samples, ds.samples, strict=True):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert (a.trajectory_id, a.start_slot) == (b.trajectory_id, b.start_slot)
+        save_dataset(loaded, path)
+        assert path.read_bytes() == raw
+
     def test_label_histogram_counts_everything(self, small_dataset):
         hist = small_dataset.label_histogram()
         assert hist.sum() == len(small_dataset.samples) * 50

@@ -592,8 +592,18 @@ BACKWARD_MUTATIONS = {
         "weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))",
         "weights * dweights",
     ),
+    "tanh_prime_dropped_from_attention_dz": (
+        layers.attention_attend_backward,
+        "np.multiply(dz, dz, out=dz)\n    np.subtract(1.0, dz, out=dz)\n",
+        "dz[...] = 1.0\n",
+    ),
+    "keys_term_dropped_from_dquery": (
+        layers.attention_attend_backward, "dquery += dscores @ keys", "pass"
+    ),
     "keys_term_dropped_from_d_enc_states": (
-        layers.attention_memory_backward, "d_enc = dk @ p.w_score + ", "d_enc = "
+        layers.attention_memory_backward,
+        "d_enc = dk @ p.w_score\n",
+        "d_enc = np.zeros_like(dk)\n",
     ),
 }
 

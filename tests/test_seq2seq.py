@@ -1,7 +1,9 @@
 """Encoder/decoder forward oracles, end-to-end gradients, training behavior."""
 
+import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +425,72 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_epochs": -3},
+        {"max_epochs": 2.5},
+        {"max_epochs": "3"},
+        {"batch_size": 2.5, "max_epochs": 2.5},
+        {"batch_size": 0},
+        {"batch_size": True},
+        {"batch_size": np.int64(4)},
+        {"patience": 0},
+        {"patience": 1.0},
+    ])
+    def test_config_rejects_counts_not_ints_in_range(self, kwargs):
+        # batch_size is checked first, so it names the fault when both are bad
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
+    def test_zero_epochs_keep_initial_weights_and_round_trip(self, tmp_path):
+        ds = synthetic_dataset(n_train=4, n_val=2)
+        model = micro_model(seed=6)
+        initial = {k: v.copy() for k, v in model.named_params().items()}
+        model, history, state = train(model, ds, TrainConfig(batch_size=2, max_epochs=0))
+        assert history == [] and state.next_epoch == 0
+        assert state.best_val_loss == float("inf")
+        for key, arr in initial.items():
+            assert model.named_params()[key].tobytes() == arr.tobytes()
+            assert state.best_params[key].tobytes() == arr.tobytes()
+            assert state.live_params[key].tobytes() == arr.tobytes()
+        path = tmp_path / "state.npz"
+        save_train_state(path, model, state)
+        loaded_model, loaded, _ = load_train_state(path)
+        assert _train_state_bytes(loaded_model, [], loaded) == _train_state_bytes(model, [], state)
+
+    def test_run_resumed_at_its_end_returns_its_best_weights(self):
+        ds = synthetic_dataset(n_train=8, n_val=3)
+        cfg = TrainConfig(batch_size=4, max_epochs=2, patience=100, seed=9)
+        model, _, state = train(micro_model(seed=4), ds, cfg)
+        before = _train_state_bytes(model, [], state)
+        again, history, state = train(model, ds, cfg, state=state)
+        assert history == []
+        assert _train_state_bytes(again, [], state) == before
+
+    def test_caches_consumed_in_place_give_the_held_cache_run(self, monkeypatch):
+        # Reference: every backward kernel gets a deep copy of its cache while
+        # the original is held to the end, so no buffer is released early or
+        # overwritten under a later reader. The consuming run must match it
+        # bit for bit: history, best and live weights, Adam moments, RNG state.
+        hyper = dataclasses.replace(MICRO, history=5, horizon=4, hidden=6, dropout=0.3)
+        ds = synthetic_dataset(n_train=9, n_val=3, hyper=hyper)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=100, seed=21)
+        consumed = _train_state_bytes(*train(init_model(hyper, seed=8), ds, cfg))
+
+        held = []
+
+        def holding(kernel):
+            def run(cache, *grads):
+                held.append(cache)
+                return kernel(copy.deepcopy(cache), *grads)
+            return run
+
+        for name in ("dense_backward", "embedding_backward", "dropout_backward",
+                     "lstm_sequence_backward", "attention_sequence_backward"):
+            monkeypatch.setattr(nn, name, holding(getattr(nn, name)))
+        reference = _train_state_bytes(*train(init_model(hyper, seed=8), ds, cfg))
+        assert len(held) == 3 * 3 * 11  # epochs * batches * kernel calls per step
+        assert consumed == reference
+
     def test_validation_runs_in_training_batches(self, monkeypatch):
         ds = synthetic_dataset(n_train=4, n_val=7)
         sizes = []
@@ -518,6 +586,94 @@ class TestTraining:
             write_history(out, [row], provenance=provenance)
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
+
+
+def _train_state_bytes(model, history, state):
+    """Every output of ``train`` as bytes, for exact comparison."""
+    named = model.named_params()
+    arrays = [named, state.best_params, state.live_params, state.adam.m, state.adam.v]
+    return (
+        json.dumps(history),
+        [(key, d[key].tobytes()) for d in arrays for key in sorted(d)],
+        json.dumps(state.rng_state),
+        (state.adam.t, state.adam.alpha, state.next_epoch, state.epochs_since_best),
+        repr(state.best_val_loss),
+    )
+
+
+# Activations far outweigh the weights here, so a step's peak is set by its
+# caches and the parameter-sized arrays show up on top of it.
+MEMORY_HYPER = Seq2SeqHyper(
+    feature_dim=4, history=32, horizon=32, num_beams=6, hidden=16, embed_dim=4, dropout=0.2
+)
+MEMORY_BATCH = 32
+
+
+def _traced_peak(traced_memory, call) -> int:
+    _, retained, above = traced_memory(call)
+    return retained + above
+
+
+def _param_bytes(model) -> int:
+    return sum(arr.nbytes for arr in model.named_params().values())
+
+
+class TestTrainingMemory:
+    def test_dec_l2_cache_released_before_dec_l1_backward(self, monkeypatch, traced_memory):
+        # H small against S*B, so that dec_l2's cache outweighs the gradients
+        # its backward leaves held (its weight grads, dh2 and dc2)
+        hyper = dataclasses.replace(MEMORY_HYPER, history=64, horizon=64, hidden=4)
+        model = init_model(hyper, seed=1)
+        feats, targets = synthetic_dataset(n_train=48, hyper=hyper).arrays("train")
+        entries = []
+        backward = nn.lstm_sequence_backward
+
+        def spy(cache, *grads):
+            held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
+            entries.append((tracemalloc.get_traced_memory()[0], held))
+            return backward(cache, *grads)
+
+        monkeypatch.setattr(nn, "lstm_sequence_backward", spy)
+        traced_memory(lambda: _batch_forward_backward(
+            model, feats, targets, np.random.default_rng(3)
+        ))
+        (at_dec_l2, dec_l2_cache), (at_dec_l1, _) = entries[:2]
+        assert len(entries) == 4  # dec_l2, dec_l1, enc_l2, enc_l1
+        assert at_dec_l2 - at_dec_l1 >= dec_l2_cache
+
+    def test_no_stale_gradients_across_batches(self, traced_memory):
+        one = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
+        three = synthetic_dataset(n_train=3 * MEMORY_BATCH, hyper=MEMORY_HYPER)
+        cfg = TrainConfig(batch_size=MEMORY_BATCH, max_epochs=1, seed=4)
+        peaks = [
+            _traced_peak(traced_memory, lambda: train(init_model(MEMORY_HYPER, 2), ds, cfg))
+            for ds in (one, three)
+        ]
+        # the two extra batches' features, labels and shuffle order stay held
+        hp = MEMORY_HYPER
+        extra = 2 * MEMORY_BATCH * (hp.history * hp.feature_dim + hp.horizon + 1) * 8
+        # the previous batch's gradients would add one parameter copy
+        assert peaks[1] - peaks[0] - extra < 0.5 * _param_bytes(init_model(hp, 2))
+
+    def test_one_epoch_holds_no_parameter_copy_beyond_adam(self, traced_memory):
+        ds = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
+        model = init_model(MEMORY_HYPER, seed=2)
+
+        def bare_step():
+            # the data a one-batch epoch holds: the split's arrays and the
+            # shuffled batch drawn from them
+            feats, targets = ds.arrays("train")
+            order = np.random.default_rng(4).permutation(len(feats))
+            return _batch_forward_backward(model, feats[order], targets[order],
+                                           np.random.default_rng(5))
+
+        bare = _traced_peak(traced_memory, bare_step)
+        cfg = TrainConfig(batch_size=MEMORY_BATCH, max_epochs=1, seed=4)
+        trained = _traced_peak(traced_memory, lambda: train(model, ds, cfg))
+        params = _param_bytes(model)
+        adam = 2 * params  # first and second moments
+        # an up-front copy of the initial weights would add a whole one
+        assert trained - bare - adam < 0.5 * params
 
 
 class TestCheckpoints:
