@@ -1,7 +1,7 @@
-"""Atomic file replacement, the npz container of checkpoints and channel
-grids (one uncompressed ``.npy`` member per array plus ``metadata.npy``, the
-UTF-8 JSON of a metadata object as uint8, read with ``allow_pickle=False``),
-and the type tests of file metadata values."""
+"""Atomic file replacement, the npz container of checkpoints (one
+uncompressed ``.npy`` member per array plus ``metadata.npy``, the UTF-8 JSON
+of a metadata object as uint8, read with ``allow_pickle=False``), and the type
+tests of file metadata values."""
 
 import json
 import math

@@ -242,7 +242,9 @@ def make_dataset(
     over the train rows in row order without copying them
     (``_train_statistics``). ``split_ratios`` must be a distribution: three
     finite shares >= 0 that sum to 1 within 1e-9, with a train share > 0;
-    other ratios raise ``ValueError``.
+    other ratios raise ``ValueError``, as do sizes (``num_trajectories``,
+    ``history``, ``horizon``, ``stride``, ``slots_per_trajectory``) that are
+    not ints >= 1, bools included; both before any trajectory is drawn.
 
     The windows are built as one batch: every trajectory is snapped to the
     grid in one ``snap_positions`` call, each kept trajectory draws its split
@@ -251,13 +253,17 @@ def make_dataset(
     read: features and labels are computed for those rows, as one batch
     each, so the finite check of ``preprocess_csi`` covers those rows only.
     """
+    for name, value in (("num_trajectories", num_trajectories), ("history", history),
+                        ("horizon", horizon)):
+        if not is_int(value, 1):
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if stride is None:
         stride = horizon
-    for name, value in (("history", history), ("horizon", horizon), ("stride", stride)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     if slots_per_trajectory is None:
         slots_per_trajectory = history + horizon
+    for name, value in (("stride", stride), ("slots_per_trajectory", slots_per_trajectory)):
+        if not is_int(value, 1):
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if slots_per_trajectory < history + horizon:
         raise ValueError(
             f"trajectories need at least T+K={history + horizon} slots, "

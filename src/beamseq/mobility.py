@@ -14,6 +14,8 @@ __all__ = ["Trajectory", "sample_trajectory", "TrajectoryError"]
 # uniform draws of a trajectory's initial speed (m/s) and acceleration (m/s^2)
 SPEED_RANGE = (10.0, 15.0)
 ACCEL_RANGE = (-3.0, 3.0)
+# draws tried before ``sample_trajectory`` gives up
+MAX_RETRIES = 1000
 
 
 class TrajectoryError(RuntimeError):
@@ -39,22 +41,17 @@ class Trajectory:
         return np.asarray(self.start) + s[:, None] * direction[None, :]
 
 
-def sample_trajectory(
-    scene: Scene,
-    rng: np.random.Generator,
-    num_slots: int,
-    max_retries: int = 1000,
-) -> Trajectory:
+def sample_trajectory(scene: Scene, rng: np.random.Generator, num_slots: int) -> Trajectory:
     """Draw start/heading/speed/acceleration so every slot position stays on
     the grid, speed from ``SPEED_RANGE`` and acceleration from
-    ``ACCEL_RANGE``, one slot every ``Trajectory.dt``. Bounded retries;
-    failure raises instead of truncating."""
+    ``ACCEL_RANGE``, one slot every ``Trajectory.dt``. At most ``MAX_RETRIES``
+    draws; failure raises instead of truncating."""
     grid: GridSpec = scene.grid
     x_lo = grid.origin[0]
     x_hi = grid.origin[0] + (grid.n_x - 1) * grid.spacing
     y_lo = grid.origin[1]
     y_hi = grid.origin[1] + (grid.n_y - 1) * grid.spacing
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         start = (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
         heading = rng.uniform(0.0, 2.0 * np.pi)
         v0 = rng.uniform(*SPEED_RANGE)
@@ -71,6 +68,6 @@ def sample_trajectory(
         ):
             return traj
     raise TrajectoryError(
-        f"no in-grid trajectory found after {max_retries} retries "
+        f"no in-grid trajectory found after {MAX_RETRIES} retries "
         f"(grid {grid.extent}, {num_slots} slots)"
     )

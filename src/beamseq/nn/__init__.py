@@ -34,7 +34,8 @@ fits a decoder without input feeding, whose layer inputs do not depend on the
 previous step's attention output. Attention returns the weights and the
 combined output ``tanh(W_c [context; q] + b)``, never the context itself.
 ``lstm_cell_*`` and ``attention_forward`` / ``attention_backward`` are the
-S = 1 and K = 1 slices of the sequence forms.
+S = 1 and K = 1 slices of the sequence forms. No model calls them; they stay
+because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
 
 Dropout, and so the training mode of every forward, is on exactly when a
 generator is passed: ``rng=None`` is inference. Adam's decay rates and

@@ -326,13 +326,17 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
 
 
 def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One step, (B, D) → (h, c, cache): ``lstm_sequence_forward`` at S = 1."""
+    """One step, (B, D) → (h, c, cache): ``lstm_sequence_forward`` at S = 1.
+
+    No model runs the single-step slices; they stay because the benchmark's
+    tracer (``perfbench/tracer.py``) wraps them by name."""
     h, c, cache = lstm_sequence_forward(p, x[None], h_prev, c_prev)
     return h[0], c, cache
 
 
 def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
-    """Backward through one step; returns (param grads, dx, dh_prev, dc_prev)."""
+    """Backward through one step; returns (param grads, dx, dh_prev, dc_prev).
+    Kept only for the benchmark's tracer; see ``lstm_cell_forward``."""
     grads, dx, dh_prev, dc_prev = lstm_sequence_backward(cache, grad_h[None], grad_c)
     return grads, dx[0], dh_prev, dc_prev
 
@@ -457,13 +461,15 @@ def attention_sequence_backward(cache, grad_combined: np.ndarray):
 
 def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
     """One decoder step, query (B, H): ``attention_sequence_forward`` at K = 1.
-    Returns (weights (B, T), combined (B, H), cache)."""
+    Returns (weights (B, T), combined (B, H), cache). Kept only for the
+    benchmark's tracer; see ``lstm_cell_forward``."""
     weights, combined, cache = attention_sequence_forward(p, query[:, None], enc_states)
     return weights[:, 0], combined[:, 0], cache
 
 
 def attention_backward(cache, grad_combined: np.ndarray):
-    """Backward from the combined output (B, H); returns (param grads, dquery, denc)."""
+    """Backward from the combined output (B, H); returns (param grads, dquery,
+    denc). Kept only for the benchmark's tracer; see ``lstm_cell_forward``."""
     grads, dquery, denc = attention_sequence_backward(cache, grad_combined[:, None])
     return grads, dquery[:, 0], denc
 

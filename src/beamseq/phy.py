@@ -9,7 +9,7 @@ Conventions used throughout:
   every phase term;
 * the receiver is a single antenna, so a channel is a length-N complex vector
   seen from the base-station array;
-* received signal strength pairs a channel h with a unit-norm codeword f as
+* a unit-norm codeword f serves a channel h with received signal strength
   |h^H f|^2 (conjugate-transpose inner product).
 """
 
@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._files import is_int
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -31,10 +33,8 @@ __all__ = [
     "synthesize_channels",
     "synthesize_channel",
     "build_dft_codebook",
-    "received_signal_strength",
     "best_beams",
     "optimal_beam",
-    "spectral_efficiency",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -49,7 +49,7 @@ class OutageError(RuntimeError):
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """A uniform linear array: element count, spacing, and carrier.
+    """A uniform linear array: element count and spacing.
 
     ``spacing_wavelengths`` is the inter-element distance as a multiple of the
     carrier wavelength (0.5 is the classic half-wavelength ULA).
@@ -57,19 +57,12 @@ class ArrayGeometry:
 
     num_antennas: int
     spacing_wavelengths: float = 0.5
-    carrier_hz: float = 28e9
 
     def __post_init__(self) -> None:
-        if self.num_antennas < 1:
-            raise ValueError(f"num_antennas must be >= 1, got {self.num_antennas}")
+        if not is_int(self.num_antennas, 1):
+            raise ValueError(f"num_antennas must be an int >= 1, got {self.num_antennas!r}")
         if not (self.spacing_wavelengths > 0):
             raise ValueError(f"spacing must be > 0, got {self.spacing_wavelengths}")
-        if not (self.carrier_hz > 0):
-            raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 @dataclass(frozen=True)
@@ -132,11 +125,6 @@ class Codebook:
     @property
     def num_beams(self) -> int:
         return self.matrix.shape[1]
-
-    def codeword(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.num_beams:
-            raise ValueError(f"beam index {index} out of range [0, {self.num_beams})")
-        return self.matrix[:, index]
 
 
 def _checked_angles(angle) -> np.ndarray:
@@ -253,19 +241,6 @@ def build_dft_codebook(num_beams: int, num_antennas: int) -> Codebook:
     return Codebook(matrix=mat)
 
 
-def _as_vector(h) -> np.ndarray:
-    return h.coefficients if isinstance(h, ChannelSnapshot) else np.asarray(h)
-
-
-def received_signal_strength(h, f: np.ndarray) -> float:
-    """|h^H f|^2 for channel h and beamforming vector f."""
-    hv = _as_vector(h)
-    fv = np.asarray(f)
-    if hv.shape != fv.shape:
-        raise ValueError(f"dimension mismatch: channel {hv.shape} vs codeword {fv.shape}")
-    return float(np.abs(np.vdot(hv, fv)) ** 2)
-
-
 def best_beams(h, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive search for channels h (..., N): (labels, rss), the codeword
     maximizing |h^H f|^2 (ties to the lowest index) and that maximum."""
@@ -275,8 +250,9 @@ def best_beams(h, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
 
 def optimal_beam(h, cb: Codebook) -> int:
-    """Index of the codeword maximizing |h^H f|^2, ties to the lowest index."""
-    hv = _as_vector(h)
+    """Index of the codeword maximizing |h^H f|^2 for one channel h (N,), ties
+    to the lowest index: the one-row ``best_beams``."""
+    hv = np.asarray(h)
     if hv.shape[0] != cb.num_antennas:
         raise ValueError(
             f"dimension mismatch: channel {hv.shape[0]} vs codebook {cb.num_antennas}"
@@ -284,10 +260,3 @@ def optimal_beam(h, cb: Codebook) -> int:
     if not np.any(hv):
         raise OutageError("zero channel: optimal beam undefined (outage)")
     return int(best_beams(hv, cb)[0])
-
-
-def spectral_efficiency(h, f: np.ndarray, tx_snr: float) -> float:
-    """log2(1 + tx_snr * |h^H f|^2) in bits/s/Hz, for linear tx_snr > 0."""
-    if not (tx_snr > 0):
-        raise ValueError(f"tx_snr must be positive, got {tx_snr}")
-    return float(np.log2(1.0 + tx_snr * received_signal_strength(h, f)))

@@ -24,8 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._files import load_npz, save_npz
-from .phy import ArrayGeometry, PathComponent, synthesize_channels
+from .phy import SPEED_OF_LIGHT, ArrayGeometry, PathComponent, synthesize_channels
 
 __all__ = [
     "Wall",
@@ -35,7 +34,6 @@ __all__ = [
     "Scene",
     "SceneParams",
     "generate_scene",
-    "trace_paths",
     "ChannelGrid",
     "build_channel_grid",
     "snap_positions",
@@ -112,12 +110,6 @@ class GridSpec:
         out[:, 1] = np.tile(ys, self.n_x)
         return out
 
-    def point_at(self, flat_index: int) -> np.ndarray:
-        ix, iy = divmod(int(flat_index), self.n_y)
-        return np.array(
-            [self.origin[0] + self.spacing * ix, self.origin[1] + self.spacing * iy]
-        )
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -131,8 +123,6 @@ class Scene:
 
     @property
     def wavelength_m(self) -> float:
-        from .phy import SPEED_OF_LIGHT
-
         return SPEED_OF_LIGHT / self.carrier_hz
 
     def station(self, bs_id: str) -> BaseStation:
@@ -141,8 +131,7 @@ class Scene:
         return self.stations[bs_id]
 
     def to_dict(self) -> dict:
-        """The fields as JSON-ready values; a station flattens its geometry,
-        whose carrier is the scene's."""
+        """The fields as JSON-ready values; a station flattens its geometry."""
         stations = {
             sid: {"position": bs.position, "height": bs.height, "boresight": bs.boresight,
                   "num_antennas": bs.geometry.num_antennas,
@@ -154,31 +143,6 @@ class Scene:
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _tupled(entry: dict) -> dict:
-    """A ``to_dict`` entry with its JSON lists back as tuples."""
-    return {key: tuple(v) if isinstance(v, list) else v for key, v in entry.items()}
-
-
-def scene_from_dict(data: dict) -> Scene:
-    """The ``Scene`` that ``to_dict`` wrote, also after a JSON round trip."""
-    stations = {
-        sid: BaseStation(
-            bs_id=sid, position=tuple(s["position"]), height=s["height"], boresight=s["boresight"],
-            geometry=ArrayGeometry(s["num_antennas"], s["spacing_wavelengths"], data["carrier_hz"]),
-        )
-        for sid, s in data["stations"].items()
-    }
-    return Scene(
-        carrier_hz=data["carrier_hz"],
-        rx_height=data["rx_height"],
-        stations=stations,
-        walls=tuple(Wall(**_tupled(w)) for w in data["walls"]),
-        scatterers=tuple(Scatterer(**_tupled(s)) for s in data["scatterers"]),
-        grid=GridSpec(**_tupled(data["grid"])),
-        seed=data["seed"],
-    )
 
 
 @dataclass
@@ -224,9 +188,7 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
             height=height,
             boresight=boresight,
             geometry=ArrayGeometry(
-                num_antennas=n_ant,
-                spacing_wavelengths=params.antenna_spacing_wavelengths,
-                carrier_hz=params.carrier_hz,
+                num_antennas=n_ant, spacing_wavelengths=params.antenna_spacing_wavelengths
             ),
         )
 
@@ -451,36 +413,13 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
     return gains, aods, aoas, valid
 
 
-def trace_paths(scene: Scene, bs_id: str, point) -> list[PathComponent]:
-    """Propagation paths from one BS to a single receiver point.
-
-    Returns [] when every path is blocked (the caller maps that to outage).
-    Slot order is LoS, then reflections in wall order, then scatterers. A
-    point that ``snap_positions`` rejects, more than half a spacing beyond the
-    outermost grid points, raises ``ValueError``.
-    """
-    point = np.asarray(point, dtype=float)
-    snap_positions(point, scene.grid)
-    rows = _trace_points(scene, scene.station(bs_id), point[None, :])
-    return _path_list(*(table[0] for table in rows))
-
-
-def _path_list(gains, aods, aoas, valid) -> list[PathComponent]:
-    """The valid slots of one path-table row, in slot order."""
-    return [
-        PathComponent(gain=complex(gains[s]), aod=float(aods[s]), aoa=float(aoas[s]))
-        for s in np.flatnonzero(valid)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # channel grid
 
 
-# ChannelGrid table fields and their npz key suffixes; the four path tables
-# come first, in the order ``_trace_points`` returns them.
-_TABLES = (("path_gains", "gains"), ("path_aods", "aods"), ("path_aoas", "aoas"),
-           ("path_valid", "valid"), ("snapshots", "snapshots"))
+# ChannelGrid table fields; the four path tables come first, in the order
+# ``_trace_points`` returns them.
+_TABLES = ("path_gains", "path_aods", "path_aoas", "path_valid", "snapshots")
 
 
 @dataclass
@@ -496,33 +435,15 @@ class ChannelGrid:
     snapshots: dict[str, np.ndarray]  # (M, N_bs) complex
 
     def paths_at(self, bs_id: str, flat_index: int) -> list[PathComponent]:
-        return _path_list(*(getattr(self, f)[bs_id][flat_index] for f, _ in _TABLES[:4]))
+        """The valid path slots of one grid point, in slot order."""
+        gains, aods, aoas, valid = (getattr(self, f)[bs_id][flat_index] for f in _TABLES[:4])
+        return [
+            PathComponent(gain=complex(gains[s]), aod=float(aods[s]), aoa=float(aoas[s]))
+            for s in np.flatnonzero(valid)
+        ]
 
     def outage(self, bs_id: str) -> np.ndarray:
         return ~self.path_valid[bs_id].any(axis=1)
-
-    def save(self, path) -> None:
-        arrays = {
-            f"{bs_id}__{key}": getattr(self, name)[bs_id]
-            for bs_id in self.bs_ids
-            for name, key in _TABLES
-        }
-        save_npz(path, arrays, {"scene": self.scene.to_dict(), "bs_ids": list(self.bs_ids)})
-
-    @classmethod
-    def load(cls, path) -> "ChannelGrid":
-        """Read a ``save`` file; a malformed one raises ``ValueError``."""
-        arrays, meta = load_npz(path, ValueError)
-        try:
-            scene = scene_from_dict(meta["scene"])
-            bs_ids = tuple(meta["bs_ids"])
-            tables = {
-                name: {bs_id: arrays[f"{bs_id}__{key}"] for bs_id in bs_ids}
-                for name, key in _TABLES
-            }
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"bad channel grid file: {exc!r}") from exc
-        return cls(scene=scene, bs_ids=bs_ids, **tables)
 
 
 def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> ChannelGrid:
@@ -533,7 +454,7 @@ def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> C
     points = scene.grid.points()
     m = points.shape[0]
     n_slots = 1 + len(scene.walls) + len(scene.scatterers)
-    grid = ChannelGrid(scene=scene, bs_ids=tuple(bs_ids), **{f: {} for f, _ in _TABLES})
+    grid = ChannelGrid(scene=scene, bs_ids=tuple(bs_ids), **{f: {} for f in _TABLES})
     for bs_id in grid.bs_ids:
         bs = scene.station(bs_id)
         tables = (  # in _TABLES order
@@ -548,7 +469,7 @@ def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> C
             snaps = synthesize_channels(rows[0], rows[1], bs.geometry)
             for table, block in zip(tables, (*rows, snaps)):
                 table[lo : lo + _CHUNK] = block
-        for (name, _), table in zip(_TABLES, tables):
+        for name, table in zip(_TABLES, tables):
             getattr(grid, name)[bs_id] = table
     return grid
 

@@ -125,11 +125,8 @@ class TestGridDerived:
         for idx in rng.choice(len(labels), size=20, replace=False):
             h = grid.snapshots["rsu1"][idx]
             assert labels[idx] == optimal_beam(h, codebook)
-            from beamseq.phy import received_signal_strength
-
-            assert rss[idx] == pytest.approx(
-                received_signal_strength(h, codebook.codeword(int(labels[idx]))), rel=1e-12
-            )
+            f = codebook.matrix[:, labels[idx]]
+            assert rss[idx] == pytest.approx(abs(np.sum(np.conj(h) * f)) ** 2, rel=1e-12)
 
 
 def reference_make_dataset(scene, grid, source_bs, target_rsu, num_trajectories, codebook,
@@ -391,11 +388,30 @@ class TestMakeDataset:
     )
     def test_window_arguments_below_one_rejected(self, small_world, name, value):
         scene, grid, codebook = small_world
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
             make_dataset(
                 scene, grid, "rsu0", "rsu1", 5, codebook, seed=1, slots_per_trajectory=100,
                 **{name: value},
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("history", True), ("history", 5.0), ("horizon", 2.0), ("stride", 2.5),
+         ("stride", False), ("num_trajectories", 3.0), ("num_trajectories", 0),
+         ("num_trajectories", True), ("slots_per_trajectory", 100.0),
+         ("slots_per_trajectory", np.int64(100))],
+    )
+    def test_window_sizes_not_ints_rejected(self, small_world, monkeypatch, name, value):
+        # rejected before any trajectory is drawn, bools and floats included
+        scene, grid, codebook = small_world
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trajectory drawn")
+
+        monkeypatch.setattr(data, "sample_trajectory", no_draw)
+        kwargs = {"num_trajectories": 5, "slots_per_trajectory": 100, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            make_dataset(scene, grid, "rsu0", "rsu1", codebook=codebook, seed=1, **kwargs)
 
     def test_matches_item_by_item_reference(self, tmp_path, small_world):
         # outage on a band of rows drops some trajectories but not all;

@@ -2,7 +2,6 @@
 
 import inspect
 import io
-import math
 import textwrap
 import zipfile
 
@@ -53,6 +52,12 @@ from beamseq.seq2seq import (
     _decode_teacher_batch,
     _encode_batch,
     init_model,
+)
+from oracles import (
+    term_by_term_attention,
+    term_by_term_attention_backward,
+    term_by_term_lstm_cell,
+    term_by_term_lstm_cell_backward,
 )
 
 
@@ -304,38 +309,6 @@ class TestAttention:
             attention_sequence_forward(p, np.zeros((2, 3, 4)), np.zeros((1, 5, 4)))
 
 
-def term_by_term_attention(p, query, enc):
-    """weights (B, K, T) and combined (B, K, H) of the general score
-    qᵀ W_score h_t and the combine layer tanh(W_c [context; q] + b), each
-    term summed in Python loops over b, k, t and the hidden units."""
-    b_size, k_size, hid = query.shape
-    t_size = enc.shape[1]
-    weights = np.empty((b_size, k_size, t_size))
-    combined = np.empty((b_size, k_size, hid))
-    for b in range(b_size):
-        for k in range(k_size):
-            q = query[b, k]
-            scores = [
-                math.fsum(q[i] * p.w_score[i, j] * enc[b, t, j]
-                          for i in range(hid) for j in range(hid))
-                for t in range(t_size)
-            ]
-            exps = [math.exp(score - max(scores)) for score in scores]
-            for t in range(t_size):
-                weights[b, k, t] = exps[t] / math.fsum(exps)
-            context = [
-                math.fsum(weights[b, k, t] * enc[b, t, j] for t in range(t_size))
-                for j in range(hid)
-            ]
-            cat = context + list(q)
-            for o in range(hid):
-                combined[b, k, o] = math.tanh(
-                    math.fsum(p.w_combine[o, j] * cat[j] for j in range(2 * hid))
-                    + p.b_combine[o]
-                )
-    return weights, combined
-
-
 class TestAttentionMatchesTermByTerm:
     @pytest.mark.parametrize("b, k, t, hid", [(2, 3, 5, 4), (3, 1, 4, 6), (2, 2, 1, 3)])
     def test_memory_and_attend(self, b, k, t, hid):
@@ -352,6 +325,60 @@ class TestAttentionMatchesTermByTerm:
             weights1, combined1, _ = attention_forward(p, query[:, 0], enc)
             outputs += [(weights1, want_weights[:, 0]), (combined1, want_combined[:, 0])]
         for got, want in outputs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b, k, t, hid", [(2, 3, 5, 4), (3, 1, 4, 6), (2, 2, 1, 3)])
+    def test_sequence_backward(self, b, k, t, hid):
+        rng = rng_for(41 + k)
+        p = init_attention(rng, hid)
+        p.b_combine[...] = rng.normal(size=hid)
+        query = rng.normal(size=(b, k, hid))
+        enc = rng.normal(size=(b, t, hid))
+        grad = rng.normal(size=(b, k, hid))
+        weights, combined = term_by_term_attention(p, query, enc)
+        want_grads, want_dq, want_denc = term_by_term_attention_backward(
+            p, query, enc, weights, combined, grad
+        )
+        _, _, cache = attention_sequence_forward(p, query, enc)
+        grads, dq, denc = attention_sequence_backward(cache, grad)
+        pairs = [(dq, want_dq), (denc, want_denc)]
+        pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestLstmMatchesTermByTerm:
+    @pytest.mark.parametrize("s, b, d, hid", [(4, 2, 3, 5), (1, 3, 6, 4), (3, 1, 2, 2)])
+    def test_sequence_forward_and_backward(self, s, b, d, hid):
+        # the sequence kernel against the term-by-term cell stepped S times
+        rng = rng_for(50 + s)
+        p = init_lstm(rng, d, hid)
+        p.b[...] = rng.normal(size=4 * hid)
+        x = rng.normal(size=(s, b, d))
+        h0, c0 = rng.normal(size=(b, hid)), rng.normal(size=(b, hid))
+        grad_h, grad_c = rng.normal(size=(s, b, hid)), rng.normal(size=(b, hid))
+        h, c, caches = h0, c0, []
+        want_h = np.empty((s, b, hid))
+        for t in range(s):
+            want_h[t], c, cache = term_by_term_lstm_cell(p, x[t], h, c)
+            h = want_h[t]
+            caches.append(cache)
+        want_c = c
+        want_grads = nn.LSTMParams(*(np.zeros_like(arr) for _, arr in params_items(p)))
+        want_dx = np.empty_like(x)
+        dh, dc = np.zeros((b, hid)), grad_c
+        for t in reversed(range(s)):
+            g, want_dx[t], dh, dc = term_by_term_lstm_cell_backward(caches[t], grad_h[t] + dh, dc)
+            nn.accumulate_params(want_grads, g)
+
+        got_h, got_c, cache = lstm_sequence_forward(p, x, h0, c0)
+        pairs = [(got_h, want_h), (got_c, want_c)]
+        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, grad_h, grad_c)
+        pairs += [(dx, want_dx), (dh0, dh), (dc0, dc)]
+        pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
+        for got, want in pairs:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -711,6 +738,24 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         loaded, meta = load_tensors(path)
         np.testing.assert_array_equal(loaded["a"], np.arange(3.0))
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        # the archive write itself fails part way, after the temp file opened
+        path = tmp_path / "model"  # no ".npz" suffix is appended
+        save_tensors(path, [("a", np.arange(3.0))], {"k": 1})
+        before = path.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(OSError):
+            save_tensors(path, [("a", np.zeros(3))], {})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_tensors(path)[0]["a"], np.arange(3.0))
         assert list(tmp_path.iterdir()) == [path]
 
     def test_truncation_rejected(self, tmp_path):

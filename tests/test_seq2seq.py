@@ -32,6 +32,12 @@ from beamseq.seq2seq import (
     train,
     write_history,
 )
+from oracles import (
+    term_by_term_attention,
+    term_by_term_attention_backward,
+    term_by_term_lstm_cell,
+    term_by_term_lstm_cell_backward,
+)
 
 MICRO = Seq2SeqHyper(
     feature_dim=3, history=2, horizon=2, num_beams=5, hidden=4, embed_dim=6, dropout=0.0
@@ -261,10 +267,24 @@ def _zeros_like(params):
     return type(params)(**{name: np.zeros_like(arr) for name, arr in params_items(params)})
 
 
+def attend(p, query, enc_states):
+    """One decoder step of ``term_by_term_attention``, query (B, H): returns
+    (combined (B, H), the backward's arguments)."""
+    weights, combined = term_by_term_attention(p, query[:, None], enc_states)
+    return combined[:, 0], (p, query[:, None], enc_states, weights, combined)
+
+
+def attend_backward(cache, grad_combined):
+    grads, dquery, denc = term_by_term_attention_backward(*cache, grad_combined[:, None])
+    return grads, dquery[:, 0], denc
+
+
 def per_step_forward_backward(model, feats, targets, rng):
     """Oracle for ``_batch_forward_backward``: the teacher-forced training step
     run one time step at a time through every layer, with one dropout draw per
-    step, and the backward pass accumulating per-step parameter gradients."""
+    step, and the backward pass accumulating per-step parameter gradients.
+    The LSTM and attention steps are the term-by-term oracles of
+    ``tests/oracles.py``, not slices of the kernels under test."""
     hp = model.hyper
     b, t, _ = feats.shape
     h, k_steps = hp.hidden, hp.horizon
@@ -277,9 +297,9 @@ def per_step_forward_backward(model, feats, targets, rng):
     states = np.empty((b, t, h))
     enc_steps = []
     for k in range(t):
-        h1, c1, cache1 = nn.lstm_cell_forward(model.enc_l1, x[:, k], h1, c1)
+        h1, c1, cache1 = term_by_term_lstm_cell(model.enc_l1, x[:, k], h1, c1)
         mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng)
-        h2, c2, cache2 = nn.lstm_cell_forward(model.enc_l2, mid, h2, c2)
+        h2, c2, cache2 = term_by_term_lstm_cell(model.enc_l2, mid, h2, c2)
         states[:, k] = h2
         enc_steps.append((cache1, drop_cache, cache2))
 
@@ -288,10 +308,10 @@ def per_step_forward_backward(model, feats, targets, rng):
     dec_steps = []
     for k in range(k_steps):
         embedded, ecache = nn.embedding_forward(model.emb, tokens[:, k])
-        h1, c1, cache1 = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
+        h1, c1, cache1 = term_by_term_lstm_cell(model.dec_l1, embedded, h1, c1)
         mid, drop_cache = nn.dropout_forward(h1, hp.dropout, rng)
-        h2, c2, cache2 = nn.lstm_cell_forward(model.dec_l2, mid, h2, c2)
-        _, combined, acache = nn.attention_forward(model.att, h2, states)
+        h2, c2, cache2 = term_by_term_lstm_cell(model.dec_l2, mid, h2, c2)
+        combined, acache = attend(model.att, h2, states)
         logits[:, k], ocache = nn.dense_forward(model.out, combined)
         dec_steps.append((ecache, cache1, drop_cache, cache2, acache, ocache))
     losses, d_flat = nn.softmax_cross_entropy_batch(
@@ -304,10 +324,10 @@ def per_step_forward_backward(model, feats, targets, rng):
     for k in reversed(range(k_steps)):
         ecache, cache1, drop_cache, cache2, acache, ocache = dec_steps[k]
         g_out, d_comb = nn.dense_backward(ocache, d_logits[:, k])
-        g_att, d_query, d_enc = nn.attention_backward(acache, d_comb)
-        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_query + dh2, dc2)
+        g_att, d_query, d_enc = attend_backward(acache, d_comb)
+        g2, d_mid, dh2, dc2 = term_by_term_lstm_cell_backward(cache2, d_query + dh2, dc2)
         d_mid = nn.dropout_backward(drop_cache, d_mid)
-        g1, d_emb, dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
+        g1, d_emb, dh1, dc1 = term_by_term_lstm_cell_backward(cache1, d_mid + dh1, dc1)
         d_states += d_enc
         for layer, g in (("out", g_out), ("att", g_att), ("dec_l2", g2), ("dec_l1", g1),
                          ("emb", nn.embedding_backward(ecache, d_emb))):
@@ -315,9 +335,9 @@ def per_step_forward_backward(model, feats, targets, rng):
     dx = np.empty((b, t, h))
     for k in reversed(range(t)):
         cache1, drop_cache, cache2 = enc_steps[k]
-        g2, d_mid, dh2, dc2 = nn.lstm_cell_backward(cache2, d_states[:, k] + dh2, dc2)
+        g2, d_mid, dh2, dc2 = term_by_term_lstm_cell_backward(cache2, d_states[:, k] + dh2, dc2)
         d_mid = nn.dropout_backward(drop_cache, d_mid)
-        g1, dx[:, k], dh1, dc1 = nn.lstm_cell_backward(cache1, d_mid + dh1, dc1)
+        g1, dx[:, k], dh1, dc1 = term_by_term_lstm_cell_backward(cache1, d_mid + dh1, dc1)
         nn.accumulate_params(grads["enc_l2"], g2)
         nn.accumulate_params(grads["enc_l1"], g1)
     flat = nn.dropout_backward(drop_in_cache, dx.reshape(b * t, h))
@@ -327,16 +347,17 @@ def per_step_forward_backward(model, feats, targets, rng):
 
 
 def per_step_greedy(model, enc, horizon):
-    """Oracle for greedy decoding: every decoder layer one step at a time."""
+    """Oracle for greedy decoding: every decoder layer one step at a time,
+    the LSTM and attention steps term by term."""
     b = enc.states.shape[0]
     tokens = np.full(b, model.hyper.start_token)
     h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
     labels = np.empty((b, horizon), dtype=np.int64)
     for k in range(horizon):
         embedded, _ = nn.embedding_forward(model.emb, tokens)
-        h1, c1, _ = nn.lstm_cell_forward(model.dec_l1, embedded, h1, c1)
-        h2, c2, _ = nn.lstm_cell_forward(model.dec_l2, h1, h2, c2)
-        _, combined, _ = nn.attention_forward(model.att, h2, enc.states)
+        h1, c1, _ = term_by_term_lstm_cell(model.dec_l1, embedded, h1, c1)
+        h2, c2, _ = term_by_term_lstm_cell(model.dec_l2, h1, h2, c2)
+        combined, _ = attend(model.att, h2, enc.states)
         logits, _ = nn.dense_forward(model.out, combined)
         labels[:, k] = tokens = np.argmax(logits, axis=1)
     return labels
