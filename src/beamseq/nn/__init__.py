@@ -20,10 +20,14 @@ input and the part that steps. ``lstm_input_product`` forms ``x W_xᵀ + b``,
 bias included, as one GEMM over all S*B rows; ``lstm_recurrence`` then adds
 only ``h W_hᵀ`` per step. ``lstm_sequence_forward`` runs the two, and its
 backward does the weight and input gradients as one GEMM each over all S*B
-rows. The LSTM cache holds the h and c stacks and the gate activations, not
-tanh(c): the backward pass recomputes tanh(c) from c one step at a time,
-which saves an (S, B, H) stack per layer. A greedy decoder instead feeds the
-recurrence rows of an input-product table with one row per token.
+rows. The LSTM cache holds the gate activations and the initial state
+(h0, c0), and no h, c or tanh(c) stack. The backward pass first rebuilds the
+c stack from c0 and the gates, then recomputes tanh(c) and h = o*tanh(c) one
+step at a time, each with the forward's ufuncs in its order, so every value
+and gradient equals that of a cached stack bit for bit. An elementwise sweep
+per layer, and no GEMM, replaces two (S+1, B, H) stacks per layer. A greedy
+decoder instead feeds the recurrence rows of an input-product table with one
+row per token.
 
 Attention uses the general score qᵀ W_score h_t. ``attention_memory_forward``
 projects the encoder states once per encoding into keys ``W_score h_t`` and

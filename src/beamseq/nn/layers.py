@@ -238,10 +238,11 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
 
     i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
     Each step adds only ``h W_hᵀ`` before the gates and the cell. The gate
-    activations overwrite ``act``; h and c are kept as (S+1, B, H) stacks, and
-    the returned h (S, B, H) is a view of its stack. tanh(c) goes through one
-    (B, H) buffer and is not kept: the cache holds (hs, cs, act), and the
-    backward pass recomputes tanh(c) from cs. Returns (h, c_S, cache).
+    activations overwrite ``act``; c is carried as one (B, H) array, a copy
+    of c0, and tanh(c) goes through one (B, H) buffer. The cache is
+    (h0, c0, act), h0 and c0 by reference, and holds no h or c stack: the
+    backward pass rebuilds both from the gate activations, so neither the
+    returned h nor c is cached. Returns (h (S, B, H), c_S, cache).
     """
     hid = p.hidden_size
     if act.ndim != 3 or act.shape[2] != 4 * hid:
@@ -249,25 +250,24 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
     s, b, _ = act.shape
     if h0.shape != (b, hid) or c0.shape != (b, hid):
         raise ValueError(f"lstm state shapes {h0.shape}, {c0.shape} vs (B, H) = {(b, hid)}")
-    hs = np.empty((s + 1, b, hid))
-    cs = np.empty((s + 1, b, hid))
+    h = np.empty((s, b, hid))
+    c = c0.astype(np.float64)
     tc = np.empty((b, hid))
-    hs[0] = h0
-    cs[0] = c0
+    h_prev = h0
     for t in range(s):
         a = act[t]
-        a += hs[t] @ p.wh.T
+        a += h_prev @ p.wh.T
         i, f, g, o = _gate_blocks(a)
         _sigmoid_(a[:, : 2 * hid])  # i and f together
         np.tanh(g, out=g)
         _sigmoid_(o)
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
-        np.tanh(cs[t + 1], out=tc)
-        np.multiply(o, tc, out=hs[t + 1])
-    if not np.all(np.isfinite(hs[1:])):
+        np.multiply(f, c, out=c)
+        c += i * g
+        np.tanh(c, out=tc)
+        h_prev = np.multiply(o, tc, out=h[t])
+    if not np.all(np.isfinite(h)):
         raise NumericError("non-finite LSTM activation")
-    return hs[1:], cs[s], (hs, cs, act)
+    return h, c, (h0, c0, act)
 
 
 def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
@@ -304,25 +304,41 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     h (S, B, H) and on the final c (B, H); returns (param grads, dx (S, B, D),
     dh0, dc0).
 
-    The loop runs only the step math; the weight gradients and dx are one GEMM
-    each over all S*B rows after it. Each step recomputes tanh(c) from the
-    cached c stack, the same ufunc on the same values as the forward pass, so
-    the gradients equal those from a cached tanh(c) bit for bit. It consumes
-    the cache: the activation buffer is overwritten with dz, the c stack is
-    dropped after the loop and the input and h stack before dx is formed.
+    The c stack c_0 … c_S is rebuilt first from c0 and the cached gate
+    activations, with the forward's ufuncs in its order (``f * c_prev``, then
+    ``+= i * g``). The reverse loop recomputes tanh(c) from it one step at a
+    time and, before dz overwrites o, forms h_{t+1} = o_t * tanh(c_{t+1}) into
+    the stack of recurrence inputs h_0 … h_{S-1}. So every value equals the
+    forward's bit for bit, and the gradients equal those from cached stacks.
+    The weight gradients and dx are one GEMM each over all S*B rows after the
+    loop. It consumes the cache: the activation buffer is overwritten with dz,
+    the c stack is dropped after the loop and the input and h stack before dx
+    is formed.
     """
-    p, x2, hs, cs, act = _consume(cache)
+    p, x2, h0, c0, act = _consume(cache)
     s, b, _ = act.shape
     hid = p.hidden_size
+    cs = np.empty((s + 1, b, hid))
+    cs[0] = c0
+    for t in range(s):
+        i, f, g, _ = _gate_blocks(act[t])
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+    hs = np.empty((s, b, hid))
+    hs[:1] = h0  # empty at S = 0
+    del h0, c0
     dh = np.zeros((b, hid))
     dc = grad_c
     for t in reversed(range(s)):
-        dh, dc = _lstm_step_backward(act[t], np.tanh(cs[t + 1]), cs[t], grad_h[t] + dh, dc, p.wh)
+        tc = np.tanh(cs[t + 1])
+        if t + 1 < s:  # h_{t+1} = o_t * tanh(c_{t+1}), before dz overwrites o_t
+            np.multiply(_gate_blocks(act[t])[3], tc, out=hs[t + 1])
+        dh, dc = _lstm_step_backward(act[t], tc, cs[t], grad_h[t] + dh, dc, p.wh)
     del cs
     dz = act.reshape(s * b, 4 * hid)
-    grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs[:-1].reshape(s * b, hid), b=dz.sum(axis=0))
+    grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs.reshape(s * b, hid), b=dz.sum(axis=0))
     del x2, hs
-    return grads, (dz @ p.wx).reshape(s, b, -1), dh, dc
+    return grads, (dz @ p.wx).reshape(s, b, p.input_size), dh, dc
 
 
 def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):

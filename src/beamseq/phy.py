@@ -252,11 +252,12 @@ def best_beams(h, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
 def optimal_beam(h, cb: Codebook) -> int:
     """Index of the codeword maximizing |h^H f|^2 for one channel h (N,), ties
     to the lowest index: the one-row ``best_beams``."""
-    hv = np.asarray(h)
-    if hv.shape[0] != cb.num_antennas:
+    if np.shape(h) != (cb.num_antennas,):
         raise ValueError(
-            f"dimension mismatch: channel {hv.shape[0]} vs codebook {cb.num_antennas}"
+            f"dimension mismatch: channel of shape {np.shape(h)} vs codebook "
+            f"({cb.num_antennas},)"
         )
+    hv = np.asarray(h)
     if not np.any(hv):
         raise OutageError("zero channel: optimal beam undefined (outage)")
     return int(best_beams(hv, cb)[0])

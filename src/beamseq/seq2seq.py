@@ -27,8 +27,11 @@ consumes its layer's cache (see ``nn``), and the step pops the caches in
 reverse layer order: the decoder's output projection, attention, ``dec_l2``,
 ``dec_l1`` and embedding, then the encoder's ``enc_l2``, ``enc_l1`` and input
 projection. So each layer's activations are gone before the layer below runs
-its backward, and nothing is recomputed. The previous batch's gradients are
-dropped before the next batch runs.
+its backward. An LSTM layer caches only its gate activations and rebuilds its
+h and c stacks in its backward (see ``nn``), so a layer's h output is held
+only by the layer that reads it: the encoder copies the final states into
+``EncoderOutput``, and with dropout on, a dropped copy replaces the output.
+The previous batch's gradients are dropped before the next batch runs.
 
 The batched passes take the dropout generator as ``rng``: training passes
 one, and ``rng=None`` is inference, with dropout off. Training and validation
@@ -165,11 +168,15 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
     zeros = np.zeros((b, h))
     x = proj.reshape(b, t, h).transpose(1, 0, 2)
     out1, c1, cache1 = nn.lstm_sequence_forward(model.enc_l1, x, zeros, zeros)
+    # the final h is copied so that it pins no layer's (T, B, H) output; with
+    # dropout on, the layer's output is gone once its dropped copy is made
+    h1 = out1[-1].copy()
     mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
+    del out1
     out2, c2, cache2 = nn.lstm_sequence_forward(model.enc_l2, mid, zeros, zeros)
     output = EncoderOutput(
         states=np.ascontiguousarray(out2.transpose(1, 0, 2)),
-        h1=out1[-1], c1=c1, h2=out2[-1], c2=c2,
+        h1=h1, c1=c1, h2=out2[-1].copy(), c2=c2,
     )
     return output, [dense_cache, drop_in_cache, cache1, drop_cache, cache2]
 
@@ -210,6 +217,7 @@ def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.n
         model.dec_l1, embedded.reshape(k_steps, b, -1), enc.h1, enc.c1
     )
     mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
+    del out1  # with dropout on, dec_l2 reads the dropped copy alone
     out2, _, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, enc.h2, enc.c2)
     _, combined, acache = nn.attention_sequence_forward(
         model.att, out2.transpose(1, 0, 2), enc.states

@@ -224,6 +224,30 @@ class TestLstmSequence:
         _, retained, _ = traced_memory(lambda: lstm_sequence_forward(p, x, zeros, zeros))
         assert retained < 6.5 * s * b * hid * 8
 
+    def test_forward_retains_no_h_or_c_stack(self, traced_memory):
+        # the input products (4 units of S*B*H floats) and the returned h (1
+        # unit); the backward pass rebuilds the h and c stacks, which would
+        # add (S+1)/S units each
+        s, b, hid = 30, 16, 64
+        rng = rng_for(36)
+        p = init_lstm(rng, hid, hid)
+        x = rng.normal(size=(s, b, hid))
+        zeros = np.zeros((b, hid))
+        _, retained, _ = traced_memory(lambda: lstm_sequence_forward(p, x, zeros, zeros))
+        assert retained < 5.5 * s * b * hid * 8
+
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_returned_c_never_aliases_c0(self, s):
+        rng = rng_for(37)
+        p = init_lstm(rng, 3, 4)
+        c0 = rng.normal(size=(2, 4))
+        kept = c0.copy()
+        _, c, cache = lstm_sequence_forward(p, rng.normal(size=(s, 2, 3)), np.zeros((2, 4)), c0)
+        assert not np.shares_memory(c, c0)
+        c += 1.0
+        lstm_sequence_backward(cache, np.ones((s, 2, 4)), np.ones((2, 4)))
+        np.testing.assert_array_equal(c0, kept)
+
     def test_non_finite_activation_raises(self):
         p = init_lstm(rng_for(33), 3, 4)
         x = np.zeros((3, 2, 3))
@@ -309,6 +333,14 @@ class TestAttention:
             attention_sequence_forward(p, np.zeros((2, 3, 4)), np.zeros((1, 5, 4)))
 
 
+def _assert_pairs_within_1e_12(pairs):
+    # each (got, want) to 1e-12 of want's largest magnitude; empty at S = 0
+    for got, want in pairs:
+        assert got.shape == want.shape
+        bound = 1e-12 * np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
 class TestAttentionMatchesTermByTerm:
     @pytest.mark.parametrize("b, k, t, hid", [(2, 3, 5, 4), (3, 1, 4, 6), (2, 2, 1, 3)])
     def test_memory_and_attend(self, b, k, t, hid):
@@ -344,13 +376,13 @@ class TestAttentionMatchesTermByTerm:
         grads, dq, denc = attention_sequence_backward(cache, grad)
         pairs = [(dq, want_dq), (denc, want_denc)]
         pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
-        for got, want in pairs:
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        _assert_pairs_within_1e_12(pairs)
 
 
 class TestLstmMatchesTermByTerm:
-    @pytest.mark.parametrize("s, b, d, hid", [(4, 2, 3, 5), (1, 3, 6, 4), (3, 1, 2, 2)])
+    @pytest.mark.parametrize(
+        "s, b, d, hid", [(4, 2, 3, 5), (1, 3, 6, 4), (3, 1, 2, 2), (0, 2, 3, 5)]
+    )
     def test_sequence_forward_and_backward(self, s, b, d, hid):
         # the sequence kernel against the term-by-term cell stepped S times
         rng = rng_for(50 + s)
@@ -378,9 +410,24 @@ class TestLstmMatchesTermByTerm:
         grads, dx, dh0, dc0 = lstm_sequence_backward(cache, grad_h, grad_c)
         pairs += [(dx, want_dx), (dh0, dh), (dc0, dc)]
         pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
-        for got, want in pairs:
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        _assert_pairs_within_1e_12(pairs)
+
+    def test_cell_forward_and_backward(self):
+        # the single-step slices against one term-by-term step
+        b, d, hid = 3, 4, 5
+        rng = rng_for(57)
+        p = init_lstm(rng, d, hid)
+        p.b[...] = rng.normal(size=4 * hid)
+        x, h0, c0 = rng.normal(size=(b, d)), rng.normal(size=(b, hid)), rng.normal(size=(b, hid))
+        grad_h, grad_c = rng.normal(size=(b, hid)), rng.normal(size=(b, hid))
+        want_h, want_c, want_cache = term_by_term_lstm_cell(p, x, h0, c0)
+        want_grads, *want_inputs = term_by_term_lstm_cell_backward(want_cache, grad_h, grad_c)
+
+        h, c, cache = lstm_cell_forward(p, x, h0, c0)
+        grads, *inputs = lstm_cell_backward(cache, grad_h, grad_c)
+        pairs = [(h, want_h), (c, want_c), *zip(inputs, want_inputs)]
+        pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
+        _assert_pairs_within_1e_12(pairs)
 
 
 class TestSoftmaxCrossEntropy:

@@ -460,6 +460,17 @@ class TestOptimalBeam:
         with pytest.raises(OutageError):
             optimal_beam(np.zeros(8, dtype=complex), cb)
 
+    @pytest.mark.parametrize(
+        "h",
+        [ChannelSnapshot(coefficients=np.ones(4, dtype=complex)), np.complex128(1.0),
+         np.ones((4, 3), dtype=complex), np.ones((4, 4), dtype=complex)],
+        ids=["snapshot", "scalar", "4x3", "4x4"],
+    )
+    def test_anything_but_one_n_vector_rejected(self, h):
+        # (4, 3) and (4, 4) pass a check of the leading dimension alone
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optimal_beam(h, build_dft_codebook(8, 4))
+
 
 class TestValidation:
     def test_codebook_rejects_unnormalized(self):

@@ -118,6 +118,14 @@ class TestEncode:
         assert enc.states.shape == (1, 2, 4)
         assert enc.h1.shape == (1, 4)
 
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(4)], ids=["infer", "train"])
+    def test_final_states_pin_no_layer_output(self, rng):
+        hyper = dataclasses.replace(MICRO, history=5, dropout=0.2)
+        enc, _ = _encode_batch(init_model(hyper, seed=1), np.ones((3, 5, 3)), rng)
+        for final in (enc.h1, enc.c1, enc.h2, enc.c2):
+            assert final.shape == (3, hyper.hidden)
+            assert final.base is None  # owns its B*H floats, not a (T, B, H) stack
+
     def test_wrong_length_rejected(self):
         model = micro_model()
         with pytest.raises(ValueError):
@@ -661,6 +669,24 @@ class TestTrainingMemory:
         (at_dec_l2, dec_l2_cache), (at_dec_l1, _) = entries[:2]
         assert len(entries) == 4  # dec_l2, dec_l1, enc_l2, enc_l1
         assert at_dec_l2 - at_dec_l1 >= dec_l2_cache
+
+    def test_attention_entry_holds_no_lstm_state_stack(self, phase_memory):
+        # On entry to attention the step holds the four LSTM layers' caches,
+        # the dropout masks and the attention inputs. The h and c stacks, 8
+        # of (S+1, B, H), are rebuilt by the backward and must not be held.
+        hp, b = MEMORY_HYPER, MEMORY_BATCH
+        model = init_model(hp, seed=1)
+        feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
+        _, crossings = phase_memory(
+            lambda: _batch_forward_backward(model, feats, targets, np.random.default_rng(3)),
+            ["attention_sequence_forward"],
+        )
+        (held,) = [c.held for c in crossings if c.where == "entry"]
+        t, k, h = hp.history, hp.horizon, hp.hidden
+        acts = 4 * h * (2 * t + 2 * k) * b  # each layer's gate activations
+        inputs = (2 * t * h + k * hp.embed_dim + k * h) * b  # enc_l1, enc_l2, dec_l1, dec_l2
+        attention = (t + k) * h * b  # encoder states and decoder queries
+        assert held - 8 * (acts + inputs + attention) < 8 * max(t, k) * b * h
 
     def test_no_stale_gradients_across_batches(self, traced_memory):
         one = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
