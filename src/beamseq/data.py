@@ -4,6 +4,10 @@ A training sample pairs T slots of preprocessed source-BS features with the
 K following optimal beam indices at the target RSU, collected along a vehicle
 trajectory that is snapped to the channel grid slot by slot.
 
+Features are computed and standardized in float64 and held in float32, the
+precision the dataset file keeps, so a fresh dataset holds the same feature
+values as its save/load copy.
+
 Dataset file layout (magic ``BMSQ``, little-endian):
 
     magic | version u32 | X u32 | F u32 | T u32 | K u32 | count u32
@@ -54,8 +58,6 @@ SPLIT_NAMES = ("train", "val", "test")
 
 # train windows per block when summing the feature statistics
 _STATS_BLOCK = 64
-# records per block when widening a dataset file's features to float64
-_LOAD_BLOCK = 64
 
 
 class DatasetFormatError(RuntimeError):
@@ -102,7 +104,7 @@ class TrainingSample:
     only on freshly generated datasets, not on file loads.
     """
 
-    features: np.ndarray  # (T, F) float64, standardized (f32 on disk)
+    features: np.ndarray  # (T, F) float32, standardized
     labels: np.ndarray  # (K,) uint16
     trajectory_id: int
     start_slot: int
@@ -146,14 +148,14 @@ class Dataset:
         return [self.samples[i] for i in self.indices(split)]
 
     def arrays(self, split: str):
-        """Stacked (features (n, T, F) float64, labels (n, K) int64) for a split."""
+        """Stacked (features (n, T, F) float32, labels (n, K) int64) for a split."""
         chosen = self.split_samples(split)
         if not chosen:
             return (
-                np.empty((0, self.history, self.feature_dim)),
+                np.empty((0, self.history, self.feature_dim), dtype=np.float32),
                 np.empty((0, self.horizon), dtype=np.int64),
             )
-        feats = np.stack([s.features for s in chosen]).astype(np.float64, copy=False)
+        feats = np.stack([s.features for s in chosen], dtype=np.float32)
         labels = np.stack([s.labels for s in chosen]).astype(np.int64)
         return feats, labels
 
@@ -178,10 +180,11 @@ def split_of_trajectory(
     return "test"
 
 
-def _train_statistics(features: np.ndarray, train_windows: np.ndarray):
-    """Per-feature mean and std over the rows of ``features[train_windows]``
-    (windows, T, F), equal to the bytes of ``.mean(axis=0)`` and ``.std(axis=0)``
-    on those rows stacked as (rows, F), without stacking them.
+def _train_statistics(src: np.ndarray, window_rows: np.ndarray, train_windows: np.ndarray):
+    """Per-feature mean and std over the train windows' feature rows, where
+    window w reads the rows ``src[window_rows[w]]`` of the (rows, F) features:
+    equal to the bytes of ``.mean(axis=0)`` and ``.std(axis=0)`` on those rows
+    stacked as (rows, F), without stacking them.
 
     numpy adds the rows of such a reduction one after another, so the rows
     are summed in blocks of ``_STATS_BLOCK`` windows gathered into one buffer
@@ -191,20 +194,20 @@ def _train_statistics(features: np.ndarray, train_windows: np.ndarray):
     as numpy's ``_var`` takes it. With one feature numpy sums the column
     pairwise instead, so that case reduces the stacked rows as before.
     """
-    t, f = features.shape[1:]
+    t, f = window_rows.shape[1], src.shape[1]
     n = train_windows.size * t
     if f == 1:
-        rows = features[train_windows].reshape(n, 1)
+        rows = src[window_rows[train_windows]].reshape(n, 1)
         return rows.mean(axis=0), rows.std(axis=0)
     buf = np.empty((1 + _STATS_BLOCK * t, f))
 
     def row_sum(center):
         total = None
         for lo in range(0, train_windows.size, _STATS_BLOCK):
-            chosen = train_windows[lo : lo + _STATS_BLOCK]
-            block = buf[1 : 1 + chosen.size * t]
+            chosen = window_rows[train_windows[lo : lo + _STATS_BLOCK]]
+            block = buf[1 : 1 + chosen.size]
             # mode="clip" writes straight into ``out``; "raise" would buffer
-            np.take(features, chosen, axis=0, out=block.reshape(-1, t, f), mode="clip")
+            np.take(src, chosen, axis=0, out=block.reshape(-1, t, f), mode="clip")
             if center is not None:
                 block -= center
                 block *= block
@@ -239,7 +242,7 @@ def make_dataset(
     BS, labels from slots [t+1, t+K] of the target RSU, both read at the
     nearest grid point. Trajectories touching an outage point are dropped and
     counted. Feature standardization uses train-split statistics only, summed
-    over the train rows in row order without copying them
+    over the train windows' rows in row order without stacking them
     (``_train_statistics``). ``split_ratios`` must be a distribution: three
     finite shares >= 0 that sum to 1 within 1e-9, with a train share > 0;
     other ratios raise ``ValueError``, as do sizes (``num_trajectories``,
@@ -248,7 +251,8 @@ def make_dataset(
 
     The windows are built as one batch: every trajectory is snapped to the
     grid in one ``snap_positions`` call, each kept trajectory draws its split
-    once, and the samples are rows of one standardized (windows, T, F) array.
+    once, and the samples' features are rows of one standardized
+    (windows, T, F) float32 array, gathered from the standardized visited rows.
     Only the snapshot rows of grid points that a kept trajectory visits are
     read: features and labels are computed for those rows, as one batch
     each, so the finite check of ``preprocess_csi`` covers those rows only.
@@ -305,7 +309,6 @@ def make_dataset(
     starts = np.arange(0, slots_per_trajectory - history - horizon + 1, stride)
     slots = starts[:, None] + np.arange(history + horizon)
     window_rows = rows[:, slots].reshape(-1, history + horizon)
-    features = src_feats[window_rows[:, :history]]  # standardized in place below
     labels = tgt_labels[window_rows[:, history:]]
     anchor_labels = tgt_labels[window_rows[:, history - 1]].tolist()
     window_positions = positions[kept][:, slots].reshape(-1, history + horizon, 2)
@@ -316,10 +319,13 @@ def make_dataset(
     train_windows = np.flatnonzero(np.repeat(is_train, starts.size))
     if not train_windows.size:
         raise ValueError("no train-split samples; increase num_trajectories")
-    mean, std = _train_statistics(features, train_windows)
+    mean, std = _train_statistics(src_feats, window_rows[:, :history], train_windows)
     std = np.maximum(std, 1e-12)
-    features -= mean
-    features /= std
+    # standardized per visited row in float64, then held as float32, the
+    # precision the dataset file keeps
+    src_feats -= mean
+    src_feats /= std
+    features = src_feats.astype(np.float32)[window_rows[:, :history]]
 
     # one row per window, in ``TrainingSample`` field order
     rows = zip(features, labels, np.repeat(kept, starts.size).tolist(),
@@ -430,9 +436,10 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a ``save_dataset`` file. The header comes from the open file and
-    the records ``_LOAD_BLOCK`` at a time, each block widened into one
-    preallocated (n, T, F) float64 array, so loading holds little more than
-    it returns. Sizes are checked against the file's length before any read."""
+    the records in one read into one record array, whose fields the samples'
+    ``features`` (float32) and ``labels`` view, so loading holds little more
+    than the file's records. Sizes are checked against the file's length
+    before any read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -468,22 +475,14 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError("truncated dataset file")
         if end < size:
             raise DatasetFormatError(f"{size - end} trailing bytes")
-        features = np.empty((count, t, f))
-        labels = np.empty((count, k), dtype="<u2")
-        ids: list[int] = []
-        starts: list[int] = []
-        block = np.empty(min(count, _LOAD_BLOCK), dtype=dtype)
-        for lo in range(0, count, _LOAD_BLOCK):
-            part = block[: count - lo]
-            if fh.readinto(part.view(np.uint8)) != part.nbytes:
-                raise DatasetFormatError("truncated dataset file")
-            features[lo : lo + len(part)] = part["features"]
-            labels[lo : lo + len(part)] = part["labels"]
-            ids += part["trajectory_id"].tolist()
-            starts += part["start_slot"].tolist()
+        records = np.empty(count, dtype=dtype)
+        if fh.readinto(records.view(np.uint8)) != records.nbytes:
+            raise DatasetFormatError("truncated dataset file")
+    labels = records["labels"]
     if count and labels.max() >= x:
         raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
-    rows = zip(features, labels, ids, starts)
+    rows = zip(records["features"], labels, records["trajectory_id"].tolist(),
+               records["start_slot"].tolist())
     samples = [TrainingSample(*row) for row in rows]
     return Dataset(
         samples=samples,

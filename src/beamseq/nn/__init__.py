@@ -9,10 +9,13 @@ A backward consumes its cache. The cache is a list that the backward empties
 on entry, so that its locals hold the cached buffers alone: each buffer is
 dropped after its last read, and some are overwritten with gradients (the
 LSTM gate activations with dz, the attention output with its pre-tanh
-gradient). Call a backward once per forward, and run the backward of a layer
-whose output another layer reads only after that layer's backward. A model
-releases its caches in reverse layer order, each as its layer's backward
-runs, so a step holds only what the backward still has to read.
+gradient). The attention backward takes its upstream gradient the same way,
+as the one entry of a list that it empties, and drops the gradient once it
+has folded it into dz. Call a backward once per forward, and run the backward
+of a layer whose output another layer reads only after that layer's
+backward. A model releases its caches in reverse layer order, each as its
+layer's backward runs, so a step holds only what the backward still has to
+read.
 
 The recurrent and attention layers work on whole sequences so that a model
 can run layer by layer, and each splits into the part that reads a step's

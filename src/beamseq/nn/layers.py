@@ -415,21 +415,25 @@ def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
     return weights, combined.reshape(b, k, hid), cache
 
 
-def attention_attend_backward(cache, grad_combined: np.ndarray):
-    """Backward from the combined outputs (B, K, H); returns (grad of
+def attention_attend_backward(cache, grad_combined: list):
+    """Backward from the combined outputs' gradient (B, K, H), passed as the
+    one entry of a list that is emptied like the cache; returns (grad of
     ``w_combine[:, H:]``, grad of ``b_combine``, dquery (B, K, H),
     (d_keys, d_values) (B, T, H) each).
 
     dz overwrites the cached combined output, so the layer that reads it must
-    have run its backward first.
+    have run its backward first. The upstream gradient is dropped once dz is
+    formed, so a caller that holds it only in the list holds it no longer.
     """
     p, q2, keys, values, weights, dz = _consume(cache)
+    (grad,) = _consume(grad_combined)
     b, k, _ = weights.shape
     hid = q2.shape[1]
     # dz = grad_combined * (1 - combined * combined), formed in place
     np.multiply(dz, dz, out=dz)
     np.subtract(1.0, dz, out=dz)
-    np.multiply(grad_combined.reshape(b * k, hid), dz, out=dz)
+    np.multiply(grad.reshape(b * k, hid), dz, out=dz)
+    del grad
     g_w_query = dz.T @ q2
     g_b_combine = dz.sum(axis=0)
     dz3 = dz.reshape(b, k, hid)
@@ -459,9 +463,10 @@ def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states
     return weights, combined, [memory_cache, attend_cache]
 
 
-def attention_sequence_backward(cache, grad_combined: np.ndarray):
-    """Backward from the combined outputs (B, K, H); returns (param grads,
-    dquery (B, K, H), denc (B, T, H))."""
+def attention_sequence_backward(cache, grad_combined: list):
+    """Backward from the combined outputs' gradient (B, K, H), the one entry
+    of a list that ``attention_attend_backward`` empties; returns (param
+    grads, dquery (B, K, H), denc (B, T, H))."""
     memory_cache, attend_cache = _consume(cache)
     g_w_query, g_b_combine, dquery, d_memory = attention_attend_backward(
         attend_cache, grad_combined
@@ -486,7 +491,7 @@ def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndar
 def attention_backward(cache, grad_combined: np.ndarray):
     """Backward from the combined output (B, H); returns (param grads, dquery,
     denc). Kept only for the benchmark's tracer; see ``lstm_cell_forward``."""
-    grads, dquery, denc = attention_sequence_backward(cache, grad_combined[:, None])
+    grads, dquery, denc = attention_sequence_backward(cache, [grad_combined[:, None]])
     return grads, dquery[:, 0], denc
 
 

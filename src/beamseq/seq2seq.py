@@ -33,6 +33,11 @@ only by the layer that reads it: the encoder copies the final states into
 ``EncoderOutput``, and with dropout on, a dropped copy replaces the output.
 The previous batch's gradients are dropped before the next batch runs.
 
+Datasets hold features in float32 (see ``data``), and training feeds its
+batches in as they are: the input projection's GEMM widens them to float64
+exactly, so the loss and gradients equal those of float64 inputs holding the
+same values, and every layer above it computes in float64.
+
 The batched passes take the dropout generator as ``rng``: training passes
 one, and ``rng=None`` is inference, with dropout off. Training and validation
 score a batch through the same teacher-forced forward and cross-entropy,
@@ -163,6 +168,7 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
         )
     b, t, _ = feats.shape
     h = hp.hidden
+    # float32 features are widened to float64, exactly, by this GEMM's promotion
     proj, dense_cache = nn.dense_forward(model.enc_in, feats.reshape(b * t, hp.feature_dim))
     proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng)
     zeros = np.zeros((b, h))
@@ -236,10 +242,10 @@ def _decode_backward(model, cache, d_logits, grads):
     """
     b, s, x = d_logits.shape
     grads["out"], d_comb = nn.dense_backward(cache.pop(), d_logits.reshape(b * s, x))
-    grads["att"], d_query, d_enc_states = nn.attention_sequence_backward(
-        cache.pop(), d_comb.reshape(b, s, -1)
-    )
-    del d_comb
+    # handed over in a list, so that the attention backward can drop it once
+    # it has folded it into dz
+    d_comb = [d_comb.reshape(b, s, -1)]
+    grads["att"], d_query, d_enc_states = nn.attention_sequence_backward(cache.pop(), d_comb)
     zeros = np.zeros((b, model.hyper.hidden))
     grads["dec_l2"], d_mid, dh2, dc2 = nn.lstm_sequence_backward(
         cache.pop(), d_query.transpose(1, 0, 2), zeros

@@ -30,6 +30,7 @@ from beamseq.data import (
 from beamseq.mobility import sample_trajectory
 from beamseq.phy import best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
+from beamseq.seq2seq import Seq2SeqHyper, TrainConfig, init_model, train
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +190,22 @@ class TestMakeDataset:
         for s in small_dataset.samples:
             assert s.labels.max() < 256
 
-    def test_train_split_standardization(self, small_dataset):
-        feats, _ = small_dataset.arrays("train")
-        flat = feats.reshape(-1, feats.shape[-1])
+    def test_train_split_standardization(self, small_world, small_dataset):
+        # the float64 standardized values, and features that are their float32 rounding
+        scene, grid, _ = small_world
+        ds = small_dataset
+        raw = grid_features(grid, "rsu0")
+        exact = np.stack([
+            (raw[snap_positions(s.positions[: ds.history], scene.grid)] - ds.feature_mean)
+            / ds.feature_std
+            for s in ds.split_samples("train")
+        ])
+        flat = exact.reshape(-1, exact.shape[-1])
         np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-6)
+        feats, _ = ds.arrays("train")
+        assert feats.dtype == np.float32
+        assert feats.tobytes() == exact.astype(np.float32).tobytes()
 
     def test_no_trajectory_spans_two_splits(self, small_dataset):
         seen: dict[int, str] = {}
@@ -287,9 +299,9 @@ class TestMakeDataset:
         assert len(ds.samples) > len({s.trajectory_id for s in ds.samples})
         for s in ds.samples:
             flat = snap_positions(s.positions, scene.grid)
-            np.testing.assert_array_equal(
-                s.features, (feats[flat[:20]] - ds.feature_mean) / ds.feature_std
-            )
+            want = ((feats[flat[:20]] - ds.feature_mean) / ds.feature_std).astype(np.float32)
+            assert s.features.dtype == np.float32
+            assert s.features.tobytes() == want.tobytes()
             np.testing.assert_array_equal(s.labels, labels[flat[20:]])
             assert s.labels.dtype == np.uint16
             assert s.anchor_label == labels[flat[19]]
@@ -372,8 +384,38 @@ class TestMakeDataset:
             save_dataset(ds, tmp_path / "ds.bmsq")
             ds = load_dataset(tmp_path / "ds.bmsq")
         (feats, labels), _, peak = traced_memory(lambda: ds.arrays("train"))
-        assert feats.dtype == np.float64 and labels.dtype == np.int64
+        assert feats.dtype == np.float32 and labels.dtype == np.int64
         assert peak < feats.nbytes / 2
+
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_arrays_are_float32_in_every_split(self, tmp_path, small_world, reload):
+        # no test share, so the test split is empty
+        scene, grid, codebook = small_world
+        ds = make_dataset(scene, grid, "rsu0", "rsu1", 20, codebook, seed=1,
+                          slots_per_trajectory=100, split_ratios=(0.6, 0.4, 0.0))
+        if reload:
+            save_dataset(ds, tmp_path / "ds.bmsq")
+            ds = load_dataset(tmp_path / "ds.bmsq")
+        sizes = {}
+        for split in data.SPLIT_NAMES:
+            feats, labels = ds.arrays(split)
+            assert feats.dtype == np.float32 and labels.dtype == np.int64
+            assert feats.shape == (len(labels), ds.history, ds.feature_dim)
+            assert labels.shape == (len(labels), ds.horizon)
+            sizes[split] = len(labels)
+        assert sizes["train"] > 0 and sizes["val"] > 0 and sizes["test"] == 0
+
+    def test_builds_no_float64_window_stack(self, small_world, traced_memory):
+        # long overlapping windows, so that a float64 (windows, T, F) stack
+        # outweighs everything else the dataset holds: the float32 features,
+        # the positions, the labels and the sample objects
+        scene, grid, codebook = small_world
+        ds, retained, above = traced_memory(lambda: make_dataset(
+            scene, grid, "rsu0", "rsu1", 20, codebook, seed=6,
+            history=40, horizon=5, stride=1, slots_per_trajectory=100,
+        ))
+        stack = len(ds.samples) * ds.history * ds.feature_dim * 8
+        assert retained + above < stack
 
     def test_too_few_slots_rejected(self, small_world):
         scene, grid, codebook = small_world
@@ -438,7 +480,7 @@ class TestMakeDataset:
         assert ds.feature_std.tobytes() == ref.feature_std.tobytes()
         assert len(ds.samples) == len(ref.samples)
         for a, b in zip(ds.samples, ref.samples):
-            assert a.features.tobytes() == b.features.tobytes()
+            assert a.features.tobytes() == b.features.astype(np.float32).tobytes()
             assert (a.trajectory_id, a.start_slot, a.anchor_label) == (
                 b.trajectory_id, b.start_slot, b.anchor_label
             )
@@ -654,15 +696,13 @@ class TestDatasetFile:
                 load_dataset(path)
 
     def test_load_peaks_near_what_it_returns(self, tmp_path, traced_memory):
-        # 800 windows in blocks of data._LOAD_BLOCK: a block of float32
-        # records is a few percent of the float64 features it widens into
+        # 800 windows read into one record array that the samples view
         rng = np.random.default_rng(41)
         t, f, k, n = 10, 16, 4, 800
-        assert n > 10 * data._LOAD_BLOCK
         ds = Dataset(
             samples=[
                 TrainingSample(
-                    features=rng.normal(size=(t, f)).astype(np.float32).astype(np.float64),
+                    features=rng.normal(size=(t, f)).astype(np.float32),
                     labels=rng.integers(0, 9, size=k).astype(np.uint16),
                     trajectory_id=i, start_slot=3 * i,
                 )
@@ -683,6 +723,30 @@ class TestDatasetFile:
             assert (a.trajectory_id, a.start_slot) == (b.trajectory_id, b.start_slot)
         save_dataset(loaded, path)
         assert path.read_bytes() == raw
+
+    def test_loaded_samples_view_one_record_array(self, tmp_path, small_dataset):
+        save_dataset(small_dataset, tmp_path / "ds.bmsq")
+        loaded = load_dataset(tmp_path / "ds.bmsq")
+        bases = {id(a.base) for s in loaded.samples for a in (s.features, s.labels)}
+        assert len(bases) == 1
+        records = loaded.samples[0].features.base
+        t, f, k = loaded.history, loaded.feature_dim, loaded.horizon
+        assert records.nbytes == len(loaded.samples) * data._record_dtype(t, f, k).itemsize
+        assert loaded.samples[0].features.dtype == np.float32
+
+    def test_fresh_and_reloaded_datasets_train_alike(self, tmp_path, strided_dataset):
+        ds = strided_dataset
+        save_dataset(ds, tmp_path / "ds.bmsq")
+        loaded = load_dataset(tmp_path / "ds.bmsq")
+        hyper = Seq2SeqHyper(feature_dim=ds.feature_dim, history=ds.history,
+                             horizon=ds.horizon, num_beams=ds.num_beams, hidden=6, embed_dim=4)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=100, seed=3)
+        runs = []
+        for d in (ds, loaded):
+            model, history, _ = train(init_model(hyper, seed=5), d, cfg)
+            runs.append((json.dumps(history),
+                         [(key, v.tobytes()) for key, v in model.named_params().items()]))
+        assert runs[0] == runs[1]
 
     def test_label_histogram_counts_everything(self, small_dataset):
         hist = small_dataset.label_histogram()

@@ -321,7 +321,7 @@ class TestAttention:
             return float(np.sum(w * combined))
 
         _, _, cache = attention_sequence_forward(p, q, enc)
-        grads, dq, denc = attention_sequence_backward(cache, w)
+        grads, dq, denc = attention_sequence_backward(cache, [w])
         tensors = [p.w_score, p.w_combine, p.b_combine, q, enc]
         analytic = [grads.w_score, grads.w_combine, grads.b_combine, dq, denc]
         err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=12)
@@ -373,7 +373,7 @@ class TestAttentionMatchesTermByTerm:
             p, query, enc, weights, combined, grad
         )
         _, _, cache = attention_sequence_forward(p, query, enc)
-        grads, dq, denc = attention_sequence_backward(cache, grad)
+        grads, dq, denc = attention_sequence_backward(cache, [grad])
         pairs = [(dq, want_dq), (denc, want_denc)]
         pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
         _assert_pairs_within_1e_12(pairs)

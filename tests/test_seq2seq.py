@@ -495,6 +495,22 @@ class TestTraining:
         assert history == []
         assert _train_state_bytes(again, [], state) == before
 
+    def test_float32_batch_steps_like_its_float64_values(self):
+        # the input projection widens float32 features exactly, so the step's
+        # loss and gradients are those of the same values held in float64
+        hyper, batch = ORACLE_SHAPES["b3_t4_k4"]
+        model = init_model(hyper, seed=17)
+        data_rng = np.random.default_rng(18)
+        feats = data_rng.normal(size=(batch, hyper.history, hyper.feature_dim))
+        feats = feats.astype(np.float32)
+        targets = data_rng.integers(0, hyper.num_beams, size=(batch, hyper.horizon))
+        steps = []
+        for x in (feats, feats.astype(np.float64)):
+            loss, acc, grads = _batch_forward_backward(model, x, targets, np.random.default_rng(19))
+            named = model.grads_to_dict(grads)
+            steps.append((loss, acc, [(key, named[key].tobytes()) for key in named]))
+        assert steps[0] == steps[1]
+
     def test_caches_consumed_in_place_give_the_held_cache_run(self, monkeypatch):
         # Reference: every backward kernel gets a deep copy of its cache while
         # the original is held to the end, so no buffer is released early or
@@ -688,6 +704,20 @@ class TestTrainingMemory:
         attention = (t + k) * h * b  # encoder states and decoder queries
         assert held - 8 * (acts + inputs + attention) < 8 * max(t, k) * b * h
 
+    def test_attention_backward_peaks_no_higher_than_its_forward(self, phase_memory):
+        # The output projection's input gradient is released once the
+        # attention backward has folded it into dz, so that backward's peak
+        # does not stack it on top of what the step still holds.
+        hp, b = dataclasses.replace(MEMORY_HYPER, hidden=32), MEMORY_BATCH
+        model = init_model(hp, seed=1)
+        feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
+        _, crossings = phase_memory(
+            lambda: _batch_forward_backward(model, feats, targets, np.random.default_rng(3)),
+            ["attention_sequence_forward", "attention_sequence_backward"],
+        )
+        peaks = {c.name: c.peak for c in crossings if c.where == "exit"}
+        assert peaks["attention_sequence_backward"] <= peaks["attention_sequence_forward"]
+
     def test_no_stale_gradients_across_batches(self, traced_memory):
         one = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
         three = synthetic_dataset(n_train=3 * MEMORY_BATCH, hyper=MEMORY_HYPER)
@@ -696,9 +726,10 @@ class TestTrainingMemory:
             _traced_peak(traced_memory, lambda: train(init_model(MEMORY_HYPER, 2), ds, cfg))
             for ds in (one, three)
         ]
-        # the two extra batches' features, labels and shuffle order stay held
+        # the two extra batches' features (float32), labels and shuffle order
+        # (int64) stay held
         hp = MEMORY_HYPER
-        extra = 2 * MEMORY_BATCH * (hp.history * hp.feature_dim + hp.horizon + 1) * 8
+        extra = 2 * MEMORY_BATCH * (hp.history * hp.feature_dim * 4 + (hp.horizon + 1) * 8)
         # the previous batch's gradients would add one parameter copy
         assert peaks[1] - peaks[0] - extra < 0.5 * _param_bytes(init_model(hp, 2))
 
