@@ -1,4 +1,5 @@
-"""Straight-line constant-acceleration vehicle trajectories over the grid."""
+"""Straight-line constant-acceleration vehicle trajectories over the grid,
+one position per ``SLOT_SECONDS`` slot."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from .scene import GridSpec, Scene
 
 __all__ = ["Trajectory", "sample_trajectory", "TrajectoryError"]
 
+# the time between a trajectory's slots (s)
+SLOT_SECONDS = 1e-3
 # uniform draws of a trajectory's initial speed (m/s) and acceleration (m/s^2)
 SPEED_RANGE = (10.0, 15.0)
 ACCEL_RANGE = (-3.0, 3.0)
@@ -31,11 +34,10 @@ class Trajectory:
     initial_speed: float
     acceleration: float
     num_slots: int
-    dt: float = 1e-3
 
     def positions(self) -> np.ndarray:
-        """(num_slots, 2) positions, slot k at time k*dt."""
-        t = self.dt * np.arange(self.num_slots)
+        """(num_slots, 2) positions, slot k at time k*SLOT_SECONDS."""
+        t = SLOT_SECONDS * np.arange(self.num_slots)
         s = self.initial_speed * t + 0.5 * self.acceleration * t * t
         direction = np.array([math.cos(self.heading), math.sin(self.heading)])
         return np.asarray(self.start) + s[:, None] * direction[None, :]
@@ -44,7 +46,7 @@ class Trajectory:
 def sample_trajectory(scene: Scene, rng: np.random.Generator, num_slots: int) -> Trajectory:
     """Draw start/heading/speed/acceleration so every slot position stays on
     the grid, speed from ``SPEED_RANGE`` and acceleration from
-    ``ACCEL_RANGE``, one slot every ``Trajectory.dt``. At most ``MAX_RETRIES``
+    ``ACCEL_RANGE``, one slot every ``SLOT_SECONDS``. At most ``MAX_RETRIES``
     draws; failure raises instead of truncating."""
     grid: GridSpec = scene.grid
     x_lo = grid.origin[0]

@@ -37,9 +37,7 @@ __all__ = [
     "lstm_cell_forward",
     "lstm_cell_backward",
     "attention_memory_forward",
-    "attention_memory_backward",
     "attention_attend_forward",
-    "attention_attend_backward",
     "attention_sequence_forward",
     "attention_sequence_backward",
     "attention_forward",
@@ -379,18 +377,6 @@ def attention_memory_forward(p: AttentionParams, enc_states: np.ndarray):
     return (keys, values), [p, e2]
 
 
-def attention_memory_backward(cache, d_keys: np.ndarray, d_values: np.ndarray):
-    """Backward from the memory gradients (B, T, H) each; returns (grad of
-    ``w_score``, grad of ``w_combine[:, :H]``, denc (B, T, H))."""
-    p, e2 = _consume(cache)
-    b, t, hid = d_keys.shape
-    dk = d_keys.reshape(b * t, hid)
-    dv = d_values.reshape(b * t, hid)
-    d_enc = dk @ p.w_score
-    d_enc += dv @ p.w_combine[:, :hid]
-    return dk.T @ e2, dv.T @ e2, d_enc.reshape(b, t, hid)
-
-
 def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
     """Attend from K queries per sequence, query (B, K, H), over a memory from
     ``attention_memory_forward``.
@@ -415,42 +401,6 @@ def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
     return weights, combined.reshape(b, k, hid), cache
 
 
-def attention_attend_backward(cache, grad_combined: list):
-    """Backward from the combined outputs' gradient (B, K, H), passed as the
-    one entry of a list that is emptied like the cache; returns (grad of
-    ``w_combine[:, H:]``, grad of ``b_combine``, dquery (B, K, H),
-    (d_keys, d_values) (B, T, H) each).
-
-    dz overwrites the cached combined output, so the layer that reads it must
-    have run its backward first. The upstream gradient is dropped once dz is
-    formed, so a caller that holds it only in the list holds it no longer.
-    """
-    p, q2, keys, values, weights, dz = _consume(cache)
-    (grad,) = _consume(grad_combined)
-    b, k, _ = weights.shape
-    hid = q2.shape[1]
-    # dz = grad_combined * (1 - combined * combined), formed in place
-    np.multiply(dz, dz, out=dz)
-    np.subtract(1.0, dz, out=dz)
-    np.multiply(grad.reshape(b * k, hid), dz, out=dz)
-    del grad
-    g_w_query = dz.T @ q2
-    g_b_combine = dz.sum(axis=0)
-    dz3 = dz.reshape(b, k, hid)
-    dweights = dz3 @ values.transpose(0, 2, 1)
-    d_values = weights.transpose(0, 2, 1) @ dz3
-    del values
-    # softmax Jacobian applied row-wise
-    dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
-    del weights, dweights
-    d_keys = dscores.transpose(0, 2, 1) @ q2.reshape(b, k, hid)
-    del q2
-    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid)
-    del dz, dz3
-    dquery += dscores @ keys
-    return g_w_query, g_b_combine, dquery, (d_keys, d_values)
-
-
 def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
     """Attend from K queries per sequence, query (B, K, H), over its encoder
     states (B, T, H): ``attention_memory_forward`` then
@@ -464,20 +414,47 @@ def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states
 
 
 def attention_sequence_backward(cache, grad_combined: list):
-    """Backward from the combined outputs' gradient (B, K, H), the one entry
-    of a list that ``attention_attend_backward`` empties; returns (param
-    grads, dquery (B, K, H), denc (B, T, H))."""
-    memory_cache, attend_cache = _consume(cache)
-    g_w_query, g_b_combine, dquery, d_memory = attention_attend_backward(
-        attend_cache, grad_combined
-    )
-    g_w_score, g_w_context, denc = attention_memory_backward(memory_cache, *d_memory)
+    """Backward from the combined outputs' gradient (B, K, H), passed as the
+    one entry of a list that is emptied like the cache; returns (param grads,
+    dquery (B, K, H), denc (B, T, H)).
+
+    dz overwrites the cached combined output, so the layer that reads it must
+    have run its backward first. The upstream gradient is dropped once dz is
+    formed, so a caller that holds it only in the list holds it no longer.
+    """
+    (p, e2), (_, q2, keys, values, weights, dz) = _consume(cache)
+    (grad,) = _consume(grad_combined)
+    b, k, t = weights.shape
+    hid = q2.shape[1]
+    # dz = grad_combined * (1 - combined * combined), formed in place
+    np.multiply(dz, dz, out=dz)
+    np.subtract(1.0, dz, out=dz)
+    np.multiply(grad.reshape(b * k, hid), dz, out=dz)
+    del grad
+    g_w_query = dz.T @ q2
+    g_b_combine = dz.sum(axis=0)
+    dz3 = dz.reshape(b, k, hid)
+    dweights = dz3 @ values.transpose(0, 2, 1)
+    dv = (weights.transpose(0, 2, 1) @ dz3).reshape(b * t, hid)
+    del values
+    # softmax Jacobian applied row-wise
+    dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
+    del weights, dweights
+    dk = (dscores.transpose(0, 2, 1) @ q2.reshape(b, k, hid)).reshape(b * t, hid)
+    del q2
+    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid)
+    del dz, dz3
+    dquery += dscores @ keys
+    del dscores, keys
+    # through the memory's projections, keys = e2 W_scoreᵀ and values = e2 W_cᵀ
+    d_enc = dk @ p.w_score
+    d_enc += dv @ p.w_combine[:, :hid]
     grads = AttentionParams(
-        w_score=g_w_score,
-        w_combine=np.concatenate([g_w_context, g_w_query], axis=1),
+        w_score=dk.T @ e2,
+        w_combine=np.concatenate([dv.T @ e2, g_w_query], axis=1),
         b_combine=g_b_combine,
     )
-    return grads, dquery, denc
+    return grads, dquery, d_enc.reshape(b, t, hid)
 
 
 def attention_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):

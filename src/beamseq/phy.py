@@ -94,10 +94,6 @@ class ChannelSnapshot:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def num_antennas(self) -> int:
-        return self.coefficients.shape[0]
-
 
 @dataclass(frozen=True)
 class Codebook:

@@ -2,6 +2,12 @@
 point scatterers, and an image-source multipath tracer feeding the channel
 synthesis.
 
+``generate_scene`` lays out one deployment: two RSUs flanking the grid, one MBS
+covering both, road-side reflector walls and scatterers, with the seed drawing
+the wall segments and scatterers. The module constants fix the layout;
+``SceneParams`` sets only the grid spacing, the RSU stand-off and the RSU
+antenna count.
+
 Geometry conventions:
 
 * the ground plane is 2-D (x, y) in meters; heights are carried separately
@@ -145,37 +151,40 @@ class Scene:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# the fixed layout of ``generate_scene``
+CARRIER_HZ = 28e9
+GRID_ORIGIN = (0.0, 0.0)
+GRID_EXTENT = (30.0, 10.0)  # along road x across road
+RX_HEIGHT = 1.5
+RSU_HEIGHT = 3.0
+MBS_HEIGHT = 22.0
+MBS_ANTENNAS = 128
+ANTENNA_SPACING_WAVELENGTHS = 0.5
+MBS_OFFSET = 20.0  # lateral distance from the near grid edge
+NUM_REFLECTORS = 2
+NUM_SCATTERERS = 12
+WALL_SETBACK = 2.0  # walls sit this far beyond the far grid edge
+WALL_HEIGHT = 6.0
+REFLECTION_LOSS_DB = (3.0, 10.0)
+SCATTERER_GAIN_DB = (-25.0, -12.0)
+
+
 @dataclass
 class SceneParams:
-    """Knobs for the default scene layout: two RSUs flanking the grid, one MBS
-    covering both, road-side reflector walls, and random scatterers."""
+    """The settable part of the layout: the receiver grid's spacing, and both
+    RSUs' antenna count and distance beyond each grid end along the road."""
 
-    carrier_hz: float = 28e9
-    grid_origin: tuple[float, float] = (0.0, 0.0)
-    grid_extent: tuple[float, float] = (30.0, 10.0)  # along road x across road
     grid_spacing: float = 0.05
-    rx_height: float = 1.5
-    rsu_height: float = 3.0
-    mbs_height: float = 22.0
+    rsu_standoff: float = 5.0
     rsu_antennas: int = 32
-    mbs_antennas: int = 128
-    antenna_spacing_wavelengths: float = 0.5
-    rsu_standoff: float = 5.0  # distance beyond each grid end, along the road
-    mbs_offset: float = 20.0  # lateral distance from the near grid edge
-    num_reflectors: int = 2
-    num_scatterers: int = 12
-    wall_setback: float = 2.0  # walls sit this far beyond the far grid edge
-    wall_height: float = 6.0
-    reflection_loss_db: tuple[float, float] = (3.0, 10.0)
-    scatterer_gain_db: tuple[float, float] = (-25.0, -12.0)
 
 
 def generate_scene(params: SceneParams, seed: int) -> Scene:
     """Deterministic scene from (params, seed): fixed station layout, seeded
     wall segmentation and scatterer placement."""
-    ox, oy = params.grid_origin
-    ex, ey = params.grid_extent
-    grid = GridSpec(origin=(ox, oy), extent=(ex, ey), spacing=params.grid_spacing)
+    ox, oy = GRID_ORIGIN
+    ex, ey = GRID_EXTENT
+    grid = GridSpec(origin=GRID_ORIGIN, extent=GRID_EXTENT, spacing=params.grid_spacing)
     center = np.array([ox + ex / 2.0, oy + ey / 2.0])
     road_y = oy + ey / 2.0
 
@@ -188,55 +197,54 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
             height=height,
             boresight=boresight,
             geometry=ArrayGeometry(
-                num_antennas=n_ant, spacing_wavelengths=params.antenna_spacing_wavelengths
+                num_antennas=n_ant, spacing_wavelengths=ANTENNA_SPACING_WAVELENGTHS
             ),
         )
 
     stations = {
-        "rsu0": station("rsu0", (ox - params.rsu_standoff, road_y), params.rsu_height, params.rsu_antennas),
-        "rsu1": station("rsu1", (ox + ex + params.rsu_standoff, road_y), params.rsu_height, params.rsu_antennas),
-        "mbs": station("mbs", (ox + ex / 2.0, oy - params.mbs_offset), params.mbs_height, params.mbs_antennas),
+        "rsu0": station("rsu0", (ox - params.rsu_standoff, road_y), RSU_HEIGHT, params.rsu_antennas),
+        "rsu1": station("rsu1", (ox + ex + params.rsu_standoff, road_y), RSU_HEIGHT, params.rsu_antennas),
+        "mbs": station("mbs", (ox + ex / 2.0, oy - MBS_OFFSET), MBS_HEIGHT, MBS_ANTENNAS),
     }
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_SCENE]))
 
-    # far-side facade broken into num_reflectors jittered segments
+    # far-side facade broken into NUM_REFLECTORS jittered segments
     walls = []
-    if params.num_reflectors > 0:
-        wall_y = oy + ey + params.wall_setback
-        span_lo, span_hi = ox - 2.0, ox + ex + 2.0
-        slot = (span_hi - span_lo) / params.num_reflectors
-        for i in range(params.num_reflectors):
-            x0 = span_lo + i * slot + rng.uniform(0.0, 0.15 * slot)
-            length = slot * rng.uniform(0.55, 0.8)
-            loss = rng.uniform(*params.reflection_loss_db)
-            walls.append(
-                Wall(
-                    a=(float(x0), float(wall_y)),
-                    b=(float(x0 + length), float(wall_y)),
-                    height=params.wall_height,
-                    reflection_loss_db=float(loss),
-                )
+    wall_y = oy + ey + WALL_SETBACK
+    span_lo, span_hi = ox - 2.0, ox + ex + 2.0
+    slot = (span_hi - span_lo) / NUM_REFLECTORS
+    for i in range(NUM_REFLECTORS):
+        x0 = span_lo + i * slot + rng.uniform(0.0, 0.15 * slot)
+        length = slot * rng.uniform(0.55, 0.8)
+        loss = rng.uniform(*REFLECTION_LOSS_DB)
+        walls.append(
+            Wall(
+                a=(float(x0), float(wall_y)),
+                b=(float(x0 + length), float(wall_y)),
+                height=WALL_HEIGHT,
+                reflection_loss_db=float(loss),
             )
+        )
 
     # scatterers alternate between a near-side and a far-side band, both
     # clear of the walls so they stay illuminated
     scatterers = []
     near_band = (oy - 3.5, oy - 0.5)
-    far_band = (oy + ey + 0.6, oy + ey + params.wall_setback - 0.2)
-    for i in range(params.num_scatterers):
+    far_band = (oy + ey + 0.6, oy + ey + WALL_SETBACK - 0.2)
+    for i in range(NUM_SCATTERERS):
         x = rng.uniform(ox - 2.0, ox + ex + 2.0)
         band = near_band if i % 2 == 0 else far_band
         y = rng.uniform(*band)
         height = rng.uniform(1.0, 4.0)
-        gain_db = rng.uniform(*params.scatterer_gain_db)
+        gain_db = rng.uniform(*SCATTERER_GAIN_DB)
         scatterers.append(
             Scatterer(position=(float(x), float(y)), height=float(height), gain_db=float(gain_db))
         )
 
     scene = Scene(
-        carrier_hz=params.carrier_hz,
-        rx_height=params.rx_height,
+        carrier_hz=CARRIER_HZ,
+        rx_height=RX_HEIGHT,
         stations=stations,
         walls=tuple(walls),
         scatterers=tuple(scatterers),
@@ -254,8 +262,7 @@ def _check_coverage(scene: Scene) -> None:
     corners = np.array([[ox, oy], [ox + ex, oy], [ox, oy + ey], [ox + ex, oy + ey]])
     for bs in scene.stations.values():
         rel = corners - np.asarray(bs.position)
-        az = np.arctan2(rel[:, 1], rel[:, 0]) - bs.boresight
-        az = (az + np.pi) % (2 * np.pi) - np.pi
+        az = _wrap(np.arctan2(rel[:, 1], rel[:, 0]) - bs.boresight)
         if np.any(np.abs(az) >= np.pi / 2):
             raise ValueError(
                 f"grid outside coverage of {bs.bs_id}: corner azimuth beyond +-90 deg of boresight"

@@ -90,6 +90,9 @@ _TAG_TRAIN = 5
 
 @dataclass(frozen=True)
 class Seq2SeqHyper:
+    """Model sizes and dropout rate, checked on construction: every size an
+    int >= 1 and not a bool, and 0 <= ``dropout`` < 1 (``ValueError``)."""
+
     feature_dim: int  # F: source BS antenna count
     history: int  # T input slots
     horizon: int  # K predicted slots
@@ -97,6 +100,13 @@ class Seq2SeqHyper:
     hidden: int = 256
     embed_dim: int = 100
     dropout: float = 0.2
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ok = is_real(value) and 0 <= value < 1 if f.name == "dropout" else is_int(value, 1)
+            if not ok:
+                raise ValueError(f"bad hyperparameter {f.name}={value!r}")
 
     @property
     def start_token(self) -> int:
@@ -189,10 +199,13 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
 
 def _encode_backward(model, cache, d_states, d_finals, grads):
     """Backward through ``_encode_batch``, popping each layer's cache as its
-    backward runs, so ``enc_l2``'s is gone before ``enc_l1``'s backward."""
-    b, t, h = d_states.shape
+    backward runs, so ``enc_l2``'s is gone before ``enc_l1``'s backward.
+
+    ``d_states`` is the top layer's output gradient (B, T, H), the one entry
+    of a list that is emptied once its time-major copy is formed."""
+    d_out = d_states.pop().transpose(1, 0, 2).copy()
+    t, b, h = d_out.shape
     dh1, dc1, dh2, dc2 = d_finals
-    d_out = d_states.transpose(1, 0, 2).copy()
     d_out[-1] += dh2
     grads["enc_l2"], d_out, _, _ = nn.lstm_sequence_backward(cache.pop(), d_out, dc2)
     d_out = nn.dropout_backward(cache.pop(), d_out)
@@ -286,7 +299,7 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput):
 
 def encode(model: Seq2SeqModel, features: np.ndarray) -> EncoderOutput:
     """Inference-mode encoding of one (T, F) standardized feature matrix."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError(f"expected a (T, F) matrix, got shape {features.shape}")
     enc, _ = _encode_batch(model, features[None, :, :])
@@ -365,6 +378,9 @@ def _batch_forward_backward(model, feats, targets, rng):
     d_logits = (d_flat / losses.size).reshape(*targets.shape, -1)
     grads: dict = {}
     d_enc_states, d_finals = _decode_backward(model, dec_cache, d_logits, grads)
+    # handed over in a list, so that the encoder backward can drop it once it
+    # has formed its time-major copy
+    d_enc_states = [d_enc_states]
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
     return float(losses.mean()), correct / losses.size, grads
 
@@ -530,11 +546,8 @@ def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, 
         hyper = Seq2SeqHyper(**meta["hyper"])
     except (KeyError, TypeError) as exc:
         raise nn.CheckpointError(f"bad hyperparameter block: {exc!r}") from exc
-    for f in fields(hyper):
-        value = getattr(hyper, f.name)
-        ok = is_real(value) and 0 <= value < 1 if f.name == "dropout" else is_int(value, 1)
-        if not ok:
-            raise nn.CheckpointError(f"bad hyperparameter {f.name}={value!r}")
+    except ValueError as exc:
+        raise nn.CheckpointError(str(exc)) from exc
     model = init_model(hyper, seed=0)
     expected = {
         prefix + key: arr.shape

@@ -28,7 +28,7 @@ from beamseq.data import (
     split_of_trajectory,
 )
 from beamseq.mobility import sample_trajectory
-from beamseq.phy import best_beams, build_dft_codebook, optimal_beam, steering_vector
+from beamseq.phy import ArrayGeometry, best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
 from beamseq.seq2seq import Seq2SeqHyper, TrainConfig, init_model, train
 
@@ -68,8 +68,6 @@ def small_dataset(small_world):
 
 class TestPreprocess:
     def test_steering_vector_concentrates_in_one_bin(self):
-        from beamseq.phy import ArrayGeometry
-
         geom = ArrayGeometry(num_antennas=32)
         # sin(theta) = -2*k/N puts all energy in DFT bin k
         angle = math.asin(-2 * 5 / 32)
@@ -234,8 +232,8 @@ class TestMakeDataset:
 
     def test_labels_follow_geometric_quantization_on_straight_pass(self, small_world):
         # LoS-only world: the optimal beam is the quantized direct-link AoD
-        scene = generate_scene(
-            SceneParams(grid_spacing=0.5, num_reflectors=0, num_scatterers=0), seed=3
+        scene = dataclasses.replace(
+            generate_scene(SceneParams(grid_spacing=0.5), seed=3), walls=(), scatterers=()
         )
         grid = build_channel_grid(scene, bs_ids=("rsu1",))
         codebook = build_dft_codebook(256, 32)
@@ -489,7 +487,9 @@ class TestMakeDataset:
 
     def test_one_feature_statistics_match_reference(self):
         # numpy sums a single column pairwise, not row by row
-        scene = generate_scene(SceneParams(grid_spacing=0.5, mbs_antennas=1), seed=3)
+        scene = generate_scene(SceneParams(grid_spacing=0.5), seed=3)
+        mbs = dataclasses.replace(scene.station("mbs"), geometry=ArrayGeometry(1))
+        scene = dataclasses.replace(scene, stations={**scene.stations, "mbs": mbs})
         grid = build_channel_grid(scene, bs_ids=("mbs", "rsu1"))
         args = (scene, grid, "mbs", "rsu1", 30, build_dft_codebook(256, 32), 6)
         kwargs = dict(history=12, horizon=9, stride=4, slots_per_trajectory=45)

@@ -646,8 +646,8 @@ def _mutant(fn, old: str, new: str):
 
 
 # Single mutations of the backward math the training step runs: the LSTM step
-# inside lstm_sequence_backward's loop, and the two halves of the batched
-# attention backward, attend and memory.
+# inside lstm_sequence_backward's loop, and the batched attention backward,
+# through the attend and through the memory's projections.
 BACKWARD_MUTATIONS = {
     "forget_gate_sign_flipped": (
         layers._lstm_step_backward, "f[...] = dc * c_prev", "f[...] = -dc * c_prev"
@@ -662,20 +662,20 @@ BACKWARD_MUTATIONS = {
         layers._lstm_step_backward, "(1.0 - g * g)", "(1.0 - g)"
     ),
     "softmax_jacobian_without_weighted_sum": (
-        layers.attention_attend_backward,
+        layers.attention_sequence_backward,
         "weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))",
         "weights * dweights",
     ),
     "tanh_prime_dropped_from_attention_dz": (
-        layers.attention_attend_backward,
+        layers.attention_sequence_backward,
         "np.multiply(dz, dz, out=dz)\n    np.subtract(1.0, dz, out=dz)\n",
         "dz[...] = 1.0\n",
     ),
     "keys_term_dropped_from_dquery": (
-        layers.attention_attend_backward, "dquery += dscores @ keys", "pass"
+        layers.attention_sequence_backward, "dquery += dscores @ keys", "pass"
     ),
     "keys_term_dropped_from_d_enc_states": (
-        layers.attention_memory_backward,
+        layers.attention_sequence_backward,
         "d_enc = dk @ p.w_score\n",
         "d_enc = np.zeros_like(dk)\n",
     ),

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def coarse_params(**overrides):
 
 @pytest.fixture(scope="module")
 def los_scene():
-    return generate_scene(coarse_params(num_reflectors=0, num_scatterers=0), seed=1)
+    return replace(generate_scene(coarse_params(), seed=1), walls=(), scatterers=())
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,17 @@ class TestGenerateScene:
         fields = request.getfixturevalue(name).to_dict()
         assert json.loads(json.dumps(fields)) == listed(fields)
 
+    def test_params_set_only_the_spacing_and_the_rsu_axes(self):
+        assert list(asdict(SceneParams())) == ["grid_spacing", "rsu_standoff", "rsu_antennas"]
+        base = generate_scene(coarse_params(), seed=0)
+        moved = generate_scene(coarse_params(rsu_standoff=8.0, rsu_antennas=16), seed=0)
+        assert moved.station("rsu0").position == (-8.0, 5.0)
+        assert moved.station("rsu1").position == (38.0, 5.0)
+        for bs_id in ("rsu0", "rsu1"):
+            assert moved.station(bs_id).geometry.num_antennas == 16
+        assert moved.station("mbs") == base.station("mbs")
+        assert (moved.walls, moved.scatterers) == (base.walls, base.scatterers)
+
     def test_default_antenna_counts(self):
         scene = generate_scene(coarse_params(), seed=0)
         assert scene.station("rsu0").geometry.num_antennas == 32
@@ -85,9 +97,9 @@ class TestGenerateScene:
             assert valid.shape == (10, 1) and valid.all()
 
     def test_uncovered_grid_rejected(self):
-        # MBS pushed inside the grid: corners fall behind the array
-        with pytest.raises(ValueError):
-            generate_scene(coarse_params(mbs_offset=-5.0), seed=0)
+        # RSUs pulled into the grid: corners fall behind the arrays
+        with pytest.raises(ValueError, match="outside coverage"):
+            generate_scene(coarse_params(rsu_standoff=-15.0), seed=0)
 
     def test_default_grid_point_count(self):
         # origin-inclusive, far-edge-exclusive: extent/spacing points per axis
@@ -120,13 +132,10 @@ class TestTracePaths:
         lam = los_scene.wavelength_m
         assert abs(gains[0, 0]) == pytest.approx(lam / (4 * math.pi * d3), rel=1e-12)
 
-    def test_reflected_path_matches_image_source_oracle(self):
+    def test_reflected_path_matches_image_source_oracle(self, los_scene):
         # single full-width wall behind the road
-        scene = generate_scene(
-            coarse_params(num_reflectors=1, num_scatterers=0), seed=5
-        )
-        wall = scene.walls[0]
-        assert wall.a[1] == wall.b[1]  # wall parallel to the road
+        wall = Wall(a=(-2.0, 12.0), b=(32.0, 12.0), height=6.0, reflection_loss_db=6.5)
+        scene = replace(los_scene, walls=(wall,))
         bs = scene.station("rsu0")
         point = np.array([12.0, 4.0])
         gains, aods, _, valid = _trace_points(scene, bs, point[None])
@@ -506,7 +515,7 @@ class TestTrajectories:
         # independent per-slot kinematic accumulation
         direction = np.array([math.cos(0.7), math.sin(0.7)])
         p = np.array([3.0, 4.0])
-        dt = traj.dt
+        dt = mobility.SLOT_SECONDS
         stepwise = [p.copy()]
         for k in range(199):
             v_k = 12.0 + (-2.5) * k * dt
@@ -531,8 +540,8 @@ class TestTrajectories:
             snap_positions(traj.positions(), los_scene.grid)  # raises if outside
 
     def test_impossible_fit_reports_failure(self, monkeypatch):
-        tiny = generate_scene(
-            coarse_params(grid_extent=(1.0, 1.0), grid_spacing=0.5), seed=0
+        tiny = replace(
+            generate_scene(coarse_params(), seed=0), grid=GridSpec((0.0, 0.0), (1.0, 1.0), 0.5)
         )
         rng = np.random.default_rng(10)
         monkeypatch.setattr(mobility, "MAX_RETRIES", 50)

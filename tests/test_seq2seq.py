@@ -126,6 +126,20 @@ class TestEncode:
             assert final.shape == (3, hyper.hidden)
             assert final.base is None  # owns its B*H floats, not a (T, B, H) stack
 
+    def test_float32_window_encodes_and_decodes_like_its_float64_values(self):
+        # the input projection widens float32 features exactly, and a float64
+        # window is not narrowed: it encodes as the batched pass does
+        model = micro_model(seed=3)
+        window = np.random.default_rng(2).normal(size=(2, 3))
+        rounded = window.astype(np.float32)
+        runs = []
+        for feats in (rounded, rounded.astype(np.float64), window):
+            enc = encode(model, feats)
+            arrays = (enc.states, enc.h1, enc.c1, enc.h2, enc.c2, decode_greedy(model, enc))
+            runs.append([a.tobytes() for a in arrays])
+        assert runs[0] == runs[1]
+        assert runs[2][0] == _encode_batch(model, window[None])[0].states.tobytes()
+
     def test_wrong_length_rejected(self):
         model = micro_model()
         with pytest.raises(ValueError):
@@ -470,6 +484,14 @@ class TestTraining:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0), ("hidden", 2.5), ("hidden", True),
+        ("dropout", 1.0), ("dropout", -0.1),
+    ])
+    def test_hyper_rejects_fields_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"bad hyperparameter {field}="):
+            dataclasses.replace(MICRO, **{field: value})
+
     def test_zero_epochs_keep_initial_weights_and_round_trip(self, tmp_path):
         ds = synthetic_dataset(n_train=4, n_val=2)
         model = micro_model(seed=6)
@@ -717,6 +739,28 @@ class TestTrainingMemory:
         )
         peaks = {c.name: c.peak for c in crossings if c.where == "exit"}
         assert peaks["attention_sequence_backward"] <= peaks["attention_sequence_forward"]
+
+    def test_enc_l2_entry_holds_no_copy_of_its_output_gradient(self, phase_memory):
+        # On entry to enc_l2's backward the step holds what the encoder
+        # backward still reads: both layers' gate activations and inputs,
+        # enc_l2's time-major output gradient and the two dropout masks; and
+        # the decoder's parameter gradients and the two logit gradients. The
+        # (B, T, H) gradient the decoder returned for the encoder states must
+        # be gone once its time-major copy is made.
+        hp, b = MEMORY_HYPER, MEMORY_BATCH
+        model = init_model(hp, seed=1)
+        feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
+        (_, _, grads), crossings = phase_memory(
+            lambda: _batch_forward_backward(model, feats, targets, np.random.default_rng(3)),
+            ["lstm_sequence_backward"],
+        )
+        held = [c.held for c in crossings if c.where == "entry"][2]  # dec_l2, dec_l1, enc_l2
+        stack = 8 * b * hp.history * hp.hidden
+        encoder = 2 * (4 + 1) * stack + stack + 2 * stack // 8  # masks are bool
+        named = model.grads_to_dict(grads)
+        decoder = sum(v.nbytes for k, v in named.items() if not k.startswith("enc"))
+        logits = 2 * 8 * b * hp.horizon * hp.num_beams
+        assert held - encoder - decoder - logits < stack
 
     def test_no_stale_gradients_across_batches(self, traced_memory):
         one = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
