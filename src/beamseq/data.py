@@ -8,6 +8,10 @@ Features are computed and standardized in float64 and held in float32, the
 precision the dataset file keeps, so a fresh dataset holds the same feature
 values as its save/load copy.
 
+Every trajectory falls in one split, train, val or test, by a seeded draw
+per trajectory with the fixed shares ``SPLIT_RATIOS``. The file records the
+shares, and a file holding other shares does not load.
+
 Dataset file layout (magic ``BMSQ``, little-endian):
 
     magic | version u32 | X u32 | F u32 | T u32 | K u32 | count u32
@@ -23,10 +27,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from ._files import atomic_write, is_int, is_real
+from ._files import atomic_write, is_int
 from .mobility import sample_trajectory
 from .phy import Codebook, best_beams
 from .scene import ChannelGrid, Scene, snap_positions
@@ -55,6 +60,8 @@ _TAG_TRAJECTORY = 2
 _TAG_SPLIT = 3
 
 SPLIT_NAMES = ("train", "val", "test")
+# the shares of trajectories in ``SPLIT_NAMES``, in order
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 # train windows per block when summing the feature statistics
 _STATS_BLOCK = 64
@@ -124,16 +131,16 @@ class Dataset:
     target_rsu: str
     seed: int
     scene_digest: str
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     dropped_trajectories: int = 0
     extra_metadata: dict = field(default_factory=dict)
+    split_ratios: ClassVar[tuple[float, float, float]] = SPLIT_RATIOS
 
     @property
     def feature_dim(self) -> int:
         return int(self.feature_mean.shape[0])
 
     def split_of(self, trajectory_id: int) -> str:
-        return split_of_trajectory(self.seed, trajectory_id, self.split_ratios)
+        return split_of_trajectory(self.seed, trajectory_id)
 
     def indices(self, split: str) -> list[int]:
         """Positions of the split's samples, drawing the split once per
@@ -166,16 +173,15 @@ class Dataset:
         return counts
 
 
-def split_of_trajectory(
-    seed: int, trajectory_id: int, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> str:
-    """Deterministic per-trajectory split assignment via a seeded hash draw."""
+def split_of_trajectory(seed: int, trajectory_id: int) -> str:
+    """Deterministic per-trajectory split assignment via a seeded hash draw
+    against the ``SPLIT_RATIOS`` shares."""
     u = np.random.default_rng(
         np.random.SeedSequence([int(seed), _TAG_SPLIT, int(trajectory_id)])
     ).random()
-    if u < ratios[0]:
+    if u < SPLIT_RATIOS[0]:
         return "train"
-    if u < ratios[0] + ratios[1]:
+    if u < SPLIT_RATIOS[0] + SPLIT_RATIOS[1]:
         return "val"
     return "test"
 
@@ -234,7 +240,6 @@ def make_dataset(
     horizon: int = 50,
     stride: int | None = None,
     slots_per_trajectory: int | None = None,
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> Dataset:
     """Slide supervised windows along seeded trajectories.
 
@@ -243,11 +248,9 @@ def make_dataset(
     nearest grid point. Trajectories touching an outage point are dropped and
     counted. Feature standardization uses train-split statistics only, summed
     over the train windows' rows in row order without stacking them
-    (``_train_statistics``). ``split_ratios`` must be a distribution: three
-    finite shares >= 0 that sum to 1 within 1e-9, with a train share > 0;
-    other ratios raise ``ValueError``, as do sizes (``num_trajectories``,
-    ``history``, ``horizon``, ``stride``, ``slots_per_trajectory``) that are
-    not ints >= 1, bools included; both before any trajectory is drawn.
+    (``_train_statistics``). Sizes (``num_trajectories``, ``history``,
+    ``horizon``, ``stride``, ``slots_per_trajectory``) that are not ints >= 1,
+    bools included, raise ``ValueError`` before any trajectory is drawn.
 
     The windows are built as one batch: every trajectory is snapped to the
     grid in one ``snap_positions`` call, each kept trajectory draws its split
@@ -275,12 +278,6 @@ def make_dataset(
         )
     if target_rsu not in ("rsu0", "rsu1"):
         raise ValueError(f"target must be an RSU, got {target_rsu!r}")
-    if (len(split_ratios) != 3 or not all(0 <= r < math.inf for r in split_ratios)
-            or abs(sum(split_ratios) - 1) > 1e-9 or split_ratios[0] == 0):
-        raise ValueError(
-            f"split_ratios must be three finite shares >= 0 summing to 1 with a train "
-            f"share > 0, got {split_ratios!r}"
-        )
     for bs_id in (source_bs, target_rsu):
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
@@ -314,7 +311,7 @@ def make_dataset(
     window_positions = positions[kept][:, slots].reshape(-1, history + horizon, 2)
 
     is_train = np.array(
-        [split_of_trajectory(seed, traj_id, split_ratios) == "train" for traj_id in kept], dtype=bool
+        [split_of_trajectory(seed, traj_id) == "train" for traj_id in kept], dtype=bool
     )
     train_windows = np.flatnonzero(np.repeat(is_train, starts.size))
     if not train_windows.size:
@@ -342,7 +339,6 @@ def make_dataset(
         target_rsu=target_rsu,
         seed=int(seed),
         scene_digest=scene.digest(),
-        split_ratios=split_ratios,
         dropped_trajectories=num_trajectories - kept.size,
         extra_metadata={
             "slots_per_trajectory": slots_per_trajectory,
@@ -362,20 +358,18 @@ _META_KEYS = (
     "seed",
     "source_bs",
     "target_rsu",
-    "split_ratios",
     "dropped_trajectories",
 )
+# every header key: the fields' and the fixed split shares
+_HEADER_KEYS = (*_META_KEYS, "split_ratios")
 
 
 def _bad_header_values(header: dict) -> dict:
     """The ``_META_KEYS`` entries whose values break the header's types:
-    ``seed`` is an int, ``split_ratios`` three finite reals,
-    ``dropped_trajectories`` an int >= 0, and the other three are strings."""
-    ratios = header["split_ratios"]
+    ``seed`` is an int, ``dropped_trajectories`` an int >= 0, and the other
+    three are strings."""
     ok = {
         "seed": is_int(header["seed"], -math.inf),
-        "split_ratios": isinstance(ratios, (list, tuple)) and len(ratios) == 3
-        and all(is_real(r) and -math.inf < r < math.inf for r in ratios),
         "dropped_trajectories": is_int(header["dropped_trajectories"], 0),
     }
     return {key: value for key, value in header.items()
@@ -402,7 +396,7 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     header = {key: getattr(dataset, key) for key in _META_KEYS}
     if bad := _bad_header_values(header):
         raise ValueError(f"ill-typed header values {bad}")
-    shadowed = [key for key in _META_KEYS if key in dataset.extra_metadata]
+    shadowed = [key for key in _HEADER_KEYS if key in dataset.extra_metadata]
     if config_hash and dataset.extra_metadata.get("config_hash", config_hash) != config_hash:
         shadowed.append("config_hash")
     if shadowed:
@@ -411,6 +405,7 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     f, n = dataset.feature_dim, len(dataset.samples)
     meta = {
         **header,
+        "split_ratios": SPLIT_RATIOS,
         "config_hash": config_hash,
         **dataset.extra_metadata,
     }
@@ -439,7 +434,8 @@ def load_dataset(path) -> Dataset:
     the records in one read into one record array, whose fields the samples'
     ``features`` (float32) and ``labels`` view, so loading holds little more
     than the file's records. Sizes are checked against the file's length
-    before any read."""
+    before any read. A file whose ``split_ratios`` are not ``SPLIT_RATIOS``
+    raises ``DatasetFormatError``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -461,11 +457,13 @@ def load_dataset(path) -> Dataset:
         try:
             meta = json.loads(chunk.decode())
             header = {key: meta[key] for key in _META_KEYS}
+            ratios = meta["split_ratios"]
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetFormatError(f"bad dataset metadata: {exc!r}") from exc
         if bad := _bad_header_values(header):
             raise DatasetFormatError(f"bad dataset metadata values {bad}")
-        header["split_ratios"] = tuple(header["split_ratios"])
+        if ratios != list(SPLIT_RATIOS):
+            raise DatasetFormatError(f"bad dataset metadata split_ratios={ratios!r}")
         try:
             dtype = _record_dtype(t, f, k)
         except ValueError as exc:
@@ -492,5 +490,5 @@ def load_dataset(path) -> Dataset:
         history=t,
         horizon=k,
         **header,
-        extra_metadata={k_: v for k_, v in meta.items() if k_ not in header},
+        extra_metadata={k_: v for k_, v in meta.items() if k_ not in _HEADER_KEYS},
     )

@@ -45,9 +45,9 @@ S = 1 and K = 1 slices of the sequence forms. No model calls them; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
 
 Dropout, and so the training mode of every forward, is on exactly when a
-generator is passed: ``rng=None`` is inference. Adam's decay rates and
-epsilon are the constants ``optim.BETA1``, ``optim.BETA2`` and ``optim.EPS``;
-only the step size is set per run.
+generator is passed: ``rng=None`` is inference. Adam's step size, decay
+rates and epsilon are the constants ``optim.ALPHA``, ``optim.BETA1``,
+``optim.BETA2`` and ``optim.EPS``; none is set per run.
 """
 
 from . import checkpoint, layers, optim

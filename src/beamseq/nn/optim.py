@@ -1,8 +1,8 @@
 """Adam optimizer over named float64 arrays, plus global-norm clipping.
 
-Only the step size is set per run. The moment decay rates and the
-denominator's epsilon are the usual constants ``BETA1``, ``BETA2`` and
-``EPS``.
+Nothing is set per run: the step size, the moment decay rates and the
+denominator's epsilon are the usual constants ``ALPHA``, ``BETA1``,
+``BETA2`` and ``EPS``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = ["AdamState", "adam_init", "adam_step", "clip_global_norm"]
 
+ALPHA = 1e-3
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -20,20 +21,17 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment per named parameter, the shared step counter and
-    the step size."""
+    """First/second moment per named parameter and the shared step counter."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    alpha: float = 1e-3
 
 
-def adam_init(named_params: dict[str, np.ndarray], alpha: float = 1e-3) -> AdamState:
+def adam_init(named_params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in named_params.items()},
         v={k: np.zeros_like(p) for k, p in named_params.items()},
-        alpha=alpha,
     )
 
 
@@ -43,7 +41,7 @@ def adam_step(
     state: AdamState,
 ) -> None:
     """In-place update: m, v moving averages, bias correction, then
-    p -= alpha * m_hat / (sqrt(v_hat) + EPS)."""
+    p -= ALPHA * m_hat / (sqrt(v_hat) + EPS)."""
     if set(named_params) != set(state.m):
         raise ValueError("parameter names do not match optimizer state")
     state.t += 1
@@ -59,7 +57,7 @@ def adam_step(
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        p -= ALPHA * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):

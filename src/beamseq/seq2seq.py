@@ -87,6 +87,9 @@ __all__ = [
 _TAG_INIT = 4
 _TAG_TRAIN = 5
 
+# joint L2 norm that training clips each batch's gradients to
+CLIP_NORM = 5.0
+
 
 @dataclass(frozen=True)
 class Seq2SeqHyper:
@@ -252,9 +255,11 @@ def _decode_backward(model, cache, d_logits, grads):
 
     Each layer's cache is popped as its backward runs, output projection
     first, so a layer's activations are gone before the layer below runs.
+    ``d_logits`` (B, K, X) is the one entry of a list, emptied as the output
+    projection's backward reads it, so it is gone once that backward returns.
     """
-    b, s, x = d_logits.shape
-    grads["out"], d_comb = nn.dense_backward(cache.pop(), d_logits.reshape(b * s, x))
+    b, s, x = d_logits[0].shape
+    grads["out"], d_comb = nn.dense_backward(cache.pop(), d_logits.pop().reshape(b * s, x))
     # handed over in a list, so that the attention backward can drop it once
     # it has folded it into dz
     d_comb = [d_comb.reshape(b, s, -1)]
@@ -321,17 +326,12 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    learning_rate: float = 1e-3
-    clip_norm: float = 5.0
 
     def __post_init__(self) -> None:
         for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
             value = getattr(self, name)
             if not is_int(value, least):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-        for name in ("learning_rate", "clip_norm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -375,11 +375,14 @@ def _batch_forward_backward(model, feats, targets, rng):
     losses, correct, d_flat, (enc_cache, dec_cache) = _score_teacher_forced(
         model, feats, targets, rng
     )
-    d_logits = (d_flat / losses.size).reshape(*targets.shape, -1)
+    d_flat /= losses.size
+    # each gradient is handed over in a list, so that its backward can drop it
+    # once read: the logits' after the output projection's backward, the
+    # encoder states' once their time-major copy is formed
+    d_logits = [d_flat.reshape(*targets.shape, -1)]
+    del d_flat
     grads: dict = {}
     d_enc_states, d_finals = _decode_backward(model, dec_cache, d_logits, grads)
-    # handed over in a list, so that the encoder backward can drop it once it
-    # has formed its time-major copy
     d_enc_states = [d_enc_states]
     _encode_backward(model, enc_cache, d_enc_states, d_finals, grads)
     return float(losses.mean()), correct / losses.size, grads
@@ -410,8 +413,8 @@ def train(
     config: TrainConfig,
     state: TrainState | None = None,
 ):
-    """Shuffled mini-batch teacher-forced training with gradient clipping,
-    Adam, and validation-loss early stopping.
+    """Shuffled mini-batch teacher-forced training with gradient clipping to
+    ``CLIP_NORM``, Adam, and validation-loss early stopping.
 
     Returns (model-with-best-params, history, final TrainState). ``state``
     resumes a prior run exactly: training starts from ``state.live_params``
@@ -433,7 +436,7 @@ def train(
             np.random.SeedSequence([int(config.seed), _TAG_TRAIN])
         )
         state = TrainState(
-            adam=nn.adam_init(named, alpha=config.learning_rate),
+            adam=nn.adam_init(named),
             rng_state=rng.bit_generator.state,
             next_epoch=0,
             best_val_loss=float("inf"),
@@ -468,7 +471,7 @@ def train(
                     f"parameter norm {norm:.3e}"
                 )
             grad_dict = model.grads_to_dict(grads)
-            _, clipped = nn.clip_global_norm(grad_dict, config.clip_norm)
+            _, clipped = nn.clip_global_norm(grad_dict, CLIP_NORM)
             clip_events += int(clipped)
             nn.adam_step(named, grad_dict, state.adam)
             del grads, grad_dict  # not held through the next batch
@@ -531,12 +534,9 @@ def write_history(path, history: list[dict], provenance: str = "") -> None:
 # checkpoints
 
 
-def save_model(path, model: Seq2SeqModel, extra_metadata: dict | None = None) -> None:
+def save_model(path, model: Seq2SeqModel) -> None:
     tensors = list(model.named_params().items())
-    meta = {"kind": "seq2seq", "hyper": asdict(model.hyper)}
-    if extra_metadata:
-        meta.update(extra_metadata)
-    nn.save_tensors(path, tensors, meta)
+    nn.save_tensors(path, tensors, {"kind": "seq2seq", "hyper": asdict(model.hyper)})
 
 
 def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, ...]):
@@ -592,7 +592,7 @@ def save_train_state(path, model: Seq2SeqModel, state: TrainState):
     meta = {
         "kind": "seq2seq-trainstate",
         "hyper": asdict(model.hyper),
-        "adam": {"t": state.adam.t, "alpha": state.adam.alpha},
+        "adam": {"t": state.adam.t},
         "rng_state": json.dumps(state.rng_state),
         "next_epoch": state.next_epoch,
         "best_val_loss": state.best_val_loss,
@@ -605,10 +605,9 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
     """Read a ``save_train_state`` file. The returned ``(model, state)`` is a
     resume point: ``model`` holds the live weights, and
     ``train(model, ..., state=state)`` continues the run. A missing, extra or
-    misshapen tensor, and a missing or ill-typed counter, step size or RNG
-    state, raise ``CheckpointError``. Adam keys other than ``t`` and ``alpha``,
-    such as the ``beta1``, ``beta2`` and ``eps`` that older files hold, are
-    ignored."""
+    misshapen tensor, and a missing or ill-typed counter or RNG state, raise
+    ``CheckpointError``. Adam keys other than ``t``, such as the ``alpha``,
+    ``beta1``, ``beta2`` and ``eps`` that older files hold, are ignored."""
     tensors, meta = nn.load_tensors(path)
     if meta.get("kind") != "seq2seq-trainstate":
         raise nn.CheckpointError(
@@ -619,7 +618,7 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
     for key, target in named.items():
         target[...] = tensors[key]
     try:
-        t, alpha = meta["adam"]["t"], meta["adam"]["alpha"]
+        t = meta["adam"]["t"]
         counters = {k: meta[k] for k in ("next_epoch", "best_val_loss", "epochs_since_best")}
         rng_state = json.loads(meta["rng_state"])
         np.random.PCG64().state = rng_state  # as ``train`` will
@@ -628,7 +627,6 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
     loss = counters["best_val_loss"]
     for name, value, ok in (
         ("adam.t", t, is_int(t, 0)),
-        ("adam.alpha", alpha, is_real(alpha) and 0 < alpha < math.inf),
         ("next_epoch", counters["next_epoch"], is_int(counters["next_epoch"], 0)),
         ("epochs_since_best", counters["epochs_since_best"],
          is_int(counters["epochs_since_best"], 0)),
@@ -641,7 +639,6 @@ def load_train_state(path) -> tuple[Seq2SeqModel, TrainState, dict]:
             m={k: tensors[f"adam_m.{k}"] for k in named},
             v={k: tensors[f"adam_v.{k}"] for k in named},
             t=t,
-            alpha=alpha,
         ),
         rng_state=rng_state,
         **counters,

@@ -78,7 +78,7 @@ class TestPreprocess:
 
     def test_zero_vector_gives_log_epsilon(self):
         feats = preprocess_csi(np.zeros(16, dtype=complex))
-        np.testing.assert_allclose(feats, np.log(LOG_EPSILON), atol=1e-12)
+        np.testing.assert_allclose(feats, np.log(LOG_EPSILON), atol=1e-12, rtol=0)
 
     def test_matches_naive_dft_oracle(self):
         rng = np.random.default_rng(0)
@@ -131,8 +131,8 @@ class TestGridDerived:
 def reference_make_dataset(scene, grid, source_bs, target_rsu, num_trajectories, codebook,
                            seed, history, horizon, stride, slots_per_trajectory):
     """``make_dataset`` one item at a time: a snap and an outage check per
-    trajectory, a tuple per window, a split draw per window. Default speed,
-    acceleration, slot length and split ratios."""
+    trajectory, a tuple per window, a split draw per window. Default speed
+    and acceleration."""
     src_outage, tgt_outage = grid.outage(source_bs), grid.outage(target_rsu)
     kept, flats, dropped = [], [], 0
     for traj_id in range(num_trajectories):
@@ -199,8 +199,8 @@ class TestMakeDataset:
             for s in ds.split_samples("train")
         ])
         flat = exact.reshape(-1, exact.shape[-1])
-        np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-6, rtol=0)
         feats, _ = ds.arrays("train")
         assert feats.dtype == np.float32
         assert feats.tobytes() == exact.astype(np.float32).tobytes()
@@ -309,7 +309,7 @@ class TestMakeDataset:
         for split in ("train", "val", "test"):
             want = [
                 i for i, s in enumerate(ds.samples)
-                if split_of_trajectory(ds.seed, s.trajectory_id, ds.split_ratios) == split
+                if split_of_trajectory(ds.seed, s.trajectory_id) == split
             ]
             assert ds.indices(split) == want
             assert [s.trajectory_id for s in ds.split_samples(split)] == [
@@ -319,9 +319,9 @@ class TestMakeDataset:
     def test_split_drawn_once_per_trajectory(self, strided_dataset, monkeypatch):
         calls = []
 
-        def spy(seed, trajectory_id, *args):
+        def spy(seed, trajectory_id):
             calls.append(trajectory_id)
-            return split_of_trajectory(seed, trajectory_id, *args)
+            return split_of_trajectory(seed, trajectory_id)
 
         monkeypatch.setattr(data, "split_of_trajectory", spy)
         strided_dataset.indices("train")
@@ -335,35 +335,6 @@ class TestMakeDataset:
                 scene, dataclasses.replace(grid, path_valid=dark), "rsu0", "rsu1", 6, codebook,
                 seed=1, slots_per_trajectory=100,
             )
-
-    @pytest.mark.parametrize(
-        "ratios",
-        [(2.0, 0.1, 0.1), (0.0, 0.5, 0.5), (-1.0, 5.0, 0.0), (0.8, float("nan"), 0.1),
-         (0.8, 0.1, float("inf")), (0.5, 0.3, 0.1), (0.8, 0.2)],
-    )
-    def test_split_ratios_not_a_distribution_rejected(self, small_world, monkeypatch, ratios):
-        # rejected before any trajectory is drawn
-        scene, grid, codebook = small_world
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("trajectory drawn")
-
-        monkeypatch.setattr(data, "sample_trajectory", no_draw)
-        with pytest.raises(ValueError, match="split_ratios"):
-            make_dataset(
-                scene, grid, "rsu0", "rsu1", 20, codebook, seed=1, slots_per_trajectory=100,
-                split_ratios=ratios,
-            )
-
-    @pytest.mark.parametrize("ratios", [(0.7, 0.2, 0.1), (1.0, 0.0, 0.0), (0.5, 0.5 - 1e-10, 0.0)])
-    def test_split_ratios_summing_to_one_accepted(self, small_world, ratios):
-        scene, grid, codebook = small_world
-        ds = make_dataset(
-            scene, grid, "rsu0", "rsu1", 10, codebook, seed=1, slots_per_trajectory=100,
-            split_ratios=ratios,
-        )
-        assert ds.split_ratios == ratios
-        assert ds.indices("train")
 
     def test_statistics_hold_no_copy_of_the_train_rows(self, small_world, traced_memory):
         # overlapping windows, so the features outweigh the visited grid rows
@@ -387,10 +358,14 @@ class TestMakeDataset:
 
     @pytest.mark.parametrize("reload", [False, True])
     def test_arrays_are_float32_in_every_split(self, tmp_path, small_world, reload):
-        # no test share, so the test split is empty
+        # the test split's samples are left out, so the test split is empty
         scene, grid, codebook = small_world
-        ds = make_dataset(scene, grid, "rsu0", "rsu1", 20, codebook, seed=1,
-                          slots_per_trajectory=100, split_ratios=(0.6, 0.4, 0.0))
+        ds = make_dataset(scene, grid, "rsu0", "rsu1", 20, codebook, seed=5,
+                          slots_per_trajectory=100)
+        assert ds.indices("test")
+        ds = dataclasses.replace(ds, samples=[
+            s for s in ds.samples if ds.split_of(s.trajectory_id) != "test"
+        ])
         if reload:
             save_dataset(ds, tmp_path / "ds.bmsq")
             ds = load_dataset(tmp_path / "ds.bmsq")
@@ -561,7 +536,7 @@ class TestDatasetFile:
         (meta_len,) = struct.unpack("<I", raw[at : at + 4])
         return at, at + 4 + meta_len
 
-    # header key -> an ill-typed value, per fault name
+    # header key -> a value the header may not hold, per fault name
     BAD_HEADER_VALUES = {
         "seed-float": ("seed", 1.5),
         "seed-bool": ("seed", True),
@@ -571,6 +546,7 @@ class TestDatasetFile:
         "ratios-inf": ("split_ratios", [0.8, 0.1, float("inf")]),
         "ratios-string": ("split_ratios", "abc"),
         "ratios-bool": ("split_ratios", [True, 0.1, 0.1]),
+        "ratios-other": ("split_ratios", [0.6, 0.4, 0.0]),
         "dropped-negative": ("dropped_trajectories", -1),
         "dropped-float": ("dropped_trajectories", 2.0),
         "source-not-string": ("source_bs", 3),
@@ -601,7 +577,10 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match="metadata"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("fault", list(BAD_HEADER_VALUES))
+    # the split shares are not a field, so no Dataset holds other ones
+    @pytest.mark.parametrize(
+        "fault", [f for f, (key, _) in BAD_HEADER_VALUES.items() if key != "split_ratios"]
+    )
     def test_bad_header_rejected_on_save(self, tmp_path, small_dataset, fault):
         path = tmp_path / "ds.bmsq"
         save_dataset(small_dataset, path)
@@ -790,7 +769,6 @@ def datasets(draw):
         target_rsu=draw(st.text(max_size=8)),
         seed=draw(st.integers()),
         scene_digest=draw(st.text(max_size=8)),
-        split_ratios=draw(st.tuples(finite, finite, finite)),
         dropped_trajectories=draw(st.integers(0, 2**40)),
         # prefixed so that no extra key shadows a header key
         extra_metadata=draw(
@@ -808,7 +786,7 @@ class TestDatasetFileProperties:
         raw = path.read_bytes()
         loaded = load_dataset(path)
         for name in ("num_beams", "history", "horizon", "source_bs", "target_rsu", "seed",
-                     "scene_digest", "split_ratios", "dropped_trajectories"):
+                     "scene_digest", "dropped_trajectories"):
             assert getattr(loaded, name) == getattr(ds, name)
         assert loaded.extra_metadata == {"config_hash": config_hash, **ds.extra_metadata}
         assert loaded.feature_mean.tobytes() == ds.feature_mean.tobytes()

@@ -42,13 +42,13 @@ class TestSteeringVector:
     def test_endfire_two_elements(self):
         # sin(pi/2) = 1 with half-wavelength spacing: phase step of -pi.
         vec = steering_vector(geom(2), np.pi / 2)
-        np.testing.assert_allclose(vec, [1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(vec, [1.0, -1.0], atol=1e-12, rtol=0)
 
     def test_thirty_degrees_hand_phases(self):
         # sin(pi/6) = 1/2, so element i carries exp(-j * pi * i / 2).
         vec = steering_vector(geom(8), np.pi / 6)
         expected = np.exp(-1j * np.pi * 0.5 * np.arange(8))
-        np.testing.assert_allclose(vec, expected, atol=1e-12)
+        np.testing.assert_allclose(vec, expected, atol=1e-12, rtol=0)
 
     def test_first_element_exactly_one(self):
         vec = steering_vector(geom(16), 0.7)
@@ -59,7 +59,7 @@ class TestSteeringVector:
         for angle in rng.uniform(-np.pi / 2, np.pi / 2, size=20):
             a_pos = steering_vector(geom(16), angle)
             a_neg = steering_vector(geom(16), -angle)
-            np.testing.assert_allclose(a_neg, np.conj(a_pos), atol=1e-15)
+            np.testing.assert_allclose(a_neg, np.conj(a_pos), atol=1e-15, rtol=0)
 
     def test_rejects_nonfinite_and_out_of_range(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestDoublingKernel:
         np.testing.assert_allclose(
             steering_vector(geom(1024), -angles),
             np.conj(steering_vector(geom(1024), angles)),
-            atol=1e-15,
+            atol=1e-15, rtol=0,
         )
 
     def test_destructive_superposition_is_exactly_zero_at_1024(self):
@@ -264,7 +264,7 @@ class TestSynthesizeChannel:
             PathComponent(gain=-g, aod=0.2, aoa=0.0),
         ]
         snap = synthesize_channel(paths, geom(8))
-        np.testing.assert_allclose(snap.coefficients, np.zeros(8), atol=1e-16)
+        np.testing.assert_allclose(snap.coefficients, np.zeros(8), atol=1e-16, rtol=0)
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_opposite_gains_on_one_angle_cancel_exactly(self, n):
@@ -342,13 +342,13 @@ class TestDftCodebook:
     def test_zero_frequency_codeword(self):
         cb = build_dft_codebook(256, 32)
         np.testing.assert_allclose(
-            cb.matrix[:, 0], np.full(32, 1 / np.sqrt(32), dtype=complex), atol=1e-15
+            cb.matrix[:, 0], np.full(32, 1 / np.sqrt(32), dtype=complex), atol=1e-15, rtol=0
         )
 
     def test_all_codewords_unit_norm(self):
         cb = build_dft_codebook(256, 32)
         norms = np.linalg.norm(cb.matrix, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12, rtol=0)
 
     def test_four_point_dft_hand_written(self):
         cb = build_dft_codebook(4, 4)
@@ -356,9 +356,11 @@ class TestDftCodebook:
         expected = np.array(
             [[w ** (i * x) for x in range(4)] for i in range(4)], dtype=complex
         ) / 2.0
-        np.testing.assert_allclose(cb.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(cb.matrix, expected, atol=1e-12, rtol=0)
         # spot-check one column against literal values
-        np.testing.assert_allclose(cb.matrix[:, 1], np.array([1, -1j, -1, 1j]) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(
+            cb.matrix[:, 1], np.array([1, -1j, -1, 1j]) / 2.0, atol=1e-12, rtol=0
+        )
 
     def test_rejects_fewer_beams_than_antennas(self):
         with pytest.raises(ValueError):

@@ -521,7 +521,7 @@ class TestTrajectories:
             v_k = 12.0 + (-2.5) * k * dt
             p = p + direction * (v_k * dt + 0.5 * (-2.5) * dt * dt)
             stepwise.append(p.copy())
-        np.testing.assert_allclose(pos, np.array(stepwise), atol=1e-9)
+        np.testing.assert_allclose(pos, np.array(stepwise), atol=1e-9, rtol=0)
 
     def test_sampled_speeds_within_bounds(self, los_scene):
         rng = np.random.default_rng(8)

@@ -163,11 +163,11 @@ class TestEncode:
             h1, c1 = _manual_lstm_step(model.enc_l1, x, h1, c1)
             h2, c2 = _manual_lstm_step(model.enc_l2, h1, h2, c2)
             states.append(h2.copy())
-        np.testing.assert_allclose(enc.states[0], np.array(states), atol=1e-12)
-        np.testing.assert_allclose(enc.h1[0], h1, atol=1e-12)
-        np.testing.assert_allclose(enc.c1[0], c1, atol=1e-12)
-        np.testing.assert_allclose(enc.h2[0], h2, atol=1e-12)
-        np.testing.assert_allclose(enc.c2[0], c2, atol=1e-12)
+        np.testing.assert_allclose(enc.states[0], np.array(states), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(enc.h1[0], h1, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(enc.c1[0], c1, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(enc.h2[0], h2, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(enc.c2[0], c2, atol=1e-12, rtol=0)
 
 
 class TestDecode:
@@ -213,7 +213,7 @@ class TestDecode:
                 model.att.w_combine @ np.concatenate([context, h2]) + model.att.b_combine
             )
             expected.append(model.out.weight @ combined + model.out.bias)
-        np.testing.assert_allclose(logits[0], np.array(expected), atol=1e-12)
+        np.testing.assert_allclose(logits[0], np.array(expected), atol=1e-12, rtol=0)
 
     def test_constant_class_model_decodes_constant(self):
         model = zero_model()
@@ -462,12 +462,6 @@ class TestTraining:
         val_losses = [row["val_loss"] for row in history]
         assert state.best_val_loss == pytest.approx(min(val_losses))
 
-    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
-    def test_config_rejects_step_sizes_not_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TrainConfig(**{field: value})
-
     @pytest.mark.parametrize("kwargs", [
         {"max_epochs": -3},
         {"max_epochs": 2.5},
@@ -663,7 +657,7 @@ def _train_state_bytes(model, history, state):
         json.dumps(history),
         [(key, d[key].tobytes()) for d in arrays for key in sorted(d)],
         json.dumps(state.rng_state),
-        (state.adam.t, state.adam.alpha, state.next_epoch, state.epochs_since_best),
+        (state.adam.t, state.next_epoch, state.epochs_since_best),
         repr(state.best_val_loss),
     )
 
@@ -744,9 +738,13 @@ class TestTrainingMemory:
         # On entry to enc_l2's backward the step holds what the encoder
         # backward still reads: both layers' gate activations and inputs,
         # enc_l2's time-major output gradient and the two dropout masks; and
-        # the decoder's parameter gradients and the two logit gradients. The
-        # (B, T, H) gradient the decoder returned for the encoder states must
-        # be gone once its time-major copy is made.
+        # the decoder's parameter gradients. The (B, T, H) gradient the
+        # decoder returned for the encoder states must be gone once its
+        # time-major copy is made, and the logit gradient, which is divided
+        # in place, once the output projection's backward has read it. What
+        # else the step holds, such as the per-token losses and the final-state
+        # gradients, is 0.29 stacks here, so half a stack leaves no room for a
+        # logit gradient (0.375 stacks).
         hp, b = MEMORY_HYPER, MEMORY_BATCH
         model = init_model(hp, seed=1)
         feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
@@ -759,8 +757,7 @@ class TestTrainingMemory:
         encoder = 2 * (4 + 1) * stack + stack + 2 * stack // 8  # masks are bool
         named = model.grads_to_dict(grads)
         decoder = sum(v.nbytes for k, v in named.items() if not k.startswith("enc"))
-        logits = 2 * 8 * b * hp.horizon * hp.num_beams
-        assert held - encoder - decoder - logits < stack
+        assert held - encoder - decoder < stack / 2
 
     def test_no_stale_gradients_across_batches(self, traced_memory):
         one = synthetic_dataset(n_train=MEMORY_BATCH, hyper=MEMORY_HYPER)
@@ -802,9 +799,9 @@ class TestCheckpoints:
     def test_roundtrip_identical_inference(self, tmp_path):
         model = micro_model(seed=21)
         path = tmp_path / "model.npz"
-        save_model(path, model, {"note": "test"})
+        save_model(path, model)
         loaded, meta = load_model(path)
-        assert meta["note"] == "test"
+        assert meta == {"kind": "seq2seq", "hyper": dataclasses.asdict(model.hyper)}
         rng = np.random.default_rng(31)
         for _ in range(100):
             feats = rng.normal(size=(2, 3))
@@ -951,7 +948,6 @@ class TestTrainStateCheckpoint:
             ("adam.t", "x"),
             ("best_val_loss", None),
             ("epochs_since_best", -1),
-            ("adam.alpha", 0.0),
         ],
     )
     def test_malformed_metadata_raises_checkpoint_error(self, state_file, key, value):
@@ -966,11 +962,12 @@ class TestTrainStateCheckpoint:
             load_train_state(path)
 
     def test_file_holding_adam_constants_loads(self, state_file):
-        # Files written while beta1, beta2 and eps were settable hold them too.
+        # Files written while alpha, beta1, beta2 and eps were settable hold
+        # them too.
         path, state = state_file
         tensors, meta = nn.load_tensors(path)
-        meta["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+        meta["adam"].update(alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
         nn.save_tensors(path, list(tensors.items()), meta)
         _, loaded, _ = load_train_state(path)
-        assert (loaded.adam.t, loaded.adam.alpha) == (state.adam.t, state.adam.alpha)
+        assert loaded.adam.t == state.adam.t
         assert loaded.rng_state == state.rng_state
