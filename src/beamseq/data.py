@@ -32,7 +32,10 @@ from typing import ClassVar
 import numpy as np
 
 from ._files import atomic_write, is_int
-from .mobility import sample_trajectory
+from .mobility import (
+    sample_trajectories,
+    sample_trajectory,  # noqa: F401  (the benchmark tracer wraps it here)
+)
 from .phy import Codebook, best_beams
 from .scene import ChannelGrid, Scene, snap_positions
 
@@ -252,7 +255,10 @@ def make_dataset(
     ``horizon``, ``stride``, ``slots_per_trajectory``) that are not ints >= 1,
     bools included, raise ``ValueError`` before any trajectory is drawn.
 
-    The windows are built as one batch: every trajectory is snapped to the
+    The windows are built as one batch. Trajectory ``i`` draws from its own
+    generator, seeded by (``seed``, ``i``), and all are drawn together by one
+    ``sample_trajectories`` call, which forms and bounds-checks each round of
+    attempts as one (n, slots, 2) array. Every trajectory is snapped to the
     grid in one ``snap_positions`` call, each kept trajectory draws its split
     once, and the samples' features are rows of one standardized
     (windows, T, F) float32 array, gathered from the standardized visited rows.
@@ -282,14 +288,9 @@ def make_dataset(
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
 
-    positions = np.array([
-        sample_trajectory(
-            scene,
-            np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id])),
-            num_slots=slots_per_trajectory,
-        ).positions()
-        for traj_id in range(num_trajectories)
-    ]).reshape(num_trajectories, slots_per_trajectory, 2)
+    rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id]))
+            for traj_id in range(num_trajectories)]
+    positions = sample_trajectories(scene, rngs, slots_per_trajectory)[1]
     flats = snap_positions(positions.reshape(-1, 2), scene.grid).reshape(positions.shape[:2])
     outage = grid.outage(source_bs) | grid.outage(target_rsu)
     kept = np.flatnonzero(~outage[flats].any(axis=1))

@@ -41,6 +41,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # Slack for angles that land on +-pi/2 up to floating-point rounding.
 _ANGLE_TOL = 1e-9
+# bytes of one (rows, N) complex128 block of ``synthesize_channels``: small
+# enough that a block's output and its term stay in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 class OutageError(RuntimeError):
@@ -134,7 +137,7 @@ def _checked_angles(angle) -> np.ndarray:
     return angle
 
 
-def _scaled_steering(geometry: ArrayGeometry, angle, first) -> np.ndarray:
+def _scaled_steering(geometry: ArrayGeometry, angle, first, out=None) -> np.ndarray:
     """first * a(angle), shape ``(..., N)``, built by doubling the geometric
     progression a_i = z^i, z = exp(j*phi), phi = -2*pi*spacing*sin(angle):
     element 0 is ``first``, and elements [k, k+m) are elements [0, m) times
@@ -145,11 +148,14 @@ def _scaled_steering(geometry: ArrayGeometry, angle, first) -> np.ndarray:
     for a power of two k, so element i is ``first`` times one factor per set
     bit of i. Its rounding error grows with that count (at most log2(N)
     products), on top of the phase rounding any per-element formula has.
-    The caller validates ``angle`` (``_checked_angles``).
+    The caller validates ``angle`` (``_checked_angles``). The result is
+    written to ``out`` when given, a complex128 array of the result's shape.
     """
     n = geometry.num_antennas
     phase = -2.0 * np.pi * geometry.spacing_wavelengths * np.sin(angle)
-    out = np.empty(np.broadcast_shapes(angle.shape, np.shape(first)) + (n,), dtype=np.complex128)
+    if out is None:
+        shape = np.broadcast_shapes(angle.shape, np.shape(first)) + (n,)
+        out = np.empty(shape, dtype=np.complex128)
     out[..., 0] = first
     k = 1
     while k < n:
@@ -170,44 +176,72 @@ def steering_vector(geometry: ArrayGeometry, angle) -> np.ndarray:
     return _scaled_steering(geometry, _checked_angles(angle), 1.0)
 
 
-def synthesize_channels(gains, aods, geometry: ArrayGeometry) -> np.ndarray:
+def synthesize_channels(gains, aods, geometry: ArrayGeometry, out=None) -> np.ndarray:
     """Superpose P paths per channel, gains and aods (..., P) -> (..., N): each
     adds gain * a(aod) (the single-antenna receiver contributes 1). Every aod
-    is validated, zero-gain entries included.
+    is validated, zero-gain entries included. The channels are written to
+    ``out`` when given: a C-contiguous complex128 array of shape (..., N),
+    such as a row range of a larger table; otherwise a new array.
 
     A slot is *shared* when all its non-zero gains carry one aod. A
     single-bounce scatterer path leaves the BS toward the scatterer, so its
     aod is the same at every receiver point (slots where the path is blocked
-    hold gain 0 and aod 0). Shared slots are summed per distinct angle, in
-    slot order, so g and -g on one angle cancel exactly, and added as one
-    GEMM: the (..., angles) sums times the (angles, N) steering vectors. The
-    other slots (line of sight, wall reflections) vary from channel to
-    channel; each is one doubling progression started at its gain
-    (``_scaled_steering``), added in slot order, so memory stays at one
-    (..., N) term and no (..., P, N) array is formed. Slots with no non-zero
-    gain add nothing. Against a term-by-term sum the result is within 1e-12
-    of the channel's norm."""
+    hold gain 0 and aod 0). Each slot is classified once per call, over all
+    its rows. Shared slots are summed per distinct angle, in slot order, so
+    g and -g on one angle cancel exactly, and added as one GEMM: the
+    (..., angles) sums times the (angles, N) steering vectors. The other
+    slots (line of sight, wall reflections) vary from channel to channel;
+    each is one doubling progression started at its gain
+    (``_scaled_steering``), added in slot order. Slots with no non-zero gain
+    add nothing. Against a term-by-term sum the result is within 1e-12 of the
+    channel's norm.
+
+    The rows are swept in equal blocks of at most ``_BLOCK_BYTES`` // (16 N)
+    channels, so a block's (rows, N) output and its one reused (rows, N) term
+    stay in a core's L2 cache while the block's terms are added. Every entry
+    is formed by the same operations in the same order whatever the block, so
+    the result does not depend on the block size."""
     gains = np.asarray(gains, dtype=np.complex128)
     aods = _checked_angles(aods)
     lead, n_slots = gains.shape[:-1], gains.shape[-1]
+    n = geometry.num_antennas
     rows = math.prod(lead)
+    if out is None:
+        out = np.empty(lead + (n,), dtype=np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+              and out.shape == lead + (n,) and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(
+            f"out must be a writable C-contiguous complex128 array of shape {lead + (n,)}"
+        )
+    coeffs = out.reshape(rows, n)
     gains, aods = gains.reshape(rows, n_slots), aods.reshape(rows, n_slots)
     # the least and greatest aod among each slot's non-zero gains: equal
     # when the slot is shared, lo > hi when it has no non-zero gain
     live = gains != 0
     lo = np.min(aods, axis=0, initial=np.inf, where=live)
     hi = np.max(aods, axis=0, initial=-np.inf, where=live)
-    coeffs = np.zeros((rows, geometry.num_antennas), dtype=np.complex128)
-    shared = np.flatnonzero(lo == hi)
+    shared, varying = np.flatnonzero(lo == hi), np.flatnonzero(lo < hi)
     if shared.size:
         angles, which = np.unique(lo[shared], return_inverse=True)
         summed = np.zeros((rows, angles.size), dtype=np.complex128)
         for s, k in zip(shared, which):
             summed[:, k] += gains[:, s]
-        np.matmul(summed, _scaled_steering(geometry, angles, 1.0), out=coeffs)
-    for s in np.flatnonzero(lo < hi):
-        coeffs += _scaled_steering(geometry, aods[:, s], gains[:, s])
-    return coeffs.reshape(lead + (geometry.num_antennas,))
+        steering = _scaled_steering(geometry, angles, 1.0)
+    # equal blocks of at most ``_BLOCK_BYTES``, none of one row unless the
+    # call has one: numpy forms a one-row matmul by a BLAS matrix-vector
+    # product, which rounds differently from the matrix product
+    n_blocks = max(1, -(-rows // max(4, _BLOCK_BYTES // (16 * n))))
+    edges = (np.arange(n_blocks + 1) * rows // n_blocks).tolist()
+    term = np.empty((-(-rows // n_blocks), n), dtype=np.complex128)
+    for r0, r1 in zip(edges, edges[1:]):
+        dest = coeffs[r0:r1]
+        if shared.size:
+            np.matmul(summed[r0:r1], steering, out=dest)
+        else:
+            dest.fill(0.0)
+        for s in varying:
+            dest += _scaled_steering(geometry, aods[r0:r1, s], gains[r0:r1, s], term[: r1 - r0])
+    return out
 
 
 def synthesize_channel(paths: list[PathComponent], bs: ArrayGeometry) -> ChannelSnapshot:

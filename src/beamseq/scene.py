@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# what ``_blocked`` grows a wall's box by before culling it (m): a thousand
+# times the hit test's 1e-9 slack
+_CULL_PAD = 1e-6
 # grid points traced and synthesized at a time by ``build_channel_grid``
 _CHUNK = 8192
 # sub-stream tags for seed derivation
@@ -295,23 +298,46 @@ def _crossing(rel, d, e):
     return t, u, safe
 
 
-def _blocked(p1, h1, p2, h2, walls: tuple[Wall, ...], skip: int = -1) -> np.ndarray:
+def _box(*points) -> np.ndarray:
+    """(2, 2) corners [lo, hi] of the smallest axis-aligned box holding every
+    (x, y) row of the (..., 2) arrays ``points``; a box is such an array, so
+    ``_box(box, p)`` grows ``box`` to hold ``p``."""
+    return np.array([[min(np.min(p[..., k]) for p in points) for k in (0, 1)],
+                     [max(np.max(p[..., k]) for p in points) for k in (0, 1)]])
+
+
+def _blocked(p1, h1, p2, h2, walls: tuple[Wall, ...], skip: int = -1, box=None) -> np.ndarray:
     """Which of the segments p1[i] -> p2[i] cross a wall below its top.
 
     p1, p2: (M, 2) or (2,); h1, h2: scalar or (M,). Wall ``skip`` is ignored
     (a reflected leg never re-crosses its own wall).
+
+    Walls are culled before the crossing solve: a wall whose box, grown by
+    ``_CULL_PAD`` on every side, misses ``box`` (the ``_box`` of every p1 and
+    p2, computed here when not given) is not solved against. A crossing the
+    solve reports lies on the segment and, within its 1e-9 slack in the
+    wall parameter, on the wall: inside both boxes but for that slack and
+    the solve's rounding, which the pad covers for walls under 100 m and
+    segments more than ~1e-8 rad from parallel to the wall. There culling
+    leaves the result unchanged. A segment parallel to a level or upright
+    wall has a zero solve denominator and never crosses it. A segment
+    parallel to a sloped wall to rounding gets t and u that are rounding
+    noise, and the solve may report a crossing that is not there; culling
+    drops such a crossing when the boxes are apart.
     """
     p1 = np.atleast_2d(np.asarray(p1, dtype=float))
     p2 = np.atleast_2d(np.asarray(p2, dtype=float))
     m = max(p1.shape[0], p2.shape[0])
+    if box is None:
+        box = _box(p1, p2)
     d = p2 - p1  # broadcasts
     blocked = np.zeros(m, dtype=bool)
     for w_idx, wall in enumerate(walls):
-        if w_idx == skip:
+        a, b = np.asarray(wall.a), np.asarray(wall.b)
+        if (w_idx == skip or np.any(np.minimum(a, b) - _CULL_PAD > box[1])
+                or np.any(np.maximum(a, b) + _CULL_PAD < box[0])):
             continue
-        a = np.asarray(wall.a)
-        e = np.asarray(wall.b) - a
-        t, u, safe = _crossing(a - p1, d, e)
+        t, u, safe = _crossing(a - p1, d, b - a)
         hit = safe & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
         ray_height = h1 + t * (np.asarray(h2) - h1)
         blocked |= hit & (ray_height < wall.height)
@@ -339,6 +365,14 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
     Returns (gains, aods, aoas, valid), each (M, P) with the fixed slot layout
     [LoS, one per wall, one per scatterer]. Invalid slots carry zero gain and
     zero angles.
+
+    The blockage tests are handed the box of the points, taken once, grown to
+    hold each leg's other end, so that ``_blocked`` skips every wall that box
+    misses. Each slot's entries are written in place where the path exists,
+    over the tables' zeros. The AoA is the arcsine of the cross product of
+    the unit vectors toward the BS and toward the path's last bounce: the
+    sine of the angle between them, folded into [-pi/2, pi/2] like any
+    azimuth. The direct path arrives at exactly 0.
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
@@ -348,32 +382,40 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
     lam = scene.wavelength_m
     bs_pos = np.asarray(bs.position)
     h_bs, h_rx = bs.height, scene.rx_height
+    points_box = _box(points)
 
     gains = np.zeros((m, n_slots), dtype=np.complex128)
     aods = np.zeros((m, n_slots))
     aoas = np.zeros((m, n_slots))
     valid = np.zeros((m, n_slots), dtype=bool)
 
-    to_bs_az = np.arctan2(bs_pos[1] - points[:, 1], bs_pos[0] - points[:, 0])
-
-    def fill(slot, ok, total_3d, dep_az, arr_az, extra_db):
-        """Write each of the slot's four columns whole, zero where ``ok`` is
-        False; a scalar ``dep_az`` (one departure for every point) is folded
-        once."""
-        amp = lam / (4.0 * np.pi * np.maximum(total_3d, _EPS)) * 10.0 ** (extra_db / 20.0)
-        phase = -2.0 * np.pi * total_3d / lam
-        gains[:, slot] = np.where(ok, amp * np.exp(1j * phase), 0.0)
-        aods[:, slot] = np.where(ok, _fold(dep_az - bs.boresight), 0.0)
-        aoas[:, slot] = np.where(ok, _fold(_wrap(arr_az - to_bs_az)), 0.0)
-        valid[:, slot] = ok
-
-    # line of sight
+    # line of sight; rel / d_plan is the unit vector from the BS to each point
     rel = points - bs_pos
     d_plan = np.hypot(rel[:, 0], rel[:, 1])
+    from_bs = rel / np.maximum(d_plan, _EPS)[:, None]
+
+    def fill(slot, ok, total_3d, dep_az, arrival, extra_db):
+        """Write the slot's columns where ``ok`` and leave the zeros
+        elsewhere; a scalar ``dep_az`` (one departure for every point) is
+        folded once. ``arrival`` is (the vector from each point toward the
+        last bounce, its length), None for the direct path."""
+        amp = lam / (4.0 * np.pi * np.maximum(total_3d, _EPS)) * 10.0 ** (extra_db / 20.0)
+        phase = -2.0 * np.pi * total_3d / lam
+        np.copyto(gains[:, slot], amp * np.exp(1j * phase), where=ok)
+        np.copyto(aods[:, slot], _fold(dep_az - bs.boresight), where=ok)
+        if arrival is not None:
+            vec, length = arrival
+            # to_bs x vec, with to_bs = -from_bs
+            sine = from_bs[:, 1] * vec[..., 0] - from_bs[:, 0] * vec[..., 1]
+            sine /= np.maximum(length, _EPS)
+            np.copyto(aoas[:, slot], np.arcsin(np.clip(sine, -1.0, 1.0, out=sine)), where=ok)
+        valid[:, slot] = ok
+
     d3 = np.hypot(d_plan, h_bs - h_rx)
     dep_az = np.arctan2(rel[:, 1], rel[:, 0])
-    ok = (~_blocked(bs_pos, h_bs, points, h_rx, scene.walls)) & (d3 > _EPS)
-    fill(0, ok, d3, dep_az, to_bs_az, 0.0)  # arrival from the BS direction: aoa = 0
+    los_blocked = _blocked(bs_pos, h_bs, points, h_rx, scene.walls, box=_box(points_box, bs_pos))
+    ok = ~los_blocked & (d3 > _EPS)
+    fill(0, ok, d3, dep_az, None, 0.0)
 
     # one first-order specular reflection per wall (image-source construction)
     for w_idx, wall in enumerate(scene.walls):
@@ -393,12 +435,16 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
             plan_len, _EPS
         )
         h_at_wall = h_bs + frac * (h_rx - h_bs)
-        leg1_blocked = _blocked(bs_pos, h_bs, refl_pt, h_at_wall, scene.walls, skip=w_idx)
-        leg2_blocked = _blocked(refl_pt, h_at_wall, points, h_rx, scene.walls, skip=w_idx)
+        refl_box = _box(refl_pt)
+        leg1_blocked = _blocked(bs_pos, h_bs, refl_pt, h_at_wall, scene.walls, skip=w_idx,
+                                box=_box(refl_box, bs_pos))
+        leg2_blocked = _blocked(refl_pt, h_at_wall, points, h_rx, scene.walls, skip=w_idx,
+                                box=_box(refl_box, points_box))
         ok = geom_ok & (h_at_wall <= wall.height) & ~leg1_blocked & ~leg2_blocked
         dep_az = np.arctan2(refl_pt[:, 1] - bs_pos[1], refl_pt[:, 0] - bs_pos[0])
-        arr_az = np.arctan2(refl_pt[:, 1] - points[:, 1], refl_pt[:, 0] - points[:, 0])
-        fill(1 + w_idx, ok, total_3d, dep_az, arr_az, -wall.reflection_loss_db)
+        to_refl = refl_pt - points
+        arrival = (to_refl, np.sqrt(to_refl[:, 0] ** 2 + to_refl[:, 1] ** 2))
+        fill(1 + w_idx, ok, total_3d, dep_az, arrival, -wall.reflection_loss_db)
 
     # one single-bounce path per scatterer
     for s_idx, scat in enumerate(scene.scatterers):
@@ -411,11 +457,11 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
         leg2_plan = np.hypot(d2[:, 0], d2[:, 1])
         leg2_3d = np.hypot(leg2_plan, scat.height - h_rx)
         total_3d = leg1_3d + leg2_3d
-        leg2_blocked = _blocked(q, scat.height, points, h_rx, scene.walls)
+        leg2_blocked = _blocked(q, scat.height, points, h_rx, scene.walls,
+                                box=_box(points_box, q))
         ok = (~leg2_blocked) & (leg2_3d > _EPS)
         dep_az = math.atan2(q[1] - bs_pos[1], q[0] - bs_pos[0])
-        arr_az = np.arctan2(q[1] - points[:, 1], q[0] - points[:, 0])
-        fill(1 + n_walls + s_idx, ok, total_3d, dep_az, arr_az, scat.gain_db)
+        fill(1 + n_walls + s_idx, ok, total_3d, dep_az, (-d2, leg2_plan), scat.gain_db)
 
     return gains, aods, aoas, valid
 
@@ -455,7 +501,12 @@ class ChannelGrid:
 
 def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> ChannelGrid:
     """Trace every grid point for every requested BS and cache the synthesized
-    snapshots. Outage points keep an all-invalid path row and a zero snapshot."""
+    snapshots. Outage points keep an all-invalid path row and a zero snapshot.
+
+    The points are traced ``_CHUNK`` at a time (``_trace_points``), and each
+    chunk's channels are synthesized straight into its rows of the snapshot
+    table (``synthesize_channels(..., out=)``, which sweeps them in
+    cache-sized blocks), so no chunk-sized snapshot array is made and copied."""
     if bs_ids is None:
         bs_ids = tuple(sorted(scene.stations))
     points = scene.grid.points()
@@ -473,9 +524,9 @@ def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> C
         )
         for lo in range(0, m, _CHUNK):
             rows = _trace_points(scene, bs, points[lo : lo + _CHUNK])
-            snaps = synthesize_channels(rows[0], rows[1], bs.geometry)
-            for table, block in zip(tables, (*rows, snaps)):
+            for table, block in zip(tables, rows):
                 table[lo : lo + _CHUNK] = block
+            synthesize_channels(rows[0], rows[1], bs.geometry, out=tables[4][lo : lo + _CHUNK])
         for name, table in zip(_TABLES, tables):
             getattr(grid, name)[bs_id] = table
     return grid

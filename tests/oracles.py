@@ -1,16 +1,25 @@
-"""Term-by-term oracles for the LSTM and attention kernels.
+"""Oracles: term-by-term LSTM and attention kernels, the unculled wall
+blockage test and the one-trajectory-at-a-time trajectory draw.
 
-Every pre-activation, weighted sum and gradient entry is its own
-``math.fsum`` over Python loops. The oracles read the kernels' parameter
-layout and nothing else: no GEMM, cache or helper of ``beamseq.nn`` runs in
-them.
+For the LSTM and attention, every pre-activation, weighted sum and gradient
+entry is its own ``math.fsum`` over Python loops. Those oracles read the
+kernels' parameter layout and nothing else: no GEMM, cache or helper of
+``beamseq.nn`` runs in them.
+
+``unculled_blocked`` solves every segment against every wall, as
+``scene._blocked`` did before it culled walls by their boxes.
+``looped_trajectory`` draws a trajectory as ``mobility.sample_trajectory``
+did before the batched draw: five scalar ``uniform`` calls per attempt and
+the positions of one attempt at a time.
 """
 
 import math
 
 import numpy as np
 
+from beamseq.mobility import ACCEL_RANGE, SLOT_SECONDS, SPEED_RANGE
 from beamseq.nn import AttentionParams, LSTMParams
+from beamseq.scene import _crossing
 
 
 def _sigmoid(z):
@@ -148,3 +157,41 @@ def term_by_term_attention_backward(p, query, enc, weights, combined, grad_combi
     )
     denc = np.array([[[math.fsum(terms) for terms in row] for row in rows] for rows in denc_terms])
     return grads, dquery, denc
+
+
+def unculled_blocked(p1, h1, p2, h2, walls, skip=-1):
+    """Which segments p1[i] -> p2[i] cross a wall below its top, every wall
+    but ``skip`` going through the crossing solve."""
+    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
+    p2 = np.atleast_2d(np.asarray(p2, dtype=float))
+    d = p2 - p1
+    blocked = np.zeros(max(p1.shape[0], p2.shape[0]), dtype=bool)
+    for w_idx, wall in enumerate(walls):
+        if w_idx == skip:
+            continue
+        a = np.asarray(wall.a)
+        t, u, safe = _crossing(a - p1, d, np.asarray(wall.b) - a)
+        hit = safe & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+        blocked |= hit & (h1 + t * (np.asarray(h2) - h1) < wall.height)
+    return blocked
+
+
+def looped_trajectory(grid, rng, num_slots, max_retries):
+    """(positions (num_slots, 2), attempts) of one trajectory that stays on
+    ``grid``, or (None, max_retries) when none did: each attempt draws start
+    x, start y, heading, speed and acceleration by one scalar ``uniform``
+    each, in that order."""
+    x_lo, y_lo = grid.origin
+    x_hi = x_lo + (grid.n_x - 1) * grid.spacing
+    y_hi = y_lo + (grid.n_y - 1) * grid.spacing
+    t = SLOT_SECONDS * np.arange(num_slots)
+    for attempt in range(1, max_retries + 1):
+        start = (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
+        heading = rng.uniform(0.0, 2.0 * np.pi)
+        v0, accel = rng.uniform(*SPEED_RANGE), rng.uniform(*ACCEL_RANGE)
+        s = v0 * t + 0.5 * accel * t * t
+        pos = np.asarray(start) + s[:, None] * np.array([math.cos(heading), math.sin(heading)])
+        if (pos[:, 0].min() >= x_lo and pos[:, 0].max() <= x_hi
+                and pos[:, 1].min() >= y_lo and pos[:, 1].max() <= y_hi):
+            return pos, attempt
+    return None, max_retries

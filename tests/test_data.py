@@ -27,10 +27,11 @@ from beamseq.data import (
     save_dataset,
     split_of_trajectory,
 )
-from beamseq.mobility import sample_trajectory
+from beamseq.mobility import MAX_RETRIES
 from beamseq.phy import ArrayGeometry, best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
 from beamseq.seq2seq import Seq2SeqHyper, TrainConfig, init_model, train
+from oracles import looped_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +131,14 @@ class TestGridDerived:
 
 def reference_make_dataset(scene, grid, source_bs, target_rsu, num_trajectories, codebook,
                            seed, history, horizon, stride, slots_per_trajectory):
-    """``make_dataset`` one item at a time: a snap and an outage check per
-    trajectory, a tuple per window, a split draw per window. Default speed
-    and acceleration."""
+    """``make_dataset`` one item at a time: a trajectory drawn, snapped and
+    checked for outage at a time, a tuple per window, a split draw per
+    window. Default speed and acceleration."""
     src_outage, tgt_outage = grid.outage(source_bs), grid.outage(target_rsu)
     kept, flats, dropped = [], [], 0
     for traj_id in range(num_trajectories):
         rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_TRAJECTORY, traj_id]))
-        positions = sample_trajectory(scene, rng, num_slots=slots_per_trajectory).positions()
+        positions, _ = looped_trajectory(scene.grid, rng, slots_per_trajectory, MAX_RETRIES)
         flat = snap_positions(positions, scene.grid)
         if np.any(src_outage[flat]) or np.any(tgt_outage[flat]):
             dropped += 1
@@ -423,7 +424,7 @@ class TestMakeDataset:
         def no_draw(*args, **kwargs):
             raise AssertionError("trajectory drawn")
 
-        monkeypatch.setattr(data, "sample_trajectory", no_draw)
+        monkeypatch.setattr(data, "sample_trajectories", no_draw)
         kwargs = {"num_trajectories": 5, "slots_per_trajectory": 100, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
             make_dataset(scene, grid, "rsu0", "rsu1", codebook=codebook, seed=1, **kwargs)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamseq import mobility
-from beamseq.mobility import Trajectory, TrajectoryError, sample_trajectory
-from beamseq.phy import ArrayGeometry, synthesize_channel
+from beamseq import mobility, phy, scene as scene_module
+from beamseq.mobility import Trajectory, TrajectoryError, sample_trajectories, sample_trajectory
+from beamseq.phy import ArrayGeometry, synthesize_channel, synthesize_channels
 from beamseq.scene import (
     BaseStation,
     GridSpec,
@@ -19,11 +19,15 @@ from beamseq.scene import (
     Scene,
     SceneParams,
     Wall,
+    _blocked,
+    _crossing,
+    _reflect_point,
     _trace_points,
     build_channel_grid,
     generate_scene,
     snap_positions,
 )
+from oracles import looped_trajectory, unculled_blocked
 
 
 def coarse_params(**overrides):
@@ -256,6 +260,69 @@ class TestTracePaths:
         assert not _trace_points(scene, scene.station("bs"), [[15.0, 5.0]])[3].any()
 
 
+    @staticmethod
+    def arctan_aoa(point, last_bounce, bs_pos):
+        """The AoA as azimuth differences: the arrival azimuth less the
+        azimuth toward the BS, wrapped into [-pi, pi) and folded."""
+        arr = math.atan2(last_bounce[1] - point[1], last_bounce[0] - point[0])
+        to_bs = math.atan2(bs_pos[1] - point[1], bs_pos[0] - point[0])
+        return math.asin(math.sin((arr - to_bs + math.pi) % (2 * math.pi) - math.pi))
+
+    @staticmethod
+    def reflection_points(bs_pos, points, wall):
+        """Where each point's reflection off the wall's line bounces, formed
+        as ``_trace_points`` forms it, so that only the AoA formula differs."""
+        image = _reflect_point(bs_pos, wall)
+        a, e = np.asarray(wall.a), np.subtract(wall.b, wall.a)
+        _, u, _ = _crossing(a - image, points - image, e)
+        return a + u[:, None] * e
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_aoa_matches_azimuth_difference(self, data):
+        # a BS below the grid, a sloped wall beyond it and scatterers on
+        # both sides. The AoA is 0 on the direct path. Elsewhere its sine is
+        # the azimuth difference's to 4e-15, and the angle is within 1e-12
+        # more than 5e-3 rad from endfire; nearer, the arcsine's slope turns
+        # rounding of the sine into larger angle errors
+        coord = st.floats
+        bs_pos = np.array([data.draw(coord(-10.0, 40.0)), data.draw(coord(-25.0, -2.0))])
+        y0, y1 = data.draw(coord(11.0, 16.0)), data.draw(coord(11.0, 16.0))
+        wall = Wall(a=(-5.0, y0), b=(35.0, y1), height=40.0, reflection_loss_db=3.0)
+        scatter_y = st.one_of(coord(-4.0, -0.5), coord(10.2, 10.9))
+        scatterers = tuple(
+            Scatterer((data.draw(coord(-5.0, 35.0)), data.draw(scatter_y)),
+                      data.draw(coord(1.0, 4.0)), -15.0)
+            for _ in range(data.draw(st.integers(1, 4)))
+        )
+        bs = BaseStation("bs", tuple(bs_pos), data.draw(coord(3.0, 25.0)), math.pi / 2,
+                         ArrayGeometry(num_antennas=8))
+        scene = Scene(28e9, 1.5, {"bs": bs}, (wall,), scatterers,
+                      GridSpec(origin=(0.0, 0.0), extent=(30.0, 10.0), spacing=0.5), seed=0)
+        points = np.array(data.draw(st.lists(st.tuples(coord(0.0, 29.5), coord(0.0, 9.5)),
+                                             min_size=1, max_size=8)))
+        _, _, aoas, valid = _trace_points(scene, bs, points)
+        assert not aoas[:, 0].tobytes().strip(b"\0")
+        reflections = self.reflection_points(bs_pos, points, wall)
+        for i, point in enumerate(points):
+            bounces = [reflections[i], *(np.asarray(q.position) for q in scatterers)]
+            for slot, bounce in enumerate(bounces, start=1):
+                if not valid[i, slot]:
+                    continue
+                want = self.arctan_aoa(point, bounce, bs_pos)
+                assert abs(math.sin(aoas[i, slot]) - math.sin(want)) <= 4e-15
+                if abs(want) <= math.pi / 2 - 5e-3:
+                    assert aoas[i, slot] == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["occluded", "rich"])
+    def test_direct_path_arrives_at_exactly_zero(self, which, occluded_scene, rich_scene):
+        scene = occluded_scene if which == "occluded" else rich_scene
+        for bs_id in scene.stations:
+            _, _, aoas, valid = _trace_points(scene, scene.station(bs_id), scene.grid.points())
+            assert valid[:, 0].any()
+            assert not aoas[:, 0].tobytes().strip(b"\0")  # +0.0, every byte zero
+
+
 @pytest.fixture(scope="module")
 def occluded_scene():
     """A short tall wall inside the grid blocks the line of sight, and each
@@ -332,6 +399,121 @@ class TestPathTables:
             np.testing.assert_allclose(got, want[idx], rtol=1e-12, atol=0.0)
 
 
+def _walls_and_segments(data):
+    """Walls, then segments p1 -> p2 whose ends are free points, points on
+    a wall's line (inside or beyond the wall) or, for p2, p1 moved parallel
+    to a wall; p1 may be one point shared by every segment."""
+    coord = st.floats(-30.0, 30.0)
+    walls = []
+    for _ in range(data.draw(st.integers(1, 3), label="walls")):
+        a = (data.draw(coord), data.draw(coord))
+        level = data.draw(st.booleans(), label="level")
+        b = (data.draw(coord), a[1] if level else data.draw(coord))
+        walls.append(Wall(a=a, b=b, height=data.draw(st.floats(0.5, 10.0)), reflection_loss_db=3.0))
+
+    def along(wall, s):
+        a, b = np.asarray(wall.a), np.asarray(wall.b)
+        return a + s * (b - a)
+
+    def point(start=None):
+        kinds = ["free", "on a wall line"] + (["parallel"] if start is not None else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "free":
+            return np.array([data.draw(coord), data.draw(coord)])
+        wall = data.draw(st.sampled_from(walls))
+        if kind == "on a wall line":
+            return along(wall, data.draw(st.floats(-1.0, 2.0)))
+        return start + along(wall, data.draw(st.floats(-2.0, 2.0))) - np.asarray(wall.a)
+
+    m = data.draw(st.integers(1, 6), label="segments")
+    if data.draw(st.booleans(), label="one p1"):
+        p1 = point()
+        p2 = np.array([point(p1) for _ in range(m)])
+    else:
+        p1 = np.array([point() for _ in range(m)])
+        p2 = np.array([point(p) for p in p1])
+
+    def heights():
+        if data.draw(st.booleans(), label="one height"):
+            return data.draw(st.floats(0.0, 12.0))
+        return np.array([data.draw(st.floats(0.0, 12.0)) for _ in range(m)])
+
+    return tuple(walls), p1, heights(), p2, heights()
+
+
+class TestWallCulling:
+    """``_blocked`` skips the walls whose padded box misses its segments'
+    box; the result equals the unculled test's wherever that test's solve
+    is not rounding noise."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_property_culling_is_exact(self, data):
+        walls, p1, h1, p2, h2 = _walls_and_segments(data)
+        skip = data.draw(st.integers(-1, len(walls) - 1), label="skip")
+        got = _blocked(p1, h1, p2, h2, walls, skip)
+        want = unculled_blocked(p1, h1, p2, h2, walls, skip)
+        assert not np.any(got & ~want)  # culling only ever drops a wall
+        # Exempt: a segment within 1e-7 rad of parallel to a sloped wall,
+        # where the unculled solve's t and u are rounding noise (see
+        # test_collinear_segment_beyond_a_sloped_wall)
+        d = np.broadcast_to(np.atleast_2d(p2) - np.atleast_2d(p1), want.shape + (2,))
+        exempt = np.zeros(want.shape, dtype=bool)
+        for w_idx, wall in enumerate(walls):
+            e = np.subtract(wall.b, wall.a)
+            if w_idx != skip and e.all():
+                with np.errstate(invalid="ignore"):  # 0/0 for a zero-length segment
+                    sine = (d[:, 0] * e[1] - d[:, 1] * e[0]) / (np.hypot(*d.T) * np.hypot(*e))
+                exempt |= np.abs(sine) < 1e-7
+        np.testing.assert_array_equal(got[~exempt], want[~exempt])
+
+    def test_collinear_segment_beyond_a_sloped_wall(self):
+        # p1 lies on the wall's line past its end b and p2 = p1 + 1.81 (b - a):
+        # the segment never meets the wall, but its crossing denominator is
+        # -1.8e-12 of rounding, past the hit test's 1e-12 threshold, so the
+        # unculled test reports a crossing; the boxes are apart, so the
+        # culled test does not solve and reports none
+        wall = Wall(a=(22.837471925036162, 25.491716398848382),
+                    b=(-25.172898483016574, -28.420094324899566), height=10.0,
+                    reflection_loss_db=3.0)
+        p1 = (-28.756323549294926, -32.443994417191476)
+        p2 = [(-115.72643156250362, -130.10447822478127)]
+        assert unculled_blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [True]
+        assert _blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [False]
+
+    @pytest.mark.parametrize("which", ["occluded", "rich"])
+    def test_path_tables_equal_those_traced_without_culling(self, which, occluded_scene,
+                                                             rich_scene, monkeypatch):
+        scene = occluded_scene if which == "occluded" else rich_scene
+        for bs_id in scene.stations:
+            traced = _trace_points(scene, scene.station(bs_id), scene.grid.points())
+            with monkeypatch.context() as patch:
+                patch.setattr(scene_module, "_CULL_PAD", np.inf)  # every box meets every wall
+                unculled = _trace_points(scene, scene.station(bs_id), scene.grid.points())
+            for got, want in zip(traced, unculled):
+                assert got.tobytes() == want.tobytes()
+
+    def test_generated_scene_solves_only_the_reflection_legs(self, rich_scene, monkeypatch):
+        # every wall lies beyond every grid point, BS and scatterer: the
+        # direct paths and the scatterer legs never reach the crossing solve
+        solves = []
+        crossing = scene_module._crossing
+        monkeypatch.setattr(scene_module, "_crossing",
+                            lambda *args: solves.append(1) or crossing(*args))
+        points = rich_scene.grid.points()
+        for bs in rich_scene.stations.values():
+            for end, height in [(points, rich_scene.rx_height),
+                                *((q.position, q.height) for q in rich_scene.scatterers)]:
+                assert not _blocked(bs.position, bs.height, end, height, rich_scene.walls).any()
+            for q in rich_scene.scatterers:
+                _blocked(q.position, q.height, points, rich_scene.rx_height, rich_scene.walls)
+        assert not solves
+        n_walls = len(rich_scene.walls)
+        _trace_points(rich_scene, rich_scene.station("mbs"), points)
+        # an image solve per wall, then each leg against the other walls
+        assert 0 < len(solves) <= n_walls + 2 * n_walls * (n_walls - 1)
+
+
 class TestChannelGrid:
     def test_cache_coherence_spot_checks(self, rich_scene):
         grid = build_channel_grid(rich_scene, bs_ids=("rsu0", "rsu1"))
@@ -362,6 +544,61 @@ class TestChannelGrid:
             assert got.shape == (rich_scene.grid.num_points, geometry.num_antennas)
             err = np.linalg.norm(got - want, axis=1)
             assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    @staticmethod
+    def synthesis_chunks(scene, bs):
+        """Traced rows of ``bs``: the first 1001 grid points, and a chunk in
+        which a wall slot that varies over the grid has exactly one live
+        point, so that one call classifies it as shared."""
+        gains, aods, _, valid = _trace_points(scene, bs, scene.grid.points())
+        chunks = [(gains[:1001], aods[:1001])]
+        for slot in range(1, 1 + len(scene.walls)):
+            lit = np.flatnonzero(valid[:, slot])
+            if np.unique(aods[lit, slot]).size > 1:
+                rows = np.concatenate([lit[:1], np.flatnonzero(~valid[:, slot])[:600]])
+                chunks.append((gains[rows], aods[rows]))
+        assert len(chunks) > 1
+        return chunks
+
+    @pytest.mark.parametrize("bs_id", ["rsu1", "mbs"])
+    def test_blocked_synthesis_is_byte_equal_to_one_block(self, rich_scene, bs_id, monkeypatch):
+        geometry = rich_scene.station(bs_id).geometry
+        n = geometry.num_antennas
+        block_rows = phy._BLOCK_BYTES // (16 * n)
+        for gains, aods in self.synthesis_chunks(rich_scene, rich_scene.station(bs_id)):
+            rows = gains.shape[0]
+            assert rows % block_rows
+            allocated = synthesize_channels(gains, aods, geometry)
+            table = np.full((rows + 3, n), np.nan, dtype=np.complex128)
+            out = table[2:-1]
+            assert synthesize_channels(gains, aods, geometry, out=out) is out
+            assert out.tobytes() == allocated.tobytes()
+            assert np.isnan(table[[0, 1, -1]]).all()  # rows outside ``out`` untouched
+            # blocks of at most 5 or 7 rows, or one block
+            for block_bytes in (16 * n * 5, 16 * n * 7, 1 << 60):
+                with monkeypatch.context() as patch:
+                    patch.setattr(phy, "_BLOCK_BYTES", block_bytes)
+                    blocked = synthesize_channels(gains, aods, geometry)
+                assert blocked.tobytes() == allocated.tobytes()
+            i = np.arange(n)
+            phase = -2 * np.pi * geometry.spacing_wavelengths * i * np.sin(aods[..., None])
+            want = np.einsum("mp,mpn->mn", gains, np.exp(1j * phase))
+            err = np.linalg.norm(allocated - want, axis=1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("make_out", [
+        lambda rows, n: np.empty((rows, n + 1), dtype=np.complex128),
+        lambda rows, n: np.empty((rows, n), dtype=np.complex64),
+        lambda rows, n: np.empty((rows, 2 * n), dtype=np.complex128)[:, ::2],
+        lambda rows, n: np.broadcast_to(np.zeros(n, dtype=np.complex128), (rows, n)),
+        lambda rows, n: np.empty((rows, n), dtype=np.complex128).tolist(),
+    ], ids=["shape", "dtype", "strided", "read-only", "list"])
+    def test_unusable_out_rejected(self, rich_scene, make_out):
+        geometry = rich_scene.station("rsu0").geometry
+        gains, aods, _, _ = _trace_points(rich_scene, rich_scene.station("rsu0"),
+                                          rich_scene.grid.points()[:9])
+        with pytest.raises(ValueError, match="out must be"):
+            synthesize_channels(gains, aods, geometry, out=make_out(9, geometry.num_antennas))
 
     def test_los_snapshot_is_scaled_steering_vector(self, los_scene):
         grid = build_channel_grid(los_scene, bs_ids=("rsu0",))
@@ -538,6 +775,40 @@ class TestTrajectories:
         for _ in range(50):
             traj = sample_trajectory(los_scene, rng, num_slots=150)
             snap_positions(traj.positions(), los_scene.grid)  # raises if outside
+
+    @staticmethod
+    def generators(seed, count):
+        return [np.random.default_rng(np.random.SeedSequence([seed, 2, i])) for i in range(count)]
+
+    @pytest.mark.parametrize("slots", [100, 900])
+    def test_batched_draw_equals_the_looped_draw(self, rich_scene, slots):
+        count = 40
+        draws, positions = sample_trajectories(rich_scene, self.generators(4, count), slots)
+        assert positions.shape == (count, slots, 2) and draws.shape == (count, 5)
+        attempts = []
+        for rng, want in zip(self.generators(4, count), positions):
+            looped, tries = looped_trajectory(rich_scene.grid, rng, slots, mobility.MAX_RETRIES)
+            assert want.tobytes() == looped.tobytes()
+            attempts.append(tries)
+        assert max(attempts) > 1  # some trajectories retried
+        # the one-generator call and its Trajectory's positions give the same bytes
+        for rng, draw, want in zip(self.generators(4, count), draws, positions):
+            traj = sample_trajectory(rich_scene, rng, slots)
+            assert (*traj.start, traj.heading, traj.initial_speed, traj.acceleration) == tuple(draw)
+            assert traj.positions().tobytes() == want.tobytes()
+
+    def test_batched_draw_gives_up_after_max_retries(self, monkeypatch):
+        tiny = replace(
+            generate_scene(coarse_params(), seed=0), grid=GridSpec((0.0, 0.0), (1.0, 1.0), 0.5)
+        )
+        monkeypatch.setattr(mobility, "MAX_RETRIES", 30)
+        rngs = self.generators(6, 3)
+        with pytest.raises(TrajectoryError, match="3 of 3 trajectories .* after 30 retries"):
+            sample_trajectories(tiny, rngs, 1000)
+        # each generator drew its five values 30 times, no more
+        for rng, fresh in zip(rngs, self.generators(6, 3)):
+            fresh.random(5 * 30)
+            assert rng.random() == fresh.random()
 
     def test_impossible_fit_reports_failure(self, monkeypatch):
         tiny = replace(
