@@ -165,15 +165,19 @@ class Dataset:
                 np.empty((0, self.history, self.feature_dim), dtype=np.float32),
                 np.empty((0, self.horizon), dtype=np.int64),
             )
-        feats = np.stack([s.features for s in chosen], dtype=np.float32)
-        labels = np.stack([s.labels for s in chosen]).astype(np.int64)
-        return feats, labels
+        return _stacked(chosen)
 
     def label_histogram(self) -> np.ndarray:
-        counts = np.zeros(self.num_beams, dtype=np.int64)
-        for s in self.samples:
-            counts += np.bincount(s.labels, minlength=self.num_beams)
-        return counts
+        labels = np.concatenate([np.empty(0, dtype=np.uint16), *(s.labels for s in self.samples)])
+        return np.bincount(labels, minlength=self.num_beams)
+
+
+def _stacked(samples: list[TrainingSample]):
+    """Stacked (features (n, T, F) float32, labels (n, K) int64) of a
+    non-empty list of samples, in its order."""
+    feats = np.stack([s.features for s in samples], dtype=np.float32)
+    labels = np.stack([s.labels for s in samples]).astype(np.int64)
+    return feats, labels
 
 
 def split_of_trajectory(seed: int, trajectory_id: int) -> str:

@@ -3,7 +3,8 @@
 Everything operates on float64 numpy arrays with a leading batch dimension.
 Forward functions return ``(output..., cache)``; the matching backward
 function takes the cache and upstream gradients and returns exact analytic
-gradients for parameters and inputs.
+gradients for parameters and inputs. The attention's inference pieces,
+which no backward follows, return no cache.
 
 A backward consumes its cache. The cache is a list that the backward empties
 on entry, so that its locals hold the cached buffers alone: each buffer is
@@ -27,19 +28,24 @@ rows. The LSTM cache holds the gate activations and the initial state
 (h0, c0), and no h, c or tanh(c) stack. The backward pass first rebuilds the
 c stack from c0 and the gates, then recomputes tanh(c) and h = o*tanh(c) one
 step at a time, each with the forward's ufuncs in its order, so every value
-and gradient equals that of a cached stack bit for bit. An elementwise sweep
-per layer, and no GEMM, replaces two (S+1, B, H) stacks per layer. A greedy
-decoder instead feeds the recurrence rows of an input-product table with one
-row per token.
+and gradient equals that of a cached stack bit for bit. Each h is written
+over the c row that no later step reads, so the two rebuilt stacks share one
+(S+1, B, H) buffer. An elementwise sweep per layer, and no GEMM, replaces two
+(S+1, B, H) cached stacks per layer. A greedy decoder instead feeds the
+recurrence rows of an input-product table with one row per token.
 
-Attention uses the general score qᵀ W_score h_t. ``attention_memory_forward``
-projects the encoder states once per encoding into keys ``W_score h_t`` and
-values ``W_c h_t`` (W_c the context half of the combine layer);
+Attention uses the general score qᵀ W_score h_t over keys ``W_score h_t``
+and values ``W_c h_t`` (W_c the context half of the combine layer), each one
+GEMM over the B*T encoder states. For inference,
+``attention_memory_forward`` projects them once per encoding and
 ``attention_attend_forward`` attends from K queries at once with batched
-matmuls over that memory. ``attention_sequence_forward`` runs the two. This
-fits a decoder without input feeding, whose layer inputs do not depend on the
-previous step's attention output. Attention returns the weights and the
-combined output ``tanh(W_c [context; q] + b)``, never the context itself.
+matmuls over that memory. For training, ``attention_sequence_forward`` forms
+the keys, takes the scores and drops the keys before it forms the values,
+and caches the encoder states instead of either; its backward rebuilds each
+projection just before its one read. This fits a decoder without input
+feeding, whose layer inputs do not depend on the previous step's attention
+output. Attention returns the weights and the combined output
+``tanh(W_c [context; q] + b)``, never the context itself.
 ``lstm_cell_*`` and ``attention_forward`` / ``attention_backward`` are the
 S = 1 and K = 1 slices of the sequence forms. No model calls them; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name.

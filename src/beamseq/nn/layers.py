@@ -1,7 +1,10 @@
 """Layers: dense, embedding, LSTM, global attention, dropout, softmax CE.
 
 The LSTM and attention kernels take whole sequences; see the package
-docstring for why, and for their single-step slices.
+docstring for why, and for their single-step slices. Their backward passes
+rebuild what their forwards do not cache: ``lstm_sequence_backward`` the c
+and h stacks, in one buffer, and ``attention_sequence_backward`` the keys
+and values.
 
 Parameter containers are plain dataclasses of float64 arrays. ``params_items``
 and ``accumulate_params`` give generic traversal so the optimizer and
@@ -239,8 +242,9 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
     activations overwrite ``act``; c is carried as one (B, H) array, a copy
     of c0, and tanh(c) goes through one (B, H) buffer. The cache is
     (h0, c0, act), h0 and c0 by reference, and holds no h or c stack: the
-    backward pass rebuilds both from the gate activations, so neither the
-    returned h nor c is cached. Returns (h (S, B, H), c_S, cache).
+    backward pass rebuilds both from the gate activations, in one
+    (S+1, B, H) buffer, so neither the returned h nor c is cached. Returns
+    (h (S, B, H), c_S, cache).
     """
     hid = p.hidden_size
     if act.ndim != 3 or act.shape[2] != 4 * hid:
@@ -302,37 +306,37 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
     h (S, B, H) and on the final c (B, H); returns (param grads, dx (S, B, D),
     dh0, dc0).
 
-    The c stack c_0 … c_S is rebuilt first from c0 and the cached gate
-    activations, with the forward's ufuncs in its order (``f * c_prev``, then
-    ``+= i * g``). The reverse loop recomputes tanh(c) from it one step at a
-    time and, before dz overwrites o, forms h_{t+1} = o_t * tanh(c_{t+1}) into
-    the stack of recurrence inputs h_0 … h_{S-1}. So every value equals the
-    forward's bit for bit, and the gradients equal those from cached stacks.
-    The weight gradients and dx are one GEMM each over all S*B rows after the
-    loop. It consumes the cache: the activation buffer is overwritten with dz,
-    the c stack is dropped after the loop and the input and h stack before dx
-    is formed.
+    The c stack c_0 … c_S is rebuilt first, into one (S+1, B, H) buffer, from
+    c0 and the cached gate activations, with the forward's ufuncs in its order
+    (``f * c_prev``, then ``+= i * g``). The reverse loop recomputes tanh(c)
+    from it one step at a time and, before dz overwrites o, writes
+    h_{t+1} = o_t * tanh(c_{t+1}) over c_{t+1}, which no later step reads; h0
+    goes over c_0 after the loop. So the buffer ends as the recurrence inputs
+    h_0 … h_{S-1} (and h_S, unread), every value equals the forward's bit for
+    bit, and the gradients equal those from cached stacks. The weight
+    gradients and dx are one GEMM each over all S*B rows after the loop. It
+    consumes the cache: the activation buffer is overwritten with dz, and the
+    input and the buffer are dropped before dx is formed.
     """
     p, x2, h0, c0, act = _consume(cache)
     s, b, _ = act.shape
     hid = p.hidden_size
-    cs = np.empty((s + 1, b, hid))
-    cs[0] = c0
+    ch = np.empty((s + 1, b, hid))
+    ch[0] = c0
+    del c0
     for t in range(s):
         i, f, g, _ = _gate_blocks(act[t])
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
-    hs = np.empty((s, b, hid))
-    hs[:1] = h0  # empty at S = 0
-    del h0, c0
+        np.multiply(f, ch[t], out=ch[t + 1])
+        ch[t + 1] += i * g
     dh = np.zeros((b, hid))
     dc = grad_c
     for t in reversed(range(s)):
-        tc = np.tanh(cs[t + 1])
-        if t + 1 < s:  # h_{t+1} = o_t * tanh(c_{t+1}), before dz overwrites o_t
-            np.multiply(_gate_blocks(act[t])[3], tc, out=hs[t + 1])
-        dh, dc = _lstm_step_backward(act[t], tc, cs[t], grad_h[t] + dh, dc, p.wh)
-    del cs
+        tc = np.tanh(ch[t + 1])
+        np.multiply(_gate_blocks(act[t])[3], tc, out=ch[t + 1])
+        dh, dc = _lstm_step_backward(act[t], tc, ch[t], grad_h[t] + dh, dc, p.wh)
+    hs = ch[:s]
+    hs[:1] = h0  # empty at S = 0
+    del h0, ch
     dz = act.reshape(s * b, 4 * hid)
     grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs.reshape(s * b, hid), b=dz.sum(axis=0))
     del x2, hs
@@ -356,61 +360,89 @@ def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# global attention (multiplicative score): a memory projected once per
-# encoding, attended from any number of queries
+# global attention (multiplicative score): keys and values projected from the
+# encoder states, attended from any number of queries
+
+
+def _state_rows(enc_states: np.ndarray) -> np.ndarray:
+    """Encoder states (B, T, H) as (B*T, H) rows, after checking that T >= 1."""
+    if enc_states.ndim != 3 or enc_states.shape[1] < 1:
+        raise ValueError(f"encoder states must be (B, T>=1, H), got {enc_states.shape}")
+    return enc_states.reshape(-1, enc_states.shape[2])
+
+
+def _query_rows(query: np.ndarray, states_shape) -> np.ndarray:
+    """Queries (B, K, H) as (B*K, H) rows, after checking them against
+    encoder states of shape ``states_shape`` (B, T, H)."""
+    if query.ndim != 3 or query.shape[::2] != states_shape[::2]:
+        raise ValueError(f"query {query.shape} is not (B, K, H) for states {states_shape}")
+    return query.reshape(-1, query.shape[2])
+
+
+def _keys(p: AttentionParams, e2: np.ndarray, states) -> np.ndarray:
+    """Keys ``e2 W_scoreᵀ`` of the state rows e2 (B*T, H), shaped ``states``
+    (B, T, H), so that score_t = q·key_t = qᵀ W_score h_t; one GEMM."""
+    return (e2 @ p.w_score.T).reshape(states)
+
+
+def _values(p: AttentionParams, e2: np.ndarray, states) -> np.ndarray:
+    """Values ``e2 W_cᵀ`` of the state rows e2 (B*T, H), shaped ``states``
+    (B, T, H), with W_c the context half ``w_combine[:, :H]``, so that the
+    context term of the combine layer is the weighted sum of values; one GEMM."""
+    return (e2 @ p.w_combine[:, : e2.shape[1]].T).reshape(states)
+
+
+def _combine(p: AttentionParams, context: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """combined = tanh(context + W_q q + b) (B*K, H), formed in place over the
+    context term weights·values (B, K, H); W_q is the query half
+    ``w_combine[:, H:]``, applied to the query rows q2 as one GEMM."""
+    z = context.reshape(q2.shape)
+    z += q2 @ p.w_combine[:, q2.shape[1] :].T
+    z += p.b_combine
+    return np.tanh(z, out=z)
 
 
 def attention_memory_forward(p: AttentionParams, enc_states: np.ndarray):
-    """Project encoder states (B, T, H) into the attention memory: keys
-    ``H_enc W_scoreᵀ``, so that score_t = q·key_t = qᵀ W h_t, and values
-    ``H_enc W_cᵀ`` with W_c the context half ``w_combine[:, :H]``, so that
-    the context term of the combine layer is the weighted sum of values.
-
-    Each is one GEMM over all B*T rows. Returns ((keys, values), cache).
-    """
-    if enc_states.ndim != 3 or enc_states.shape[1] < 1:
-        raise ValueError(f"encoder states must be (B, T>=1, H), got {enc_states.shape}")
-    b, t, hid = enc_states.shape
-    e2 = enc_states.reshape(b * t, hid)
-    keys = (e2 @ p.w_score.T).reshape(b, t, hid)
-    values = (e2 @ p.w_combine[:, :hid].T).reshape(b, t, hid)
-    return (keys, values), [p, e2]
+    """Project encoder states (B, T, H) once per encoding into the attention
+    memory (keys, values), each (B, T, H), for ``attention_attend_forward``.
+    An inference path: it returns no cache."""
+    e2 = _state_rows(enc_states)
+    return _keys(p, e2, enc_states.shape), _values(p, e2, enc_states.shape)
 
 
 def attention_attend_forward(p: AttentionParams, memory, query: np.ndarray):
     """Attend from K queries per sequence, query (B, K, H), over a memory from
-    ``attention_memory_forward``.
-
-    weights = softmax(q·keys) (B, K, T) and
+    ``attention_memory_forward``: weights = softmax(q·keys) (B, K, T) and
     combined = tanh(weights·values + W_q q + b) (B, K, H), with W_q the query
-    half ``w_combine[:, H:]``. The scores and the weighted sums are batched
-    matmuls; ``W_q q`` is one GEMM over B*K rows. Returns (weights, combined,
-    cache).
-    """
+    half ``w_combine[:, H:]``. An inference path: returns (weights, combined)
+    and no cache."""
     keys, values = memory
-    if query.ndim != 3 or query.shape[::2] != keys.shape[::2]:
-        raise ValueError(f"query {query.shape} is not (B, K, H) for memory {keys.shape}")
-    b, k, hid = query.shape
-    q2 = query.reshape(b * k, hid)
-    weights = softmax(q2.reshape(b, k, hid) @ keys.transpose(0, 2, 1))
-    z = (weights @ values).reshape(b * k, hid)
-    z += q2 @ p.w_combine[:, hid:].T
-    z += p.b_combine
-    combined = np.tanh(z, out=z)
-    cache = [p, q2, keys, values, weights, combined]
-    return weights, combined.reshape(b, k, hid), cache
+    q2 = _query_rows(query, keys.shape)
+    weights = softmax(q2.reshape(query.shape) @ keys.transpose(0, 2, 1))
+    return weights, _combine(p, weights @ values, q2).reshape(query.shape)
 
 
 def attention_sequence_forward(p: AttentionParams, query: np.ndarray, enc_states: np.ndarray):
     """Attend from K queries per sequence, query (B, K, H), over its encoder
-    states (B, T, H): ``attention_memory_forward`` then
-    ``attention_attend_forward``. Returns (weights (B, K, T), combined
+    states (B, T, H), as ``attention_attend_forward`` does over the memory
+    of ``attention_memory_forward``. Returns (weights (B, K, T), combined
     (B, K, H), cache); combined = tanh(W_c [context; query] + b) with
     context = weights·enc_states, which is never formed on its own.
+
+    The keys are formed, read by the scores and dropped before the values are
+    formed, and the values are dropped once their weighted sum is formed: the
+    cache holds the encoder states, the query rows (a view of the query when
+    it is C-contiguous, as the decoder passes it), the weights and the
+    combined output, and no keys or values. The backward rebuilds each
+    projection for its one read.
     """
-    memory, memory_cache = attention_memory_forward(p, enc_states)
-    weights, combined, attend_cache = attention_attend_forward(p, memory, query)
-    return weights, combined, [memory_cache, attend_cache]
+    e2 = _state_rows(enc_states)
+    q2 = _query_rows(query, enc_states.shape)
+    keys = _keys(p, e2, enc_states.shape)
+    weights = softmax(q2.reshape(query.shape) @ keys.transpose(0, 2, 1))
+    del keys
+    combined = _combine(p, weights @ _values(p, e2, enc_states.shape), q2)
+    return weights, combined.reshape(query.shape), [p, e2, q2, weights, combined]
 
 
 def attention_sequence_backward(cache, grad_combined: list):
@@ -421,36 +453,47 @@ def attention_sequence_backward(cache, grad_combined: list):
     dz overwrites the cached combined output, so the layer that reads it must
     have run its backward first. The upstream gradient is dropped once dz is
     formed, so a caller that holds it only in the list holds it no longer.
+    The values and then the keys are rebuilt from the encoder states just
+    before their one read. The work is ordered so that, once the upstream
+    gradient is dropped, at most two arrays of the encoder states' size are
+    live beyond the cached ones, outputs included: dk and its d_enc term are
+    formed before the keys are rebuilt, the query rows are dropped after
+    their last read, and dquery is formed as dscores·keys before dz·W_q is
+    added, a two-term float sum, which commutes, so its bytes are those of
+    the other order.
     """
-    (p, e2), (_, q2, keys, values, weights, dz) = _consume(cache)
+    p, e2, q2, weights, dz = _consume(cache)
     (grad,) = _consume(grad_combined)
     b, k, t = weights.shape
     hid = q2.shape[1]
+    states = (b, t, hid)
     # dz = grad_combined * (1 - combined * combined), formed in place
     np.multiply(dz, dz, out=dz)
     np.subtract(1.0, dz, out=dz)
     np.multiply(grad.reshape(b * k, hid), dz, out=dz)
     del grad
-    g_w_query = dz.T @ q2
-    g_b_combine = dz.sum(axis=0)
     dz3 = dz.reshape(b, k, hid)
-    dweights = dz3 @ values.transpose(0, 2, 1)
-    dv = (weights.transpose(0, 2, 1) @ dz3).reshape(b * t, hid)
-    del values
+    dweights = dz3 @ _values(p, e2, states).transpose(0, 2, 1)
     # softmax Jacobian applied row-wise
     dscores = weights * (dweights - np.sum(dweights * weights, axis=2, keepdims=True))
-    del weights, dweights
+    del dweights
+    # through the keys, keys = e2 W_scoreᵀ
     dk = (dscores.transpose(0, 2, 1) @ q2.reshape(b, k, hid)).reshape(b * t, hid)
-    del q2
-    dquery = (dz @ p.w_combine[:, hid:]).reshape(b, k, hid)
-    del dz, dz3
-    dquery += dscores @ keys
-    del dscores, keys
-    # through the memory's projections, keys = e2 W_scoreᵀ and values = e2 W_cᵀ
+    g_w_score = dk.T @ e2
     d_enc = dk @ p.w_score
+    del dk
+    g_w_query = dz.T @ q2
+    del q2
+    dquery = dscores @ _keys(p, e2, states)
+    del dscores
+    dquery += (dz @ p.w_combine[:, hid:]).reshape(b, k, hid)
+    g_b_combine = dz.sum(axis=0)
+    # through the values, values = e2 W_cᵀ
+    dv = (weights.transpose(0, 2, 1) @ dz3).reshape(b * t, hid)
+    del weights, dz, dz3
     d_enc += dv @ p.w_combine[:, :hid]
     grads = AttentionParams(
-        w_score=dk.T @ e2,
+        w_score=g_w_score,
         w_combine=np.concatenate([dv.T @ e2, g_w_query], axis=1),
         b_combine=g_b_combine,
     )

@@ -288,10 +288,15 @@ def _wrap(angle):
 
 def _crossing(rel, d, e):
     """(t, u, safe) solving p + t*d = a + u*e, given rel = a - p and (2,) or
-    (M, 2) rel, d; t and u are finite but meaningless where ``safe`` is False
-    (segment parallel to the wall)."""
+    (M, 2) rel, d; t and u are finite but meaningless where ``safe`` is False:
+    the segment is parallel to the wall, |d × e| <= 1e-12 |d| |e|. The bound
+    scales with |d| |e| as the rounding of d × e does, so a segment parallel
+    to a wall up to rounding counts as parallel at any length."""
     denom = d[..., 0] * e[1] - d[..., 1] * e[0]
-    safe = np.abs(denom) > _EPS
+    bound = d[..., 0] * d[..., 0]  # (1e-12 |d| |e|)², without a square root
+    bound += d[..., 1] * d[..., 1]
+    bound *= _EPS * _EPS * (e[0] * e[0] + e[1] * e[1])
+    safe = denom * denom > bound
     denom = np.where(safe, denom, 1.0)
     t = (rel[..., 0] * e[1] - rel[..., 1] * e[0]) / denom
     u = (rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / denom
@@ -319,11 +324,8 @@ def _blocked(p1, h1, p2, h2, walls: tuple[Wall, ...], skip: int = -1, box=None) 
     wall parameter, on the wall: inside both boxes but for that slack and
     the solve's rounding, which the pad covers for walls under 100 m and
     segments more than ~1e-8 rad from parallel to the wall. There culling
-    leaves the result unchanged. A segment parallel to a level or upright
-    wall has a zero solve denominator and never crosses it. A segment
-    parallel to a sloped wall to rounding gets t and u that are rounding
-    noise, and the solve may report a crossing that is not there; culling
-    drops such a crossing when the boxes are apart.
+    leaves the result unchanged. A segment parallel to a wall to rounding,
+    level, upright or sloped, never crosses it (see ``_crossing``).
     """
     p1 = np.atleast_2d(np.asarray(p1, dtype=float))
     p2 = np.atleast_2d(np.asarray(p2, dtype=float))

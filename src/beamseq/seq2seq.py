@@ -27,11 +27,20 @@ consumes its layer's cache (see ``nn``), and the step pops the caches in
 reverse layer order: the decoder's output projection, attention, ``dec_l2``,
 ``dec_l1`` and embedding, then the encoder's ``enc_l2``, ``enc_l1`` and input
 projection. So each layer's activations are gone before the layer below runs
-its backward. An LSTM layer caches only its gate activations and rebuilds its
-h and c stacks in its backward (see ``nn``), so a layer's h output is held
-only by the layer that reads it: the encoder copies the final states into
-``EncoderOutput``, and with dropout on, a dropped copy replaces the output.
-The previous batch's gradients are dropped before the next batch runs.
+its backward. What a backward can rebuild cheaply is not held at all:
+- An LSTM layer caches only its gate activations and rebuilds its c and h
+  stacks, in one buffer, in its backward (see ``nn``). So a layer's h output
+  is held only by the layer that reads it: the encoder copies the final
+  states into ``EncoderOutput``, and with dropout on, a dropped copy replaces
+  the output. The decoder makes the attention's batch-major query copy of
+  ``dec_l2``'s output itself and drops the time-major output before the
+  attention runs.
+- The attention caches the encoder states and not their keys and values; its
+  backward rebuilds each from the states just before its one read, two GEMMs
+  over B*T rows, about 1% of a step.
+The previous batch's gradients are dropped before the next batch runs, and
+each batch's features and labels are stacked from the dataset's samples as
+the batch is drawn, so training holds no copy of a split.
 
 Datasets hold features in float32 (see ``data``), and training feeds its
 batches in as they are: the input projection's GEMM widens them to float64
@@ -54,7 +63,7 @@ import numpy as np
 
 from . import nn
 from ._files import atomic_write, is_int, is_real
-from .data import Dataset
+from .data import Dataset, _stacked
 from .nn import (
     AdamState,
     AttentionParams,
@@ -241,9 +250,11 @@ def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.n
     mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
     del out1  # with dropout on, dec_l2 reads the dropped copy alone
     out2, _, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, enc.h2, enc.c2)
-    _, combined, acache = nn.attention_sequence_forward(
-        model.att, out2.transpose(1, 0, 2), enc.states
-    )
+    # the attention's batch-major queries; dec_l2's time-major output is gone
+    # before the attention runs
+    query = np.ascontiguousarray(out2.transpose(1, 0, 2))
+    del out2
+    _, combined, acache = nn.attention_sequence_forward(model.att, query, enc.states)
     logits, ocache = nn.dense_forward(model.out, combined.reshape(b * k_steps, hp.hidden))
     cache = [ecache, cache1, drop_cache, cache2, acache, ocache]
     return logits.reshape(b, k_steps, hp.num_beams), cache
@@ -288,7 +299,7 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput):
     hp = model.hyper
     b = enc.states.shape[0]
     token_gates = nn.lstm_input_product(model.dec_l1, model.emb.table)
-    memory, _ = nn.attention_memory_forward(model.att, enc.states)
+    memory = nn.attention_memory_forward(model.att, enc.states)
     tokens = np.full(b, hp.start_token)
     h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
     labels = np.empty((b, hp.horizon), dtype=np.int64)
@@ -296,7 +307,7 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput):
         out1, c1, _ = nn.lstm_recurrence(model.dec_l1, token_gates[tokens][None], h1, c1)
         out2, c2, _ = nn.lstm_sequence_forward(model.dec_l2, out1, h2, c2)
         h1, h2 = out1[0], out2[0]
-        _, combined, _ = nn.attention_attend_forward(model.att, memory, h2[:, None])
+        _, combined = nn.attention_attend_forward(model.att, memory, h2[:, None])
         logits, _ = nn.dense_forward(model.out, combined[:, 0])
         labels[:, k] = tokens = np.argmax(logits, axis=1)
     return labels
@@ -388,10 +399,11 @@ def _batch_forward_backward(model, feats, targets, rng):
     return float(losses.mean()), correct / losses.size, grads
 
 
-def _evaluate_teacher_forced(model, feats, targets, batch_size):
-    """Inference-mode loss/accuracy over a split, ``batch_size`` windows at a
-    time, so that validation holds no more than a training batch does."""
-    n = feats.shape[0]
+def _evaluate_teacher_forced(model, samples, batch_size):
+    """Inference-mode loss/accuracy over a split's samples, ``batch_size``
+    windows at a time, each batch stacked from the samples, so that validation
+    holds no more than a training batch does."""
+    n = len(samples)
     if n == 0:
         return float("nan"), float("nan")
     total_loss = 0.0
@@ -399,11 +411,11 @@ def _evaluate_teacher_forced(model, feats, targets, batch_size):
     for lo in range(0, n, batch_size):
         # [:2] lets go of the caches before the next batch runs
         losses, correct = _score_teacher_forced(
-            model, feats[lo : lo + batch_size], targets[lo : lo + batch_size], None
+            model, *_stacked(samples[lo : lo + batch_size]), None
         )[:2]
         total_loss += float(losses.sum())
         total_correct += correct
-    tokens = n * targets.shape[1]
+    tokens = n * model.hyper.horizon
     return total_loss / tokens, total_correct / tokens
 
 
@@ -423,12 +435,14 @@ def train(
     restoring the best weights into ``model``, ``train`` records the live
     ones in the returned state, so ``train(model, ..., state=state)`` continues
     the run as if it had never stopped.
+
+    Each batch is stacked from the dataset's samples as it is drawn, so that
+    training holds no copy of a split's features beyond the batch in use.
     """
-    train_x, train_y = dataset.arrays("train")
-    val_x, val_y = dataset.arrays("val")
-    if train_x.shape[0] == 0:
+    train_set = dataset.split_samples("train")
+    val_set = dataset.split_samples("val")
+    if not train_set:
         raise ValueError("dataset has no train-split samples")
-    have_val = val_x.shape[0] > 0
 
     named = model.named_params()
     if state is None:
@@ -450,7 +464,7 @@ def train(
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
 
-    n = train_x.shape[0]
+    n = len(train_set)
     history: list[dict] = []
     for epoch in range(state.next_epoch, config.max_epochs):
         order = rng.permutation(n)
@@ -460,7 +474,7 @@ def train(
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
             loss, acc, grads = _batch_forward_backward(
-                model, train_x[batch], train_y[batch], rng
+                model, *_stacked([train_set[i] for i in batch]), rng
             )
             if not np.isfinite(loss):
                 norm = float(
@@ -479,8 +493,8 @@ def train(
             epoch_correct += acc * len(batch)
         train_loss = epoch_loss / n
         train_acc = epoch_correct / n
-        if have_val:
-            val_loss, val_acc = _evaluate_teacher_forced(model, val_x, val_y, config.batch_size)
+        if val_set:
+            val_loss, val_acc = _evaluate_teacher_forced(model, val_set, config.batch_size)
         else:
             val_loss, val_acc = train_loss, train_acc
         history.append(

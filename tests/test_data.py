@@ -732,6 +732,13 @@ class TestDatasetFile:
         hist = small_dataset.label_histogram()
         assert hist.sum() == len(small_dataset.samples) * 50
 
+    def test_label_histogram_sums_the_per_sample_counts(self, small_dataset):
+        ds = small_dataset
+        want = sum(np.bincount(s.labels, minlength=ds.num_beams) for s in ds.samples)
+        assert ds.label_histogram().tolist() == want.tolist()
+        empty = dataclasses.replace(ds, samples=[])
+        assert empty.label_histogram().tolist() == [0] * ds.num_beams
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 json_values = st.recursive(

@@ -236,6 +236,22 @@ class TestLstmSequence:
         _, retained, _ = traced_memory(lambda: lstm_sequence_forward(p, x, zeros, zeros))
         assert retained < 5.5 * s * b * hid * 8
 
+    def test_backward_rebuilds_c_and_h_in_one_stack(self, traced_memory):
+        # The backward rebuilds c_0 … c_S and writes each h over the c row no
+        # step reads any more, so its peak above entry is one (S+1, B, H)
+        # stack and (B, H) temporaries; separate h and c stacks would make it
+        # two. B*H is large against the weights, so the gradients and dx
+        # formed after the buffer is dropped stay under the stack.
+        s, b, hid = 32, 64, 16
+        rng = rng_for(58)
+        p = init_lstm(rng, hid, hid)
+        x = rng.normal(size=(s, b, hid))
+        zeros = np.zeros((b, hid))
+        _, _, cache = lstm_sequence_forward(p, x, zeros, zeros)
+        grad_h = rng.normal(size=(s, b, hid))
+        _, retained, above = traced_memory(lambda: lstm_sequence_backward(cache, grad_h, zeros))
+        assert retained + above < 1.5 * (s + 1) * b * hid * 8
+
     @pytest.mark.parametrize("s", [0, 1, 3])
     def test_returned_c_never_aliases_c0(self, s):
         rng = rng_for(37)
@@ -350,8 +366,8 @@ class TestAttentionMatchesTermByTerm:
         query = rng.normal(size=(b, k, hid))
         enc = rng.normal(size=(b, t, hid))
         want_weights, want_combined = term_by_term_attention(p, query, enc)
-        memory, _ = nn.attention_memory_forward(p, enc)
-        weights, combined, _ = nn.attention_attend_forward(p, memory, query)
+        memory = nn.attention_memory_forward(p, enc)
+        weights, combined = nn.attention_attend_forward(p, memory, query)
         outputs = [(weights, want_weights), (combined, want_combined)]
         if k == 1:
             weights1, combined1, _ = attention_forward(p, query[:, 0], enc)
@@ -647,7 +663,8 @@ def _mutant(fn, old: str, new: str):
 
 # Single mutations of the backward math the training step runs: the LSTM step
 # inside lstm_sequence_backward's loop, and the batched attention backward,
-# through the attend and through the memory's projections.
+# through the attend, through the keys and values it rebuilds and through
+# their projections.
 BACKWARD_MUTATIONS = {
     "forget_gate_sign_flipped": (
         layers._lstm_step_backward, "f[...] = dc * c_prev", "f[...] = -dc * c_prev"
@@ -672,7 +689,19 @@ BACKWARD_MUTATIONS = {
         "dz[...] = 1.0\n",
     ),
     "keys_term_dropped_from_dquery": (
-        layers.attention_sequence_backward, "dquery += dscores @ keys", "pass"
+        layers.attention_sequence_backward,
+        "dquery = dscores @ _keys(p, e2, states)",
+        "dquery = np.zeros((b, k, hid))",
+    ),
+    "keys_rebuilt_from_the_context_weights": (
+        layers.attention_sequence_backward,
+        "dquery = dscores @ _keys(p, e2, states)",
+        "dquery = dscores @ _values(p, e2, states)",
+    ),
+    "values_rebuilt_from_the_score_weights": (
+        layers.attention_sequence_backward,
+        "dweights = dz3 @ _values(p, e2, states)",
+        "dweights = dz3 @ _keys(p, e2, states)",
     ),
     "keys_term_dropped_from_d_enc_states": (
         layers.attention_sequence_backward,

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -441,10 +442,25 @@ def _walls_and_segments(data):
     return tuple(walls), p1, heights(), p2, heights()
 
 
+def _exact_hit(p1, p2, wall) -> bool:
+    """The segment p1 -> p2 meets the wall by the hit test of ``_blocked``
+    (slack 1e-9 in t and u), solved in exact rationals on the float inputs."""
+    p1, p2, a, b = ([Fraction(float(v)) for v in pt] for pt in (p1, p2, wall.a, wall.b))
+    d = (p2[0] - p1[0], p2[1] - p1[1])
+    e = (b[0] - a[0], b[1] - a[1])
+    rel = (a[0] - p1[0], a[1] - p1[1])
+    denom = d[0] * e[1] - d[1] * e[0]
+    if denom == 0:
+        return False
+    t = (rel[0] * e[1] - rel[1] * e[0]) / denom
+    u = (rel[0] * d[1] - rel[1] * d[0]) / denom
+    slack = Fraction(1e-9)
+    return slack < t < 1 - slack and -slack <= u <= 1 + slack
+
+
 class TestWallCulling:
     """``_blocked`` skips the walls whose padded box misses its segments'
-    box; the result equals the unculled test's wherever that test's solve
-    is not rounding noise."""
+    box; the result equals the unculled test's."""
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -453,32 +469,35 @@ class TestWallCulling:
         skip = data.draw(st.integers(-1, len(walls) - 1), label="skip")
         got = _blocked(p1, h1, p2, h2, walls, skip)
         want = unculled_blocked(p1, h1, p2, h2, walls, skip)
-        assert not np.any(got & ~want)  # culling only ever drops a wall
-        # Exempt: a segment within 1e-7 rad of parallel to a sloped wall,
-        # where the unculled solve's t and u are rounding noise (see
-        # test_collinear_segment_beyond_a_sloped_wall)
-        d = np.broadcast_to(np.atleast_2d(p2) - np.atleast_2d(p1), want.shape + (2,))
-        exempt = np.zeros(want.shape, dtype=bool)
-        for w_idx, wall in enumerate(walls):
-            e = np.subtract(wall.b, wall.a)
-            if w_idx != skip and e.all():
-                with np.errstate(invalid="ignore"):  # 0/0 for a zero-length segment
-                    sine = (d[:, 0] * e[1] - d[:, 1] * e[0]) / (np.hypot(*d.T) * np.hypot(*e))
-                exempt |= np.abs(sine) < 1e-7
-        np.testing.assert_array_equal(got[~exempt], want[~exempt])
+        np.testing.assert_array_equal(got, want)
 
     def test_collinear_segment_beyond_a_sloped_wall(self):
         # p1 lies on the wall's line past its end b and p2 = p1 + 1.81 (b - a):
-        # the segment never meets the wall, but its crossing denominator is
-        # -1.8e-12 of rounding, past the hit test's 1e-12 threshold, so the
-        # unculled test reports a crossing; the boxes are apart, so the
-        # culled test does not solve and reports none
+        # the segment never meets the wall. Its crossing denominator is
+        # -1.8e-12 of rounding, under the solve's bound of 1e-12 |d| |e|
+        # (9.4e-9 here), so neither test reports a crossing.
         wall = Wall(a=(22.837471925036162, 25.491716398848382),
                     b=(-25.172898483016574, -28.420094324899566), height=10.0,
                     reflection_loss_db=3.0)
         p1 = (-28.756323549294926, -32.443994417191476)
         p2 = [(-115.72643156250362, -130.10447822478127)]
-        assert unculled_blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [True]
+        assert not _exact_hit(p1, p2[0], wall)
+        assert unculled_blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [False]
+        assert _blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [False]
+
+    def test_collinear_segment_whose_box_meets_a_sloped_wall(self):
+        # p1 lies on the wall's line 3e-9 of the wall's length past its end b
+        # (1.5e-7 m), within the culling pad, so both tests solve. Solved in
+        # exact rationals on the same floats, the segment does not cross the
+        # wall; an absolute 1e-12 bound on d × e took its rounding for a
+        # crossing.
+        wall = Wall(a=(-26.610476078754527, -26.936865692038474),
+                    b=(23.17793157655963, 17.936710743304594), height=10.0,
+                    reflection_loss_db=3.0)
+        p1 = (23.17793172592486, 17.93671087792532)
+        p2 = [(56.97644665760953, 48.39882675212433)]
+        assert not _exact_hit(p1, p2[0], wall)
+        assert unculled_blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [False]
         assert _blocked(p1, 0.0, p2, 0.0, (wall,)).tolist() == [False]
 
     @pytest.mark.parametrize("which", ["occluded", "rich"])

@@ -276,10 +276,9 @@ class TestSharedScorer:
         # One batch at dropout 0: the validation loss and accuracy are the
         # training step's, bit for bit, with or without a generator.
         model = micro_model(seed=13)
-        rng = np.random.default_rng(8)
-        feats = rng.normal(size=(3, 2, 3))
-        targets = rng.integers(0, 5, size=(3, 2))
-        val_loss, val_acc = _evaluate_teacher_forced(model, feats, targets, batch_size=3)
+        ds = synthetic_dataset(n_train=3, label_seed=8)
+        val_loss, val_acc = _evaluate_teacher_forced(model, ds.split_samples("train"), 3)
+        feats, targets = ds.arrays("train")
         for step_rng in (None, np.random.default_rng(9)):
             loss, acc, _ = _batch_forward_backward(model, feats, targets, rng=step_rng)
             assert (loss, acc) == (val_loss, val_acc)
@@ -720,6 +719,23 @@ class TestTrainingMemory:
         attention = (t + k) * h * b  # encoder states and decoder queries
         assert held - 8 * (acts + inputs + attention) < 8 * max(t, k) * b * h
 
+    def test_attention_forward_exit_holds_no_keys_or_values(self, phase_memory):
+        # Between entry and exit the attention adds only its outputs, the
+        # weights (B, K, T) and the combined output (B, K, H), which its cache
+        # holds: the keys and values (B, T, H) are rebuilt by the backward,
+        # and the query rows are a view of the decoder's batch-major copy.
+        hp, b = MEMORY_HYPER, MEMORY_BATCH
+        model = init_model(hp, seed=1)
+        feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
+        _, crossings = phase_memory(
+            lambda: _batch_forward_backward(model, feats, targets, np.random.default_rng(3)),
+            ["attention_sequence_forward"],
+        )
+        entry, exit_ = [c.held for c in crossings]
+        outputs = 8 * b * hp.horizon * (hp.history + hp.hidden)
+        stack = 8 * b * hp.history * hp.hidden
+        assert exit_ - entry - outputs < stack / 2
+
     def test_attention_backward_peaks_no_higher_than_its_forward(self, phase_memory):
         # The output projection's input gradient is released once the
         # attention backward has folded it into dz, so that backward's peak
@@ -767,10 +783,10 @@ class TestTrainingMemory:
             _traced_peak(traced_memory, lambda: train(init_model(MEMORY_HYPER, 2), ds, cfg))
             for ds in (one, three)
         ]
-        # the two extra batches' features (float32), labels and shuffle order
-        # (int64) stay held
+        # the two extra batches' shuffle order (int64) stays held; their
+        # features and labels are stacked only while their step runs
         hp = MEMORY_HYPER
-        extra = 2 * MEMORY_BATCH * (hp.history * hp.feature_dim * 4 + (hp.horizon + 1) * 8)
+        extra = 2 * MEMORY_BATCH * 8
         # the previous batch's gradients would add one parameter copy
         assert peaks[1] - peaks[0] - extra < 0.5 * _param_bytes(init_model(hp, 2))
 
@@ -779,12 +795,8 @@ class TestTrainingMemory:
         model = init_model(MEMORY_HYPER, seed=2)
 
         def bare_step():
-            # the data a one-batch epoch holds: the split's arrays and the
-            # shuffled batch drawn from them
-            feats, targets = ds.arrays("train")
-            order = np.random.default_rng(4).permutation(len(feats))
-            return _batch_forward_backward(model, feats[order], targets[order],
-                                           np.random.default_rng(5))
+            # the data a one-batch epoch holds: the batch stacked from the samples
+            return _batch_forward_backward(model, *ds.arrays("train"), np.random.default_rng(5))
 
         bare = _traced_peak(traced_memory, bare_step)
         cfg = TrainConfig(batch_size=MEMORY_BATCH, max_epochs=1, seed=4)
@@ -793,6 +805,25 @@ class TestTrainingMemory:
         adam = 2 * params  # first and second moments
         # an up-front copy of the initial weights would add a whole one
         assert trained - bare - adam < 0.5 * params
+
+    def test_one_epoch_holds_no_copy_of_the_train_features(self, traced_memory):
+        # The features outweigh a step's activations here. Training stacks
+        # each batch from the samples as it draws it, so an epoch holds what
+        # a bare step holds plus Adam's moments; a stacked copy of the split
+        # would add all of the split's features.
+        hp = dataclasses.replace(MEMORY_HYPER, feature_dim=256)
+        n = 8 * MEMORY_BATCH
+        ds = synthetic_dataset(n_train=n, hyper=hp)
+        model = init_model(hp, seed=2)
+        first = dataclasses.replace(ds, samples=ds.samples[:MEMORY_BATCH])
+        bare = _traced_peak(traced_memory, lambda: _batch_forward_backward(
+            model, *first.arrays("train"), np.random.default_rng(5)
+        ))
+        cfg = TrainConfig(batch_size=MEMORY_BATCH, max_epochs=1, seed=4)
+        trained = _traced_peak(traced_memory, lambda: train(model, ds, cfg))
+        adam = 2 * _param_bytes(model)
+        split_features = n * hp.history * hp.feature_dim * 4  # float32
+        assert trained - bare - adam < 0.5 * split_features
 
 
 class TestCheckpoints:
