@@ -16,7 +16,9 @@ has folded it into dz. Call a backward once per forward, and run the backward
 of a layer whose output another layer reads only after that layer's
 backward. A model releases its caches in reverse layer order, each as its
 layer's backward runs, so a step holds only what the backward still has to
-read.
+read. Two functions read a cache without consuming it, ``lstm_states`` and
+``dropout_apply``: a model calls them on a layer's cache, before that
+layer's own backward, to rebuild the input of the layer above.
 
 The recurrent and attention layers work on whole sequences so that a model
 can run layer by layer, and each splits into the part that reads a step's
@@ -25,14 +27,19 @@ bias included, as one GEMM over all S*B rows; ``lstm_recurrence`` then adds
 only ``h W_hᵀ`` per step. ``lstm_sequence_forward`` runs the two, and its
 backward does the weight and input gradients as one GEMM each over all S*B
 rows. The LSTM cache holds the gate activations and the initial state
-(h0, c0), and no h, c or tanh(c) stack. The backward pass first rebuilds the
+(h0, c0): no input, and no h, c or tanh(c) stack. The caller passes the
+layer's input x to ``lstm_sequence_backward`` again, since the layer below
+can rebuild it for a fraction of a step. The backward pass first rebuilds the
 c stack from c0 and the gates, then recomputes tanh(c) and h = o*tanh(c) one
 step at a time, each with the forward's ufuncs in its order, so every value
 and gradient equals that of a cached stack bit for bit. Each h is written
 over the c row that no later step reads, so the two rebuilt stacks share one
-(S+1, B, H) buffer. An elementwise sweep per layer, and no GEMM, replaces two
-(S+1, B, H) cached stacks per layer. A greedy decoder instead feeds the
-recurrence rows of an input-product table with one row per token.
+(S+1, B, H) buffer, which is dropped once the ``wh`` gradient is formed and
+before x is read. An elementwise sweep per layer, and no GEMM, replaces two
+(S+1, B, H) cached stacks per layer. ``lstm_states`` runs the same sweep on
+a cache it leaves intact and returns the layer's h outputs. A greedy decoder
+instead feeds the recurrence rows of an input-product table with one row per
+token.
 
 Attention uses the general score qᵀ W_score h_t over keys ``W_score h_t``
 and values ``W_c h_t`` (W_c the context half of the combine layer), each one
@@ -51,7 +58,9 @@ S = 1 and K = 1 slices of the sequence forms. No model calls them; they stay
 because the benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
 
 Dropout, and so the training mode of every forward, is on exactly when a
-generator is passed: ``rng=None`` is inference. Adam's step size, decay
+generator is passed: ``rng=None`` is inference. ``dropout_apply`` holds the
+one formula, ``x * keep * scale``, that the dropout forward, its backward and
+a rebuild of a dropped input apply. Adam's step size, decay
 rates and epsilon are the constants ``optim.ALPHA``, ``optim.BETA1``,
 ``optim.BETA2`` and ``optim.EPS``; none is set per run.
 """

@@ -4,7 +4,10 @@ The LSTM and attention kernels take whole sequences; see the package
 docstring for why, and for their single-step slices. Their backward passes
 rebuild what their forwards do not cache: ``lstm_sequence_backward`` the c
 and h stacks, in one buffer, and ``attention_sequence_backward`` the keys
-and values.
+and values. The LSTM cache holds the gate activations and (h0, c0), not the
+input: the caller passes the input to the backward, and may rebuild it from
+the cache of the layer below, read with ``lstm_states`` and
+``dropout_apply``, before that layer's own backward consumes it.
 
 Parameter containers are plain dataclasses of float64 arrays. ``params_items``
 and ``accumulate_params`` give generic traversal so the optimizer and
@@ -13,7 +16,8 @@ checkpoints never need layer-specific code.
 Dropout is on exactly when a generator is passed: ``rng=None`` is inference.
 
 Each forward returns its cache as a list, and the matching backward consumes
-it through ``_consume``; see the package docstring.
+it through ``_consume``; see the package docstring. ``lstm_states`` and
+``dropout_apply`` only read one.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "lstm_recurrence",
     "lstm_sequence_forward",
     "lstm_sequence_backward",
+    "lstm_states",
     "lstm_cell_forward",
     "lstm_cell_backward",
     "attention_memory_forward",
@@ -47,6 +52,7 @@ __all__ = [
     "attention_backward",
     "dropout_forward",
     "dropout_backward",
+    "dropout_apply",
     "softmax",
     "softmax_cross_entropy_batch",
     "init_dense",
@@ -276,14 +282,53 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
     """Run the LSTM over a time-major sequence x (S, B, D) from (h0, c0)
     (B, H): ``lstm_input_product`` over all S*B rows in one GEMM, then
     ``lstm_recurrence``. Returns (h (S, B, H), c_S (B, H), cache).
+
+    The cache is (p, h0, c0, gate activations) and holds no input, not even
+    the row copy a non-contiguous x needs for the GEMM: the caller passes x
+    again to ``lstm_sequence_backward``.
     """
     if x.ndim != 3 or x.shape[2] != p.input_size:
         raise ValueError(f"lstm expects x of shape (S, B, {p.input_size}), got {x.shape}")
     s, b, d = x.shape
-    x2 = x.reshape(s * b, d)
-    act = lstm_input_product(p, x2).reshape(s, b, 4 * p.hidden_size)
+    act = lstm_input_product(p, x.reshape(s * b, d)).reshape(s, b, 4 * p.hidden_size)
     h, c, cache = lstm_recurrence(p, act, h0, c0)
-    return h, c, [p, x2, *cache]
+    return h, c, [p, *cache]
+
+
+def _c_stack(act: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """c_0 … c_S (S+1, B, H) rebuilt from c0 and the gate activations ``act``
+    (S, B, 4H), with the forward's ufuncs in its order (``f * c_prev``, then
+    ``+= i * g``), so every row equals the forward's c bit for bit."""
+    s, b, four_hid = act.shape
+    ch = np.empty((s + 1, b, four_hid // 4))
+    ch[0] = c0
+    for t in range(s):
+        i, f, g, _ = _gate_blocks(act[t])
+        np.multiply(f, ch[t], out=ch[t + 1])
+        ch[t + 1] += i * g
+    return ch
+
+
+def _h_over_c(act: np.ndarray, ch: np.ndarray, t: int) -> np.ndarray:
+    """Write step t's output h = o_t * tanh(c_{t+1}) over c_{t+1} in the
+    buffer ``ch`` from ``_c_stack``, as the forward forms it, and return
+    tanh(c_{t+1})."""
+    tc = np.tanh(ch[t + 1])
+    np.multiply(_gate_blocks(act[t])[3], tc, out=ch[t + 1])
+    return tc
+
+
+def lstm_states(cache) -> np.ndarray:
+    """The h outputs (S, B, H) of the ``lstm_sequence_forward`` that made
+    ``cache``, rebuilt bit for bit from its gate activations and c0 as
+    ``lstm_sequence_backward`` rebuilds them. It reads the cache and does not
+    consume it, so the layer's backward can still run on it; a model uses it
+    to rebuild the input of the layer above for that layer's backward."""
+    _, _, c0, act = cache
+    ch = _c_stack(act, c0)
+    for t in range(len(act)):
+        _h_over_c(act, ch, t)
+    return ch[1:]
 
 
 def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
@@ -301,45 +346,43 @@ def _lstm_step_backward(a, tc, c_prev, dh, dc, wh):
     return a @ wh, dc_prev
 
 
-def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
+def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray, x: np.ndarray):
     """Backward through ``lstm_sequence_forward`` from the gradients on every
-    h (S, B, H) and on the final c (B, H); returns (param grads, dx (S, B, D),
-    dh0, dc0).
+    h (S, B, H) and on the final c (B, H), given the layer's input x
+    (S, B, D) again, since the cache holds none; returns (param grads,
+    dx (S, B, D), dh0, dc0).
 
-    The c stack c_0 … c_S is rebuilt first, into one (S+1, B, H) buffer, from
-    c0 and the cached gate activations, with the forward's ufuncs in its order
-    (``f * c_prev``, then ``+= i * g``). The reverse loop recomputes tanh(c)
-    from it one step at a time and, before dz overwrites o, writes
-    h_{t+1} = o_t * tanh(c_{t+1}) over c_{t+1}, which no later step reads; h0
-    goes over c_0 after the loop. So the buffer ends as the recurrence inputs
+    The c stack c_0 … c_S is rebuilt first, into one (S+1, B, H) buffer
+    (``_c_stack``). The reverse loop recomputes tanh(c) from it one step at a
+    time and, before dz overwrites o, writes h_{t+1} = o_t * tanh(c_{t+1})
+    over c_{t+1}, which no later step reads (``_h_over_c``); h0 goes over
+    c_0 after the loop. So the buffer ends as the recurrence inputs
     h_0 … h_{S-1} (and h_S, unread), every value equals the forward's bit for
-    bit, and the gradients equal those from cached stacks. The weight
-    gradients and dx are one GEMM each over all S*B rows after the loop. It
-    consumes the cache: the activation buffer is overwritten with dz, and the
-    input and the buffer are dropped before dx is formed.
+    bit, and the gradients equal those from cached stacks. It consumes the
+    cache: the activation buffer is overwritten with dz. The gradients are
+    one GEMM each over all S*B rows after the loop, in the order that holds
+    the least: the ``wh`` gradient from the buffer, which is then dropped,
+    then the ``wx`` gradient from x, then dx.
     """
-    p, x2, h0, c0, act = _consume(cache)
+    p, h0, c0, act = _consume(cache)
     s, b, _ = act.shape
     hid = p.hidden_size
-    ch = np.empty((s + 1, b, hid))
-    ch[0] = c0
+    if x.shape != (s, b, p.input_size):
+        raise ValueError(f"lstm input {x.shape} is not (S, B, D) = {(s, b, p.input_size)}")
+    ch = _c_stack(act, c0)
     del c0
-    for t in range(s):
-        i, f, g, _ = _gate_blocks(act[t])
-        np.multiply(f, ch[t], out=ch[t + 1])
-        ch[t + 1] += i * g
     dh = np.zeros((b, hid))
     dc = grad_c
     for t in reversed(range(s)):
-        tc = np.tanh(ch[t + 1])
-        np.multiply(_gate_blocks(act[t])[3], tc, out=ch[t + 1])
+        tc = _h_over_c(act, ch, t)
         dh, dc = _lstm_step_backward(act[t], tc, ch[t], grad_h[t] + dh, dc, p.wh)
     hs = ch[:s]
     hs[:1] = h0  # empty at S = 0
     del h0, ch
     dz = act.reshape(s * b, 4 * hid)
-    grads = LSTMParams(wx=dz.T @ x2, wh=dz.T @ hs.reshape(s * b, hid), b=dz.sum(axis=0))
-    del x2, hs
+    g_wh = dz.T @ hs.reshape(s * b, hid)
+    del hs
+    grads = LSTMParams(wx=dz.T @ x.reshape(s * b, p.input_size), wh=g_wh, b=dz.sum(axis=0))
     return grads, (dz @ p.wx).reshape(s, b, p.input_size), dh, dc
 
 
@@ -352,10 +395,11 @@ def lstm_cell_forward(p: LSTMParams, x: np.ndarray, h_prev: np.ndarray, c_prev: 
     return h[0], c, cache
 
 
-def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray):
-    """Backward through one step; returns (param grads, dx, dh_prev, dc_prev).
-    Kept only for the benchmark's tracer; see ``lstm_cell_forward``."""
-    grads, dx, dh_prev, dc_prev = lstm_sequence_backward(cache, grad_h[None], grad_c)
+def lstm_cell_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray, x: np.ndarray):
+    """Backward through one step from its input x (B, D); returns (param
+    grads, dx, dh_prev, dc_prev). Kept only for the benchmark's tracer; see
+    ``lstm_cell_forward``."""
+    grads, dx, dh_prev, dc_prev = lstm_sequence_backward(cache, grad_h[None], grad_c, x[None])
     return grads, dx[0], dh_prev, dc_prev
 
 
@@ -521,21 +565,28 @@ def attention_backward(cache, grad_combined: np.ndarray):
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate). Identity at inference, ``rng=None``."""
+    1/(1-rate). Identity at inference, ``rng=None``, whose cache is None."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x, None
-    keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    return x * keep * scale, [keep, scale]
+    cache = [rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)]
+    return dropout_apply(cache, x), cache
+
+
+def dropout_apply(cache, x: np.ndarray) -> np.ndarray:
+    """x times the mask of a ``dropout_forward`` cache, ``x * keep * scale``;
+    x itself for the None cache of inference. It reads the cache and does not
+    consume it, so a model can redo a dropout, bit for bit, before its
+    backward runs."""
+    if cache is None:
+        return x
+    keep, scale = cache
+    return x * keep * scale
 
 
 def dropout_backward(cache, grad_y: np.ndarray):
-    if cache is None:
-        return grad_y
-    keep, scale = _consume(cache)
-    return grad_y * keep * scale
+    return dropout_apply(None if cache is None else _consume(cache), grad_y)
 
 
 # ---------------------------------------------------------------------------

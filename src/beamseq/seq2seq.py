@@ -30,11 +30,21 @@ projection. So each layer's activations are gone before the layer below runs
 its backward. What a backward can rebuild cheaply is not held at all:
 - An LSTM layer caches only its gate activations and rebuilds its c and h
   stacks, in one buffer, in its backward (see ``nn``). So a layer's h output
-  is held only by the layer that reads it: the encoder copies the final
-  states into ``EncoderOutput``, and with dropout on, a dropped copy replaces
-  the output. The decoder makes the attention's batch-major query copy of
-  ``dec_l2``'s output itself and drops the time-major output before the
-  attention runs.
+  is held only by the layer that reads it, and only during the forward: the
+  encoder copies the final states into ``EncoderOutput``, and the decoder
+  makes the attention's batch-major query copy of ``dec_l2``'s output itself
+  and drops the time-major output before the attention runs.
+- No LSTM layer holds its input. Each input is rebuilt, bit for bit, just
+  before the layer's backward, from caches the layers below still hold:
+  ``dec_l2``'s as the dropout (``dec_l1``'s cached mask) of
+  ``nn.lstm_states`` of ``dec_l1``'s cache, in ``_decode_backward``;
+  ``dec_l1``'s as the embedding rows of the cached teacher tokens, also
+  there; ``enc_l2``'s as the dropout of ``nn.lstm_states`` of ``enc_l1``'s
+  cache, in ``_encode_backward``; and ``enc_l1``'s as the input dropout of
+  the input projection of the cached feature rows, also there. At paper
+  shape that is one 3200×128×256 GEMM, two c/h sweeps, three mask products
+  and one embedding gather per step, under 2% of it; validation runs no
+  backward and pays nothing.
 - The attention caches the encoder states and not their keys and values; its
   backward rebuilds each from the states just before its one read, two GEMMs
   over B*T rows, about 1% of a step.
@@ -190,28 +200,36 @@ def _encode_batch(model: Seq2SeqModel, feats: np.ndarray, rng=None):
         )
     b, t, _ = feats.shape
     h = hp.hidden
+    rows = feats.reshape(b * t, hp.feature_dim)
     # float32 features are widened to float64, exactly, by this GEMM's promotion
-    proj, dense_cache = nn.dense_forward(model.enc_in, feats.reshape(b * t, hp.feature_dim))
+    proj, dense_cache = nn.dense_forward(model.enc_in, rows)
     proj, drop_in_cache = nn.dropout_forward(proj, hp.dropout, rng)
     zeros = np.zeros((b, h))
-    x = proj.reshape(b, t, h).transpose(1, 0, 2)
-    out1, c1, cache1 = nn.lstm_sequence_forward(model.enc_l1, x, zeros, zeros)
+    out1, c1, cache1 = nn.lstm_sequence_forward(
+        model.enc_l1, proj.reshape(b, t, h).transpose(1, 0, 2), zeros, zeros
+    )
+    del proj  # no LSTM cache holds its input; the backward rebuilds it
     # the final h is copied so that it pins no layer's (T, B, H) output; with
     # dropout on, the layer's output is gone once its dropped copy is made
     h1 = out1[-1].copy()
     mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
     del out1
     out2, c2, cache2 = nn.lstm_sequence_forward(model.enc_l2, mid, zeros, zeros)
+    del mid
     output = EncoderOutput(
         states=np.ascontiguousarray(out2.transpose(1, 0, 2)),
         h1=h1, c1=c1, h2=out2[-1].copy(), c2=c2,
     )
-    return output, [dense_cache, drop_in_cache, cache1, drop_cache, cache2]
+    return output, [rows, dense_cache, drop_in_cache, cache1, drop_cache, cache2]
 
 
 def _encode_backward(model, cache, d_states, d_finals, grads):
     """Backward through ``_encode_batch``, popping each layer's cache as its
     backward runs, so ``enc_l2``'s is gone before ``enc_l1``'s backward.
+    Each LSTM layer's input is rebuilt just before its backward, from the
+    caches below it: ``enc_l2``'s from ``enc_l1``'s states and the dropout
+    mask, ``enc_l1``'s from the feature rows, the input projection and the
+    input dropout mask.
 
     ``d_states`` is the top layer's output gradient (B, T, H), the one entry
     of a list that is emptied once its time-major copy is formed."""
@@ -219,11 +237,18 @@ def _encode_backward(model, cache, d_states, d_finals, grads):
     t, b, h = d_out.shape
     dh1, dc1, dh2, dc2 = d_finals
     d_out[-1] += dh2
-    grads["enc_l2"], d_out, _, _ = nn.lstm_sequence_backward(cache.pop(), d_out, dc2)
+    cache2 = cache.pop()
+    mid = nn.dropout_apply(cache[-1], nn.lstm_states(cache[-2]))
+    grads["enc_l2"], d_out, _, _ = nn.lstm_sequence_backward(cache2, d_out, dc2, mid)
+    del mid
     d_out = nn.dropout_backward(cache.pop(), d_out)
     d_out[-1] += dh1
-    grads["enc_l1"], dx, _, _ = nn.lstm_sequence_backward(cache.pop(), d_out, dc1)
-    del d_out
+    cache1 = cache.pop()
+    proj = nn.dropout_apply(cache[-1], nn.dense_forward(model.enc_in, cache[0])[0])
+    grads["enc_l1"], dx, _, _ = nn.lstm_sequence_backward(
+        cache1, d_out, dc1, proj.reshape(b, t, h).transpose(1, 0, 2)
+    )
+    del d_out, proj
     flat = nn.dropout_backward(cache.pop(), dx.transpose(1, 0, 2).reshape(b * t, h))
     grads["enc_in"], _ = nn.dense_backward(cache.pop(), flat)
 
@@ -243,20 +268,25 @@ def _decode_teacher_batch(model: Seq2SeqModel, enc: EncoderOutput, targets: np.n
     if np.any(targets < 0) or np.any(targets >= hp.num_beams):
         raise ValueError("target label out of range")
     tokens = np.vstack([np.full(b, hp.start_token, dtype=np.int64), targets[:, :-1].T])
-    embedded, ecache = nn.embedding_forward(model.emb, tokens.reshape(-1))
+    tokens = tokens.reshape(-1)
+    embedded, ecache = nn.embedding_forward(model.emb, tokens)
+    # embedded goes when this function returns, not after dec_l1's forward:
+    # freed there, it left a hole in the heap that raised the peak resident
+    # set of a paper-shape training step by 4 MB (glibc, x86_64)
     out1, _, cache1 = nn.lstm_sequence_forward(
         model.dec_l1, embedded.reshape(k_steps, b, -1), enc.h1, enc.c1
     )
     mid, drop_cache = nn.dropout_forward(out1, hp.dropout, rng)
     del out1  # with dropout on, dec_l2 reads the dropped copy alone
     out2, _, cache2 = nn.lstm_sequence_forward(model.dec_l2, mid, enc.h2, enc.c2)
+    del mid
     # the attention's batch-major queries; dec_l2's time-major output is gone
     # before the attention runs
     query = np.ascontiguousarray(out2.transpose(1, 0, 2))
     del out2
     _, combined, acache = nn.attention_sequence_forward(model.att, query, enc.states)
     logits, ocache = nn.dense_forward(model.out, combined.reshape(b * k_steps, hp.hidden))
-    cache = [ecache, cache1, drop_cache, cache2, acache, ocache]
+    cache = [tokens, ecache, cache1, drop_cache, cache2, acache, ocache]
     return logits.reshape(b, k_steps, hp.num_beams), cache
 
 
@@ -266,6 +296,9 @@ def _decode_backward(model, cache, d_logits, grads):
 
     Each layer's cache is popped as its backward runs, output projection
     first, so a layer's activations are gone before the layer below runs.
+    Each LSTM layer's input is rebuilt just before its backward: ``dec_l2``'s
+    from ``dec_l1``'s states and the dropout mask, ``dec_l1``'s as the
+    embedding rows of the teacher tokens.
     ``d_logits`` (B, K, X) is the one entry of a list, emptied as the output
     projection's backward reads it, so it is gone once that backward returns.
     """
@@ -276,13 +309,17 @@ def _decode_backward(model, cache, d_logits, grads):
     d_comb = [d_comb.reshape(b, s, -1)]
     grads["att"], d_query, d_enc_states = nn.attention_sequence_backward(cache.pop(), d_comb)
     zeros = np.zeros((b, model.hyper.hidden))
+    cache2 = cache.pop()
+    mid = nn.dropout_apply(cache[-1], nn.lstm_states(cache[-2]))
     grads["dec_l2"], d_mid, dh2, dc2 = nn.lstm_sequence_backward(
-        cache.pop(), d_query.transpose(1, 0, 2), zeros
+        cache2, d_query.transpose(1, 0, 2), zeros, mid
     )
-    del d_query
+    del d_query, mid
     d_mid = nn.dropout_backward(cache.pop(), d_mid)
-    grads["dec_l1"], d_emb, dh1, dc1 = nn.lstm_sequence_backward(cache.pop(), d_mid, zeros)
-    del d_mid
+    cache1 = cache.pop()
+    embedded = nn.embedding_forward(model.emb, cache[0])[0].reshape(s, b, -1)
+    grads["dec_l1"], d_emb, dh1, dc1 = nn.lstm_sequence_backward(cache1, d_mid, zeros, embedded)
+    del d_mid, embedded
     grads["emb"] = nn.embedding_backward(cache.pop(), d_emb.reshape(s * b, -1))
     return d_enc_states, (dh1, dc1, dh2, dc2)
 

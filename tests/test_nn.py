@@ -185,7 +185,7 @@ class TestLstmCell:
             return float(np.sum(wh * h) + np.sum(wc * c))
 
         h, c, cache = lstm_cell_forward(p, x, h0, c0)
-        grads, dx, dh0, dc0 = lstm_cell_backward(cache, wh, wc)
+        grads, dx, dh0, dc0 = lstm_cell_backward(cache, wh, wc, x)
         tensors = [arr for _, arr in params_items(p)] + [x, h0, c0]
         analytic = [arr for _, arr in params_items(grads)] + [dx, dh0, dc0]
         err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=32)
@@ -207,7 +207,7 @@ class TestLstmSequence:
             return float(np.sum(wh * h) + np.sum(wc * c))
 
         _, _, cache = lstm_sequence_forward(p, x, h0, c0)
-        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, wh, wc)
+        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, wh, wc, x)
         tensors = [arr for _, arr in params_items(p)] + [x, h0, c0]
         analytic = [arr for _, arr in params_items(grads)] + [dx, dh0, dc0]
         err = finite_diff_check(loss, tensors, analytic, rng, max_probes_per_tensor=32)
@@ -249,8 +249,62 @@ class TestLstmSequence:
         zeros = np.zeros((b, hid))
         _, _, cache = lstm_sequence_forward(p, x, zeros, zeros)
         grad_h = rng.normal(size=(s, b, hid))
-        _, retained, above = traced_memory(lambda: lstm_sequence_backward(cache, grad_h, zeros))
+        _, retained, above = traced_memory(
+            lambda: lstm_sequence_backward(cache, grad_h, zeros, x)
+        )
         assert retained + above < 1.5 * (s + 1) * b * hid * 8
+
+    def test_backward_never_holds_the_buffer_and_both_weight_gradients(self, traced_memory):
+        # The weights are large against B*H here. The wh gradient is formed
+        # from the rebuilt buffer, which is then dropped before the wx
+        # gradient and dx are formed, so the peak above entry is the buffer
+        # and the wh gradient, or the returned gradients, plus (B, H)
+        # temporaries. Holding the buffer and both weight gradients at once
+        # would add a wx gradient on top of the first.
+        s, b, hid, d = 32, 4, 64, 16
+        rng = rng_for(59)
+        p = init_lstm(rng, d, hid)
+        x = rng.normal(size=(s, b, d))
+        zeros = np.zeros((b, hid))
+        _, _, cache = lstm_sequence_forward(p, x, zeros, zeros)
+        grad_h = rng.normal(size=(s, b, hid))
+        _, retained, above = traced_memory(
+            lambda: lstm_sequence_backward(cache, grad_h, zeros, x)
+        )
+        buffer, wx, wh = (s + 1) * b * hid * 8, p.wx.nbytes, p.wh.nbytes
+        assert retained + above < buffer + wh + wx / 2
+
+    def test_forward_retains_no_copy_of_a_non_contiguous_input(self, traced_memory):
+        # A time-major view of batch-major rows, as the encoder passes its
+        # projected features, needs a row copy for the input GEMM. The cache
+        # holds no input, so the forward retains the input products (4 units
+        # of S*B*H floats) and the returned h (1 unit) and not that copy.
+        s, b, hid = 30, 16, 64
+        rng = rng_for(60)
+        p = init_lstm(rng, hid, hid)
+        x = rng.normal(size=(b * s, hid)).reshape(b, s, hid).transpose(1, 0, 2)
+        zeros = np.zeros((b, hid))
+        _, retained, _ = traced_memory(lambda: lstm_sequence_forward(p, x, zeros, zeros))
+        assert retained < 5.5 * s * b * hid * 8
+
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_states_rebuild_the_forward_h_and_leave_the_cache_usable(self, s):
+        rng = rng_for(61)
+        p = init_lstm(rng, 3, 4)
+        p.b[...] = rng.normal(size=16)
+        x = rng.normal(size=(s, 2, 3))
+        h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        grad_h, grad_c = rng.normal(size=(s, 2, 4)), rng.normal(size=(2, 4))
+        runs = []
+        for read_states in (False, True):
+            h, _, cache = lstm_sequence_forward(p, x, h0, c0)
+            if read_states:
+                states = nn.lstm_states(cache)
+                assert states.shape == h.shape
+                assert states.tobytes() == h.tobytes()
+            grads, *inputs = lstm_sequence_backward(cache, grad_h, grad_c, x)
+            runs.append([arr.tobytes() for arr in [*inputs, grads.wx, grads.wh, grads.b]])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("s", [0, 1, 3])
     def test_returned_c_never_aliases_c0(self, s):
@@ -258,10 +312,11 @@ class TestLstmSequence:
         p = init_lstm(rng, 3, 4)
         c0 = rng.normal(size=(2, 4))
         kept = c0.copy()
-        _, c, cache = lstm_sequence_forward(p, rng.normal(size=(s, 2, 3)), np.zeros((2, 4)), c0)
+        x = rng.normal(size=(s, 2, 3))
+        _, c, cache = lstm_sequence_forward(p, x, np.zeros((2, 4)), c0)
         assert not np.shares_memory(c, c0)
         c += 1.0
-        lstm_sequence_backward(cache, np.ones((s, 2, 4)), np.ones((2, 4)))
+        lstm_sequence_backward(cache, np.ones((s, 2, 4)), np.ones((2, 4)), x)
         np.testing.assert_array_equal(c0, kept)
 
     def test_non_finite_activation_raises(self):
@@ -423,7 +478,7 @@ class TestLstmMatchesTermByTerm:
 
         got_h, got_c, cache = lstm_sequence_forward(p, x, h0, c0)
         pairs = [(got_h, want_h), (got_c, want_c)]
-        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, grad_h, grad_c)
+        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, grad_h, grad_c, x)
         pairs += [(dx, want_dx), (dh0, dh), (dc0, dc)]
         pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
         _assert_pairs_within_1e_12(pairs)
@@ -440,7 +495,7 @@ class TestLstmMatchesTermByTerm:
         want_grads, *want_inputs = term_by_term_lstm_cell_backward(want_cache, grad_h, grad_c)
 
         h, c, cache = lstm_cell_forward(p, x, h0, c0)
-        grads, *inputs = lstm_cell_backward(cache, grad_h, grad_c)
+        grads, *inputs = lstm_cell_backward(cache, grad_h, grad_c, x)
         pairs = [(h, want_h), (c, want_c), *zip(inputs, want_inputs)]
         pairs += [(getattr(grads, name), arr) for name, arr in params_items(want_grads)]
         _assert_pairs_within_1e_12(pairs)

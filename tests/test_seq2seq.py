@@ -719,6 +719,32 @@ class TestTrainingMemory:
         attention = (t + k) * h * b  # encoder states and decoder queries
         assert held - 8 * (acts + inputs + attention) < 8 * max(t, k) * b * h
 
+    def test_attention_entry_holds_no_lstm_input(self, phase_memory):
+        # No LSTM layer caches its input: each backward reads one rebuilt from
+        # the layer below. So on entry to attention the step holds, of arrays
+        # the size of a layer's input, only the four layers' gate
+        # activations, the encoder states, the attention query, the three
+        # dropout masks (bool) and the embedded teacher tokens, which the
+        # decoder's forward drops when it returns. What else it holds, such
+        # as the encoder's final states and the teacher tokens, is under half
+        # a stack; a cached copy of the input of enc_l1, enc_l2 or dec_l2
+        # would add a whole one.
+        hp, b = MEMORY_HYPER, MEMORY_BATCH
+        model = init_model(hp, seed=1)
+        feats, targets = synthetic_dataset(n_train=b, hyper=hp).arrays("train")
+        _, crossings = phase_memory(
+            lambda: _batch_forward_backward(model, feats, targets, np.random.default_rng(3)),
+            ["attention_sequence_forward"],
+        )
+        (held,) = [c.held for c in crossings if c.where == "entry"]
+        t, k, h = hp.history, hp.horizon, hp.hidden
+        acts = 8 * 4 * h * (2 * t + 2 * k) * b
+        attention = 8 * (t + k) * h * b  # encoder states and decoder queries
+        masks = (2 * t + k) * h * b
+        embedded = 8 * k * b * hp.embed_dim
+        stack = 8 * max(t, k) * b * h
+        assert held - acts - attention - masks - embedded < stack / 2
+
     def test_attention_forward_exit_holds_no_keys_or_values(self, phase_memory):
         # Between entry and exit the attention adds only its outputs, the
         # weights (B, K, T) and the combined output (B, K, H), which its cache
