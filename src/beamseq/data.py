@@ -8,11 +8,21 @@ Features are computed and standardized in float64 and held in float32, the
 precision the dataset file keeps, so a fresh dataset holds the same feature
 values as its save/load copy.
 
+In memory a dataset holds its windows as indices into a table
+(``WindowTable``): the standardized features and the target labels of the
+grid rows its trajectories visit, each trajectory's row per slot, and each
+window as a (trajectory, start slot) pair. A batch gathers its windows'
+feature rows and labels from the table, so overlapping windows share their
+rows and no window's (T, F) features are stored. A dataset built from a list
+of samples, or loaded from a file, holds the degenerate table with one
+trajectory per window, so it holds those windows' rows alone.
+
 Every trajectory falls in one split, train, val or test, by a seeded draw
 per trajectory with the fixed shares ``SPLIT_RATIOS``. The file records the
 shares, and a file holding other shares does not load.
 
-Dataset file layout (magic ``BMSQ``, little-endian):
+The file stores one record per window, not the table (little-endian, magic
+``BMSQ``):
 
     magic | version u32 | X u32 | F u32 | T u32 | K u32 | count u32
     feature mean f64*F | feature std f64*F
@@ -26,7 +36,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -45,6 +55,7 @@ __all__ = [
     "grid_features",
     "grid_beam_labels",
     "TrainingSample",
+    "WindowTable",
     "Dataset",
     "split_of_trajectory",
     "make_dataset",
@@ -68,6 +79,8 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 # train windows per block when summing the feature statistics
 _STATS_BLOCK = 64
+# blocks that a file's records are written and read in
+_FILE_BLOCKS = 32
 
 
 class DatasetFormatError(RuntimeError):
@@ -106,7 +119,7 @@ def grid_beam_labels(grid: ChannelGrid, bs_id: str, codebook: Codebook):
 
 @dataclass
 class TrainingSample:
-    """One supervised window along a trajectory.
+    """One supervised window along a trajectory, as ``Dataset.samples`` views it.
 
     ``start_slot`` is the first feature slot; the anchor (last observed) slot
     is ``start_slot + T - 1``; labels cover the K slots after the anchor.
@@ -122,9 +135,102 @@ class TrainingSample:
     positions: np.ndarray | None = None  # (T+K, 2) float64
 
 
+@dataclass(eq=False)
+class WindowTable:
+    """A dataset's windows as indices into the rows its trajectories visit.
+
+    Trajectory ``i`` (of n) reads row ``rows[i, s]`` of the tables at its
+    slot ``s``, which is slot ``first_slots[i] + s`` of the trajectory
+    ``trajectory_ids[i]``. Window ``w`` is trajectory ``windows[w, 0]`` from
+    its slot ``windows[w, 1]``: its features are the ``features`` rows of its
+    first T slots and its labels the ``labels`` entries of the K slots after
+    them. ``make_dataset`` fills one row of both tables per visited grid
+    point; a sample list or a file load gives each window its own trajectory
+    of T+K slots, the first T of which index its own feature rows and the
+    last K its own labels.
+    """
+
+    features: np.ndarray  # (R, F) float32, standardized
+    labels: np.ndarray  # (L,) uint16, the target RSU's beams
+    rows: np.ndarray  # (n, S) int32
+    trajectory_ids: np.ndarray  # (n,) int64
+    first_slots: np.ndarray  # (n,) int64
+    windows: np.ndarray  # (W, 2) int32: trajectory, slot
+    anchor_labels: np.ndarray | None = None  # (W,): the label at each window's anchor slot
+    positions: np.ndarray | None = None  # (n, S, 2) float64
+    # (n,) uint8 index into ``SPLIT_NAMES``: drawn once per trajectory, by
+    # ``make_dataset`` or on a dataset's first split query
+    splits: np.ndarray | None = None
+    # window i is trajectory i, its features rows i*T + [0, T) and its labels
+    # entries i*K + [0, K) (``_one_window_table``)
+    one_window_each: bool = False
+
+
+def _slot_rows(rows: np.ndarray, windows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(W, hi - lo) table rows of the (trajectory, slot) pairs ``windows``,
+    at slots ``lo`` to ``hi`` - 1 counted from each window's slot."""
+    return rows[windows[:, :1], windows[:, 1:] + np.arange(lo, hi)]
+
+
+def _one_window_table(n: int, t: int, k: int, f: int, label_dtype=np.uint16) -> WindowTable:
+    """An unfilled table of n windows, each its own trajectory of T+K slots:
+    window i's feature rows are i*T + [0, T) of a (n*T, F) float32 table and
+    its labels i*K + [0, K) of a (n*K,) one. The caller fills the tables, the
+    trajectory ids and the first slots (each window's start slot)."""
+    rows = np.multiply.outer(np.arange(n, dtype=np.int32), np.repeat(np.int32([t, k]), [t, k]))
+    rows += np.r_[0:t, 0:k].astype(np.int32)
+    windows = np.zeros((n, 2), dtype=np.int32)
+    windows[:, 0] = np.arange(n)
+    return WindowTable(
+        features=np.empty((n * t, f), dtype=np.float32),
+        labels=np.empty(n * k, dtype=label_dtype),
+        rows=rows,
+        trajectory_ids=np.empty(n, dtype=np.int64),
+        first_slots=np.empty(n, dtype=np.int64),
+        windows=windows,
+        one_window_each=True,
+    )
+
+
+def _table_of_samples(samples: list[TrainingSample], t: int, k: int, f: int) -> WindowTable:
+    """The one-window-per-trajectory table of a sample list, its features
+    held as float32 and its labels in their own dtype (uint16 at least).
+    ``anchor_labels`` and ``positions`` are kept when every sample has them.
+    A sample not shaped (T, F) and (K,) raises ``ValueError``."""
+    for s in samples:
+        if s.features.shape != (t, f) or s.labels.shape != (k,):
+            raise ValueError("sample shape does not match dataset header")
+    n = len(samples)
+    table = _one_window_table(n, t, k, f, np.result_type(np.uint16, *(s.labels for s in samples)))
+    features, labels = table.features.reshape(n, t, f), table.labels.reshape(n, k)
+    if all(s.positions is not None for s in samples):
+        table.positions = np.empty((n, t + k, 2))
+    for i, s in enumerate(samples):
+        features[i] = s.features
+        labels[i] = s.labels
+        if table.positions is not None:
+            table.positions[i] = s.positions
+    table.trajectory_ids[:] = [s.trajectory_id for s in samples]
+    table.first_slots[:] = [s.start_slot for s in samples]
+    if all(s.anchor_label is not None for s in samples):
+        table.anchor_labels = np.array([s.anchor_label for s in samples], dtype=labels.dtype)
+    return table
+
+
 @dataclass
 class Dataset:
-    samples: list[TrainingSample]
+    """Header values plus the windows, held as a ``WindowTable``.
+
+    ``Dataset(samples=[...], ...)`` stores a sample list as its degenerate
+    table, one trajectory per sample, so that a dataset built from some of
+    another's samples holds only their rows. ``samples``, when given,
+    replaces ``table``. Read back, ``samples`` and ``split_samples`` build
+    ``TrainingSample`` views of the windows on demand (``_sample_views``).
+    ``dataclasses.replace`` reads ``samples`` when it is not one of the
+    changes, so a replaced dataset holds its windows in the degenerate form.
+    Training and evaluation read batches (``batch``, ``arrays``) instead.
+    """
+
     feature_mean: np.ndarray  # (F,)
     feature_std: np.ndarray  # (F,)
     num_beams: int
@@ -136,7 +242,17 @@ class Dataset:
     scene_digest: str
     dropped_trajectories: int = 0
     extra_metadata: dict = field(default_factory=dict)
+    table: WindowTable | None = field(default=None, repr=False)
+    samples: InitVar[list[TrainingSample] | None] = None
     split_ratios: ClassVar[tuple[float, float, float]] = SPLIT_RATIOS
+
+    def __post_init__(self, samples):
+        if samples is not None:
+            self.table = _table_of_samples(samples, self.history, self.horizon, self.feature_dim)
+        elif self.table is None:
+            raise TypeError("a Dataset needs its samples or a table")
+        elif self.table.features.shape[1:] != (self.feature_dim,):
+            raise ValueError("feature table does not match dataset header")
 
     @property
     def feature_dim(self) -> int:
@@ -145,39 +261,81 @@ class Dataset:
     def split_of(self, trajectory_id: int) -> str:
         return split_of_trajectory(self.seed, trajectory_id)
 
-    def indices(self, split: str) -> list[int]:
-        """Positions of the split's samples, drawing the split once per
-        distinct trajectory."""
+    def windows_in(self, split: str) -> np.ndarray:
+        """Positions in the window list of the split's windows, in order. The
+        split of each trajectory is drawn once, by the dataset's first call
+        if ``make_dataset`` did not draw it."""
         if split not in SPLIT_NAMES:
             raise ValueError(f"unknown split {split!r}")
-        ids = [s.trajectory_id for s in self.samples]
-        split_of = {t: self.split_of(t) for t in set(ids)}
-        return [i for i, t in enumerate(ids) if split_of[t] == split]
+        table = self.table
+        if table.splits is None:
+            ids, inverse = np.unique(table.trajectory_ids, return_inverse=True)
+            drawn = [SPLIT_NAMES.index(self.split_of(i)) for i in ids.tolist()]
+            table.splits = np.array(drawn, dtype=np.uint8)[inverse]
+        return np.flatnonzero(table.splits[table.windows[:, 0]] == SPLIT_NAMES.index(split))
 
-    def split_samples(self, split: str) -> list[TrainingSample]:
-        return [self.samples[i] for i in self.indices(split)]
+    def _gather(self, windows: np.ndarray):
+        """(features (W, T, F) float32, labels (W, K)) of the windows at
+        positions ``windows``, with one ``np.take`` each."""
+        table = self.table
+        rows = _slot_rows(table.rows, table.windows[windows], 0, self.history)
+        return np.take(table.features, rows, axis=0), self._gather_labels(windows)
+
+    def _gather_labels(self, windows: np.ndarray) -> np.ndarray:
+        t, table = self.history, self.table
+        rows = _slot_rows(table.rows, table.windows[windows], t, t + self.horizon)
+        return np.take(table.labels, rows)
+
+    def batch(self, windows: np.ndarray):
+        """(features (W, T, F) float32, labels (W, K) int64) of the windows at
+        positions ``windows``, in their order."""
+        features, labels = self._gather(windows)
+        return features, labels.astype(np.int64)
 
     def arrays(self, split: str):
-        """Stacked (features (n, T, F) float32, labels (n, K) int64) for a split."""
-        chosen = self.split_samples(split)
-        if not chosen:
-            return (
-                np.empty((0, self.history, self.feature_dim), dtype=np.float32),
-                np.empty((0, self.horizon), dtype=np.int64),
-            )
-        return _stacked(chosen)
+        """(features (n, T, F) float32, labels (n, K) int64) for a split."""
+        return self.batch(self.windows_in(split))
 
     def label_histogram(self) -> np.ndarray:
-        labels = np.concatenate([np.empty(0, dtype=np.uint16), *(s.labels for s in self.samples)])
-        return np.bincount(labels, minlength=self.num_beams)
+        labels = self._gather_labels(np.arange(len(self.table.windows)))
+        return np.bincount(labels.reshape(-1), minlength=self.num_beams)
+
+    def _sample_views(self, windows: np.ndarray) -> list[TrainingSample]:
+        """``TrainingSample`` views of the windows at positions ``windows``.
+        Where each window has rows of its own (``one_window_each``), their
+        features and labels view the tables, so that a write to a sample
+        writes the dataset, as it did when samples viewed the file's records;
+        otherwise they view one gather each."""
+        table, n, t = self.table, len(windows), self.history
+        if table.one_window_each:
+            count, chosen = len(table.windows), windows.tolist()
+            features = table.features.reshape(count, t, self.feature_dim)
+            labels = table.labels.reshape(count, self.horizon)
+            features, labels = [features[w] for w in chosen], [labels[w] for w in chosen]
+        else:
+            features, labels = self._gather(windows)
+        traj, start = table.windows[windows].T
+        anchors, positions = [None] * n, [None] * n
+        if table.anchor_labels is not None:
+            anchors = table.anchor_labels[windows].tolist()
+        if table.positions is not None:
+            slots = start[:, None] + np.arange(t + self.horizon)
+            positions = table.positions[traj[:, None], slots]
+        rows = zip(features, labels, table.trajectory_ids[traj].tolist(),
+                   (table.first_slots[traj] + start).tolist(), anchors, positions)
+        return [TrainingSample(*row) for row in rows]
+
+    def split_samples(self, split: str) -> list[TrainingSample]:
+        return self._sample_views(self.windows_in(split))
 
 
-def _stacked(samples: list[TrainingSample]):
-    """Stacked (features (n, T, F) float32, labels (n, K) int64) of a
-    non-empty list of samples, in its order."""
-    feats = np.stack([s.features for s in samples], dtype=np.float32)
-    labels = np.stack([s.labels for s in samples]).astype(np.int64)
-    return feats, labels
+# ``samples`` is the constructor's argument (an InitVar, so no list is kept)
+# and, read back, a view of every window. The view is set here, once
+# ``@dataclass`` has taken the class attribute as the argument's default.
+Dataset.samples = property(
+    lambda self: self._sample_views(np.arange(len(self.table.windows))),
+    doc="``TrainingSample`` views of every window, in order, built on each read.",
+)
 
 
 def split_of_trajectory(seed: int, trajectory_id: int) -> str:
@@ -193,11 +351,12 @@ def split_of_trajectory(seed: int, trajectory_id: int) -> str:
     return "test"
 
 
-def _train_statistics(src: np.ndarray, window_rows: np.ndarray, train_windows: np.ndarray):
+def _train_statistics(src: np.ndarray, rows: np.ndarray, train_windows: np.ndarray, t: int):
     """Per-feature mean and std over the train windows' feature rows, where
-    window w reads the rows ``src[window_rows[w]]`` of the (rows, F) features:
-    equal to the bytes of ``.mean(axis=0)`` and ``.std(axis=0)`` on those rows
-    stacked as (rows, F), without stacking them.
+    the (trajectory, slot) pair ``train_windows[w]`` reads the rows
+    ``src[rows[i, s : s+T]]`` of the (rows, F) features: equal to the bytes
+    of ``.mean(axis=0)`` and ``.std(axis=0)`` on those rows stacked as
+    (rows, F), without stacking them.
 
     numpy adds the rows of such a reduction one after another, so the rows
     are summed in blocks of ``_STATS_BLOCK`` windows gathered into one buffer
@@ -207,17 +366,17 @@ def _train_statistics(src: np.ndarray, window_rows: np.ndarray, train_windows: n
     as numpy's ``_var`` takes it. With one feature numpy sums the column
     pairwise instead, so that case reduces the stacked rows as before.
     """
-    t, f = window_rows.shape[1], src.shape[1]
-    n = train_windows.size * t
+    f = src.shape[1]
+    n = len(train_windows) * t
     if f == 1:
-        rows = src[window_rows[train_windows]].reshape(n, 1)
-        return rows.mean(axis=0), rows.std(axis=0)
+        stacked = src[_slot_rows(rows, train_windows, 0, t)].reshape(n, 1)
+        return stacked.mean(axis=0), stacked.std(axis=0)
     buf = np.empty((1 + _STATS_BLOCK * t, f))
 
     def row_sum(center):
         total = None
-        for lo in range(0, train_windows.size, _STATS_BLOCK):
-            chosen = window_rows[train_windows[lo : lo + _STATS_BLOCK]]
+        for lo in range(0, len(train_windows), _STATS_BLOCK):
+            chosen = _slot_rows(rows, train_windows[lo : lo + _STATS_BLOCK], 0, t)
             block = buf[1 : 1 + chosen.size]
             # mode="clip" writes straight into ``out``; "raise" would buffer
             np.take(src, chosen, axis=0, out=block.reshape(-1, t, f), mode="clip")
@@ -263,12 +422,15 @@ def make_dataset(
     generator, seeded by (``seed``, ``i``), and all are drawn together by one
     ``sample_trajectories`` call, which forms and bounds-checks each round of
     attempts as one (n, slots, 2) array. Every trajectory is snapped to the
-    grid in one ``snap_positions`` call, each kept trajectory draws its split
-    once, and the samples' features are rows of one standardized
-    (windows, T, F) float32 array, gathered from the standardized visited rows.
-    Only the snapshot rows of grid points that a kept trajectory visits are
-    read: features and labels are computed for those rows, as one batch
-    each, so the finite check of ``preprocess_csi`` covers those rows only.
+    grid in one ``snap_positions`` call, and each kept trajectory draws its
+    split once. Only the snapshot rows of grid points that a kept trajectory
+    visits are read: features and labels are computed for those rows, as one
+    batch each, so the finite check of ``preprocess_csi`` covers those rows
+    only. The dataset holds them as its ``WindowTable``: the standardized
+    features (float32) and the labels of the visited rows, each kept
+    trajectory's row per slot and positions, and each window as a
+    (trajectory, start slot) pair. No window's features are copied out; a
+    batch gathers them from the table.
     """
     for name, value in (("num_trajectories", num_trajectories), ("history", history),
                         ("horizon", horizon)):
@@ -302,39 +464,43 @@ def make_dataset(
     # features and labels of the visited grid points only, one batch each;
     # rows[i, s] is kept trajectory i's slot s as a row of ``visited``
     visited, rows = np.unique(flats[kept], return_inverse=True)
-    rows = rows.reshape(kept.size, slots_per_trajectory)
+    rows = rows.reshape(kept.size, slots_per_trajectory).astype(np.int32)
     src_feats = preprocess_csi(grid.snapshots[source_bs][visited])
     tgt_labels = best_beams(grid.snapshots[target_rsu][visited], codebook)[0].astype(np.uint16)
 
-    # window w of kept trajectory i reads slots starts[w] + [0, T+K); windows
-    # are ordered by trajectory, then by start slot
+    # window w is kept trajectory windows[w, 0] from slot windows[w, 1];
+    # windows are ordered by trajectory, then by start slot
     starts = np.arange(0, slots_per_trajectory - history - horizon + 1, stride)
-    slots = starts[:, None] + np.arange(history + horizon)
-    window_rows = rows[:, slots].reshape(-1, history + horizon)
-    labels = tgt_labels[window_rows[:, history:]]
-    anchor_labels = tgt_labels[window_rows[:, history - 1]].tolist()
-    window_positions = positions[kept][:, slots].reshape(-1, history + horizon, 2)
+    windows = np.empty((kept.size * starts.size, 2), dtype=np.int32)
+    windows[:, 0] = np.repeat(np.arange(kept.size), starts.size)
+    windows[:, 1] = np.tile(starts, kept.size)
 
-    is_train = np.array(
-        [split_of_trajectory(seed, traj_id) == "train" for traj_id in kept], dtype=bool
+    splits = np.array(
+        [SPLIT_NAMES.index(split_of_trajectory(seed, traj_id)) for traj_id in kept.tolist()],
+        dtype=np.uint8,
     )
-    train_windows = np.flatnonzero(np.repeat(is_train, starts.size))
+    train_windows = windows[splits[windows[:, 0]] == 0]
     if not train_windows.size:
         raise ValueError("no train-split samples; increase num_trajectories")
-    mean, std = _train_statistics(src_feats, window_rows[:, :history], train_windows)
+    mean, std = _train_statistics(src_feats, rows, train_windows, history)
     std = np.maximum(std, 1e-12)
     # standardized per visited row in float64, then held as float32, the
     # precision the dataset file keeps
     src_feats -= mean
     src_feats /= std
-    features = src_feats.astype(np.float32)[window_rows[:, :history]]
-
-    # one row per window, in ``TrainingSample`` field order
-    rows = zip(features, labels, np.repeat(kept, starts.size).tolist(),
-               np.tile(starts, kept.size).tolist(), anchor_labels, window_positions)
-    samples = [TrainingSample(*row) for row in rows]
+    table = WindowTable(
+        features=src_feats.astype(np.float32),
+        labels=tgt_labels,
+        rows=rows,
+        trajectory_ids=kept,
+        first_slots=np.zeros(kept.size, dtype=np.int64),
+        windows=windows,
+        anchor_labels=tgt_labels[rows[windows[:, 0], windows[:, 1] + history - 1]],
+        positions=positions[kept],
+        splits=splits,
+    )
     return Dataset(
-        samples=samples,
+        table=table,
         feature_mean=mean,
         feature_std=std,
         num_beams=codebook.num_beams,
@@ -387,16 +553,25 @@ def _record_dtype(t: int, f: int, k: int) -> np.dtype:
                      ("trajectory_id", "<u4"), ("start_slot", "<u4")])
 
 
+def _block_size(count: int) -> int:
+    """Records per block when a file's records are written or read in
+    ``_FILE_BLOCKS`` blocks."""
+    return max(1, -(-count // _FILE_BLOCKS))
+
+
 def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
     """Write ``dataset`` to ``path``, replacing it atomically.
 
-    A header value of the wrong type (``_bad_header_values``) raises
-    ``ValueError`` before the file is opened. So does ``extra_metadata`` that
-    holds a header key, or a ``config_hash`` other than a non-empty
-    ``config_hash`` argument: either would silently replace the real value in
-    the file. A ``config_hash`` in ``extra_metadata`` (where ``load_dataset``
-    puts it) is written when the argument is empty, so a loaded dataset saves
-    back to the same bytes.
+    A header value of the wrong type (``_bad_header_values``) or a label
+    outside [0, ``num_beams``) raises ``ValueError`` before the file is
+    opened. So does ``extra_metadata`` that holds a header key, or a
+    ``config_hash`` other than a non-empty ``config_hash`` argument: either
+    would silently replace the real value in the file. A ``config_hash`` in
+    ``extra_metadata`` (where ``load_dataset`` puts it) is written when the
+    argument is empty, so a loaded dataset saves back to the same bytes.
+
+    The records are gathered from the table and written in blocks, so that
+    a save holds about 1/``_FILE_BLOCKS`` of them at once.
     """
     header = {key: getattr(dataset, key) for key in _META_KEYS}
     if bad := _bad_header_values(header):
@@ -406,8 +581,11 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         shadowed.append("config_hash")
     if shadowed:
         raise ValueError(f"extra_metadata keys {shadowed} would replace header values")
+    table = dataset.table
+    if np.any(table.labels >= dataset.num_beams) or np.any(table.labels < 0):
+        raise ValueError(f"sample labels outside [0, {dataset.num_beams})")
     t, k = dataset.history, dataset.horizon
-    f, n = dataset.feature_dim, len(dataset.samples)
+    f, n = dataset.feature_dim, len(table.windows)
     meta = {
         **header,
         "split_ratios": SPLIT_RATIOS,
@@ -415,15 +593,8 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         **dataset.extra_metadata,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    for s in dataset.samples:
-        if s.features.shape != (t, f) or s.labels.shape != (k,):
-            raise ValueError("sample shape does not match dataset header")
-        if np.any(s.labels >= dataset.num_beams) or np.any(s.labels < 0):
-            raise ValueError(f"sample labels outside [0, {dataset.num_beams})")
-    records = np.array(
-        [(s.features, s.labels, s.trajectory_id, s.start_slot) for s in dataset.samples],
-        dtype=_record_dtype(t, f, k),
-    )
+    step = _block_size(n)
+    block = np.empty(min(n, step), dtype=_record_dtype(t, f, k))
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIIII", FORMAT_VERSION, dataset.num_beams, f, t, k, n))
@@ -431,16 +602,24 @@ def save_dataset(dataset: Dataset, path, config_hash: str = "") -> None:
         fh.write(dataset.feature_std.astype("<f8").tobytes())
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        fh.write(records.view(np.uint8))  # no copy, unlike tobytes()
+        for lo in range(0, n, step):
+            windows = np.arange(lo, min(lo + step, n))
+            records = block[: windows.size]
+            records["features"], records["labels"] = dataset._gather(windows)
+            traj, start = table.windows[windows].T
+            records["trajectory_id"] = table.trajectory_ids[traj]
+            records["start_slot"] = table.first_slots[traj] + start
+            fh.write(records.view(np.uint8))  # no copy, unlike tobytes()
 
 
 def load_dataset(path) -> Dataset:
     """Read a ``save_dataset`` file. The header comes from the open file and
-    the records in one read into one record array, whose fields the samples'
-    ``features`` (float32) and ``labels`` view, so loading holds little more
-    than the file's records. Sizes are checked against the file's length
-    before any read. A file whose ``split_ratios`` are not ``SPLIT_RATIOS``
-    raises ``DatasetFormatError``."""
+    the records in ``_FILE_BLOCKS`` blocks through one buffer, copied into
+    one feature table (count*T, F) float32 and one label table (count*K,):
+    the table of one trajectory per record (see ``WindowTable``), so loading
+    holds little more than the file's records. Sizes are checked against the
+    file's length before any read. A file whose ``split_ratios`` are not
+    ``SPLIT_RATIOS`` raises ``DatasetFormatError``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -478,17 +657,24 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError("truncated dataset file")
         if end < size:
             raise DatasetFormatError(f"{size - end} trailing bytes")
-        records = np.empty(count, dtype=dtype)
-        if fh.readinto(records.view(np.uint8)) != records.nbytes:
-            raise DatasetFormatError("truncated dataset file")
-    labels = records["labels"]
-    if count and labels.max() >= x:
-        raise DatasetFormatError(f"label {labels.max()} out of range for {x} beams")
-    rows = zip(records["features"], labels, records["trajectory_id"].tolist(),
-               records["start_slot"].tolist())
-    samples = [TrainingSample(*row) for row in rows]
+        table = _one_window_table(count, t, k, f)
+        features = table.features.reshape(count, t, f)
+        labels = table.labels.reshape(count, k)
+        step = _block_size(count)
+        block = np.empty(min(count, step), dtype=dtype)
+        for lo in range(0, count, step):
+            records = block[: min(step, count - lo)]
+            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                raise DatasetFormatError("truncated dataset file")
+            hi = lo + records.size
+            features[lo:hi] = records["features"]
+            labels[lo:hi] = records["labels"]
+            table.trajectory_ids[lo:hi] = records["trajectory_id"]
+            table.first_slots[lo:hi] = records["start_slot"]
+    if table.labels.size and table.labels.max() >= x:
+        raise DatasetFormatError(f"label {table.labels.max()} out of range for {x} beams")
     return Dataset(
-        samples=samples,
+        table=table,
         feature_mean=mean,
         feature_std=std,
         num_beams=x,

@@ -67,8 +67,7 @@ rates and epsilon are the constants ``optim.ALPHA``, ``optim.BETA1``,
 
 from . import checkpoint, layers, optim
 from .checkpoint import *  # noqa: F403
-from .gradcheck import finite_diff_check
 from .layers import *  # noqa: F403
 from .optim import *  # noqa: F403
 
-__all__ = [*layers.__all__, *optim.__all__, "finite_diff_check", *checkpoint.__all__]
+__all__ = [*layers.__all__, *optim.__all__, *checkpoint.__all__]

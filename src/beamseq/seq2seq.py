@@ -49,8 +49,9 @@ its backward. What a backward can rebuild cheaply is not held at all:
   backward rebuilds each from the states just before its one read, two GEMMs
   over B*T rows, about 1% of a step.
 The previous batch's gradients are dropped before the next batch runs, and
-each batch's features and labels are stacked from the dataset's samples as
-the batch is drawn, so training holds no copy of a split.
+each batch's features and labels are gathered from the dataset's table (see
+``data.WindowTable``) as the batch is drawn, so training holds no copy of a
+split.
 
 Datasets hold features in float32 (see ``data``), and training feeds its
 batches in as they are: the input projection's GEMM widens them to float64
@@ -73,7 +74,7 @@ import numpy as np
 
 from . import nn
 from ._files import atomic_write, is_int, is_real
-from .data import Dataset, _stacked
+from .data import Dataset
 from .nn import (
     AdamState,
     AttentionParams,
@@ -436,11 +437,12 @@ def _batch_forward_backward(model, feats, targets, rng):
     return float(losses.mean()), correct / losses.size, grads
 
 
-def _evaluate_teacher_forced(model, samples, batch_size):
-    """Inference-mode loss/accuracy over a split's samples, ``batch_size``
-    windows at a time, each batch stacked from the samples, so that validation
-    holds no more than a training batch does."""
-    n = len(samples)
+def _evaluate_teacher_forced(model, dataset, windows, batch_size):
+    """Inference-mode loss/accuracy over the dataset's windows at positions
+    ``windows``, ``batch_size`` windows at a time, each batch gathered from
+    the dataset's table, so that validation holds no more than a training
+    batch does."""
+    n = len(windows)
     if n == 0:
         return float("nan"), float("nan")
     total_loss = 0.0
@@ -448,7 +450,7 @@ def _evaluate_teacher_forced(model, samples, batch_size):
     for lo in range(0, n, batch_size):
         # [:2] lets go of the caches before the next batch runs
         losses, correct = _score_teacher_forced(
-            model, *_stacked(samples[lo : lo + batch_size]), None
+            model, *dataset.batch(windows[lo : lo + batch_size]), None
         )[:2]
         total_loss += float(losses.sum())
         total_correct += correct
@@ -473,12 +475,13 @@ def train(
     ones in the returned state, so ``train(model, ..., state=state)`` continues
     the run as if it had never stopped.
 
-    Each batch is stacked from the dataset's samples as it is drawn, so that
-    training holds no copy of a split's features beyond the batch in use.
+    Each batch is gathered from the dataset's table as it is drawn, with one
+    ``np.take`` for its features and one for its labels, so that training
+    holds no copy of a split's features beyond the batch in use.
     """
-    train_set = dataset.split_samples("train")
-    val_set = dataset.split_samples("val")
-    if not train_set:
+    train_windows = dataset.windows_in("train")
+    val_windows = dataset.windows_in("val")
+    if not train_windows.size:
         raise ValueError("dataset has no train-split samples")
 
     named = model.named_params()
@@ -501,7 +504,7 @@ def train(
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
 
-    n = len(train_set)
+    n = train_windows.size
     history: list[dict] = []
     for epoch in range(state.next_epoch, config.max_epochs):
         order = rng.permutation(n)
@@ -511,7 +514,7 @@ def train(
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
             loss, acc, grads = _batch_forward_backward(
-                model, *_stacked([train_set[i] for i in batch]), rng
+                model, *dataset.batch(train_windows[batch]), rng
             )
             if not np.isfinite(loss):
                 norm = float(
@@ -530,8 +533,10 @@ def train(
             epoch_correct += acc * len(batch)
         train_loss = epoch_loss / n
         train_acc = epoch_correct / n
-        if val_set:
-            val_loss, val_acc = _evaluate_teacher_forced(model, val_set, config.batch_size)
+        if val_windows.size:
+            val_loss, val_acc = _evaluate_teacher_forced(
+                model, dataset, val_windows, config.batch_size
+            )
         else:
             val_loss, val_acc = train_loss, train_acc
         history.append(

@@ -1,5 +1,6 @@
 """Oracles: term-by-term LSTM and attention kernels, the unculled wall
-blockage test and the one-trajectory-at-a-time trajectory draw.
+blockage test, the one-trajectory-at-a-time trajectory draw and the
+materialized windows of a dataset.
 
 For the LSTM and attention, every pre-activation, weighted sum and gradient
 entry is its own ``math.fsum`` over Python loops. Those oracles read the
@@ -10,16 +11,20 @@ kernels' parameter layout and nothing else: no GEMM, cache or helper of
 ``scene._blocked`` did before it culled walls by their boxes.
 ``looped_trajectory`` draws a trajectory as ``mobility.sample_trajectory``
 did before the batched draw: five scalar ``uniform`` calls per attempt and
-the positions of one attempt at a time.
+the positions of one attempt at a time. ``materialized_windows`` stacks every
+window's features and labels as ``make_dataset`` did before it held its
+windows as indices into a table.
 """
 
 import math
 
 import numpy as np
 
-from beamseq.mobility import ACCEL_RANGE, SLOT_SECONDS, SPEED_RANGE
+from beamseq.data import _TAG_TRAJECTORY, preprocess_csi
+from beamseq.mobility import ACCEL_RANGE, MAX_RETRIES, SLOT_SECONDS, SPEED_RANGE
 from beamseq.nn import AttentionParams, LSTMParams
-from beamseq.scene import _crossing
+from beamseq.phy import best_beams
+from beamseq.scene import _crossing, snap_positions
 
 
 def _sigmoid(z):
@@ -195,3 +200,33 @@ def looped_trajectory(grid, rng, num_slots, max_retries):
                 and pos[:, 1].min() >= y_lo and pos[:, 1].max() <= y_hi):
             return pos, attempt
     return None, max_retries
+
+
+def materialized_windows(scene, grid, codebook, dataset):
+    """(features (W, T, F) float32, labels (W, K) uint16, trajectory ids (W,))
+    of every window of the ``make_dataset`` output ``dataset``, in its order,
+    each window's rows copied out as ``src_feats.astype(np.float32)[window_rows]``.
+    The trajectories are redrawn by ``looped_trajectory``, and the features
+    standardized with the dataset's mean and std."""
+    t, k = dataset.history, dataset.horizon
+    meta = dataset.extra_metadata
+    slots = meta["slots_per_trajectory"]
+    flats = []
+    for traj_id in range(meta["num_trajectories"]):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([dataset.seed, _TAG_TRAJECTORY, traj_id]))
+        flats.append(snap_positions(looped_trajectory(scene.grid, rng, slots, MAX_RETRIES)[0],
+                                    scene.grid))
+    flats = np.array(flats)
+    outage = grid.outage(dataset.source_bs) | grid.outage(dataset.target_rsu)
+    kept = np.flatnonzero(~outage[flats].any(axis=1))
+    visited, rows = np.unique(flats[kept], return_inverse=True)
+    rows = rows.reshape(kept.size, slots)
+    src_feats = preprocess_csi(grid.snapshots[dataset.source_bs][visited])
+    src_feats = (src_feats - dataset.feature_mean) / dataset.feature_std
+    tgt_labels = best_beams(grid.snapshots[dataset.target_rsu][visited], codebook)[0]
+    starts = np.arange(0, slots - t - k + 1, meta["stride"])
+    window_rows = rows[:, starts[:, None] + np.arange(t + k)].reshape(-1, t + k)
+    return (src_feats.astype(np.float32)[window_rows[:, :t]],
+            tgt_labels.astype(np.uint16)[window_rows[:, t:]],
+            np.repeat(kept, starts.size))

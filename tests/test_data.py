@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beamseq import data
+from beamseq import data, seq2seq
 from beamseq.data import (
     _TAG_TRAJECTORY,
     LOG_EPSILON,
@@ -31,7 +31,7 @@ from beamseq.mobility import MAX_RETRIES
 from beamseq.phy import ArrayGeometry, best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
 from beamseq.seq2seq import Seq2SeqHyper, TrainConfig, init_model, train
-from oracles import looped_trajectory
+from oracles import looped_trajectory, materialized_windows
 
 
 @pytest.fixture(scope="module")
@@ -312,12 +312,16 @@ class TestMakeDataset:
                 i for i, s in enumerate(ds.samples)
                 if split_of_trajectory(ds.seed, s.trajectory_id) == split
             ]
-            assert ds.indices(split) == want
+            assert ds.windows_in(split).tolist() == want
             assert [s.trajectory_id for s in ds.split_samples(split)] == [
                 ds.samples[i].trajectory_id for i in want
             ]
 
-    def test_split_drawn_once_per_trajectory(self, strided_dataset, monkeypatch):
+    def test_split_drawn_once_per_trajectory(self, small_world, strided_dataset, monkeypatch):
+        # by make_dataset, and by the first split query of a sample list's dataset
+        scene, grid, codebook = small_world
+        samples = strided_dataset.samples
+        ids = sorted({s.trajectory_id for s in samples})
         calls = []
 
         def spy(seed, trajectory_id):
@@ -325,8 +329,17 @@ class TestMakeDataset:
             return split_of_trajectory(seed, trajectory_id)
 
         monkeypatch.setattr(data, "split_of_trajectory", spy)
-        strided_dataset.indices("train")
-        assert sorted(calls) == sorted({s.trajectory_id for s in strided_dataset.samples})
+        fresh = make_dataset(
+            scene, grid, "rsu0", "rsu1", 25, codebook, seed=4,
+            history=20, horizon=10, stride=7, slots_per_trajectory=90,
+        )
+        rebuilt = dataclasses.replace(strided_dataset, samples=samples)
+        assert calls == ids
+        for ds in (fresh, rebuilt, fresh, rebuilt):
+            for split in data.SPLIT_NAMES:
+                ds.windows_in(split)
+        assert sorted(calls) == sorted(ids + ids)
+        assert fresh.windows_in("val").tolist() == rebuilt.windows_in("val").tolist()
 
     def test_every_trajectory_dropped_rejected(self, small_world):
         scene, grid, codebook = small_world
@@ -344,7 +357,7 @@ class TestMakeDataset:
             scene, grid, "rsu0", "rsu1", 40, codebook, seed=6,
             history=12, horizon=9, stride=4, slots_per_trajectory=45,
         ))
-        features = len(ds.samples) * 12 * ds.feature_dim * 8
+        features = len(ds.table.windows) * 12 * ds.feature_dim * 8
         assert peak < 1.0 * features
 
     @pytest.mark.parametrize("reload", [False, True])
@@ -363,7 +376,7 @@ class TestMakeDataset:
         scene, grid, codebook = small_world
         ds = make_dataset(scene, grid, "rsu0", "rsu1", 20, codebook, seed=5,
                           slots_per_trajectory=100)
-        assert ds.indices("test")
+        assert ds.windows_in("test").size
         ds = dataclasses.replace(ds, samples=[
             s for s in ds.samples if ds.split_of(s.trajectory_id) != "test"
         ])
@@ -381,14 +394,14 @@ class TestMakeDataset:
 
     def test_builds_no_float64_window_stack(self, small_world, traced_memory):
         # long overlapping windows, so that a float64 (windows, T, F) stack
-        # outweighs everything else the dataset holds: the float32 features,
-        # the positions, the labels and the sample objects
+        # outweighs everything else the dataset holds: its table, row
+        # indices, positions and window list
         scene, grid, codebook = small_world
         ds, retained, above = traced_memory(lambda: make_dataset(
             scene, grid, "rsu0", "rsu1", 20, codebook, seed=6,
             history=40, horizon=5, stride=1, slots_per_trajectory=100,
         ))
-        stack = len(ds.samples) * ds.history * ds.feature_dim * 8
+        stack = len(ds.table.windows) * ds.history * ds.feature_dim * 8
         assert retained + above < stack
 
     def test_too_few_slots_rejected(self, small_world):
@@ -442,7 +455,7 @@ class TestMakeDataset:
         ds = make_dataset(*args, **kwargs)
         ref = reference_make_dataset(*args, **kwargs)
         # the train statistics are summed over more than one block of windows
-        assert len(ds.indices("train")) > data._STATS_BLOCK
+        assert len(ds.windows_in("train")) > data._STATS_BLOCK
         assert 0 < ds.dropped_trajectories < 40
         assert ds.dropped_trajectories == ref.dropped_trajectories
         assert len({s.trajectory_id for s in ds.samples}) > 1
@@ -476,6 +489,118 @@ class TestMakeDataset:
         assert ds.feature_std.tobytes() == ref.feature_std.tobytes()
 
 
+def canary_datasets(scene, grid, codebook):
+    """Five small datasets, by name: two fresh builds, two subsets of one of
+    them and one built from a sample list of float64 features."""
+    fresh = make_dataset(scene, grid, "rsu0", "rsu1", 12, codebook, seed=21, history=8, horizon=6)
+    strided = make_dataset(scene, grid, "rsu0", "rsu1", 12, codebook, seed=22, history=8,
+                           horizon=6, stride=3, slots_per_trajectory=40)
+    rng = np.random.default_rng(23)
+    listed = [
+        TrainingSample(rng.normal(size=(3, 5)), rng.integers(0, 7, size=2).astype(np.uint16), i, i)
+        for i in range(9)
+    ]
+    return {
+        "fresh": fresh,
+        "strided": strided,
+        "val": dataclasses.replace(strided, samples=strided.split_samples("val")),
+        "mixed": dataclasses.replace(
+            strided, samples=[*strided.split_samples("test"), *strided.samples[:4][::-1]]
+        ),
+        "listed": Dataset(
+            samples=listed, feature_mean=rng.normal(size=5), feature_std=rng.uniform(1, 2, size=5),
+            num_beams=7, history=3, horizon=2, source_bs="rsu0", target_rsu="rsu1", seed=24,
+            scene_digest="ab",
+        ),
+    }
+
+
+class TestWindowTable:
+    # sha256 of each ``canary_datasets`` file, taken when datasets still
+    # stored every window's features
+    CANARY_SHA256 = {
+        "fresh": "6adde0342e35e6253fff1019d561d521d7054b7753fdce707f0ae9cdd8972c0b",
+        "strided": "8a11ad38f6fb125593794b9375f9395bd33aa112091b63934ec1dbe1d53cd8ee",
+        "val": "e40d4f44b302cffe95ad7b9db22f614026ae251be4519fba61bedb3a0c043c59",
+        "mixed": "77be05eb6ea67606d222066e9d29b0b5eede44154198b5455bbb70dfc483bb77",
+        "listed": "224117513b42cff42b6ea33d8003c5133f1f7eb924fe70c770b64a680c779bd1",
+    }
+
+    def test_saved_bytes_are_pinned(self, tmp_path, small_world):
+        got = {}
+        for name, ds in canary_datasets(*small_world).items():
+            save_dataset(ds, tmp_path / f"{name}.bmsq")
+            got[name] = hashlib.sha256((tmp_path / f"{name}.bmsq").read_bytes()).hexdigest()
+        assert got == self.CANARY_SHA256
+
+    def test_every_batch_equals_the_materialized_windows(self, small_world, monkeypatch):
+        # stride K with four windows per trajectory; training's batches in the
+        # shuffled order, then validation's, and the test split's arrays
+        scene, grid, codebook = small_world
+        ds = make_dataset(scene, grid, "rsu0", "rsu1", 30, codebook, seed=8, history=6,
+                          horizon=4, slots_per_trajectory=22)
+        feats, labels, ids = materialized_windows(scene, grid, codebook, ds)
+        splits = np.array([split_of_trajectory(ds.seed, i) for i in ids])
+        batches = []
+        score = seq2seq._score_teacher_forced
+
+        def spy(model, f, t, rng):
+            batches.append((f.copy(), t.copy()))
+            return score(model, f, t, rng)
+
+        monkeypatch.setattr(seq2seq, "_score_teacher_forced", spy)
+        hyper = Seq2SeqHyper(feature_dim=32, history=6, horizon=4, num_beams=256, hidden=3,
+                             embed_dim=2)
+        cfg = TrainConfig(batch_size=5, max_epochs=1, seed=2)
+        train(init_model(hyper, seed=1), ds, cfg)
+        in_train, in_val = np.flatnonzero(splits == "train"), np.flatnonzero(splits == "val")
+        order = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, seq2seq._TAG_TRAIN])
+        ).permutation(in_train.size)
+        want = [in_train[order[lo : lo + 5]] for lo in range(0, in_train.size, 5)]
+        want += [in_val[lo : lo + 5] for lo in range(0, in_val.size, 5)]
+        assert len(in_val) and len(batches) == len(want)
+        test_x, test_y = ds.arrays("test")
+        batches.append((test_x, test_y))
+        want.append(np.flatnonzero(splits == "test"))
+        for (f, t), windows in zip(batches, want, strict=True):
+            assert f.dtype == np.float32 and f.tobytes() == feats[windows].tobytes()
+            assert t.dtype == np.int64
+            assert t.tobytes() == labels[windows].astype(np.int64).tobytes()
+
+    def test_a_split_subset_holds_its_own_windows_alone(self, small_world, traced_memory):
+        # built and cut inside the call, so the build is held only if the
+        # subset pins it
+        scene, grid, codebook = small_world
+
+        def build():
+            ds = make_dataset(scene, grid, "rsu0", "rsu1", 40, codebook, seed=6, history=20,
+                              horizon=10, stride=7, slots_per_trajectory=90)
+            return dataclasses.replace(ds, samples=ds.split_samples("val"))
+
+        subset, retained, _ = traced_memory(build)
+        t, k, n = subset.history, subset.horizon, len(subset.table.windows)
+        assert n > 10
+        own = n * (t * subset.feature_dim * 4 + k * 2 + (t + k) * 2 * 8)
+        assert retained < 1.5 * own
+
+    def test_stride_one_retains_its_table_not_its_windows(self, small_world, traced_memory):
+        scene, grid, codebook = small_world
+        ds, retained, _ = traced_memory(lambda: make_dataset(
+            scene, grid, "rsu0", "rsu1", 20, codebook, seed=6, history=20, horizon=10,
+            stride=1, slots_per_trajectory=200,
+        ))
+        table = ds.table
+        held = sum(a.nbytes for a in (table.features, table.labels, table.rows, table.positions))
+        assert retained < 2 * held
+        # the windows' features, stored, would outweigh all of that many times over
+        window_features = len(table.windows) * ds.history * ds.feature_dim * 4
+        assert window_features > 10 * held
+        # and the label histogram gathers labels alone
+        _, _, peak = traced_memory(ds.label_histogram)
+        assert peak < 0.1 * window_features
+
+
 class TestDatasetFile:
     def test_roundtrip(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bmsq"
@@ -499,7 +624,7 @@ class TestDatasetFile:
             assert a.trajectory_id == b.trajectory_id
             assert a.start_slot == b.start_slot
         # split assignment is recomputable from the file alone
-        assert loaded.indices("train") == small_dataset.indices("train")
+        assert loaded.windows_in("train").tolist() == small_dataset.windows_in("train").tolist()
 
     def test_bad_magic_rejected(self, tmp_path, small_dataset):
         path = tmp_path / "ds.bmsq"
@@ -598,9 +723,10 @@ class TestDatasetFile:
         before = path.read_bytes()
         last = small_dataset.samples[-1]
         bad = dataclasses.replace(last, labels=last.labels[:-1])
-        broken = dataclasses.replace(small_dataset, samples=[*small_dataset.samples, bad])
+        # a table holds no window of another shape, so the dataset is not built
         with pytest.raises(ValueError, match="sample shape"):
-            save_dataset(broken, path)
+            save_dataset(dataclasses.replace(small_dataset, samples=[*small_dataset.samples, bad]),
+                         path)
         assert path.read_bytes() == before
         assert len(load_dataset(path).samples) == len(small_dataset.samples)
         assert list(tmp_path.iterdir()) == [path]
@@ -704,15 +830,22 @@ class TestDatasetFile:
         save_dataset(loaded, path)
         assert path.read_bytes() == raw
 
-    def test_loaded_samples_view_one_record_array(self, tmp_path, small_dataset):
+    def test_loaded_tables_hold_the_records_fields_alone(self, tmp_path, small_dataset):
         save_dataset(small_dataset, tmp_path / "ds.bmsq")
         loaded = load_dataset(tmp_path / "ds.bmsq")
-        bases = {id(a.base) for s in loaded.samples for a in (s.features, s.labels)}
-        assert len(bases) == 1
-        records = loaded.samples[0].features.base
-        t, f, k = loaded.history, loaded.feature_dim, loaded.horizon
-        assert records.nbytes == len(loaded.samples) * data._record_dtype(t, f, k).itemsize
-        assert loaded.samples[0].features.dtype == np.float32
+        table = loaded.table
+        t, f, k, n = loaded.history, loaded.feature_dim, loaded.horizon, len(table.windows)
+        # every record's features and labels, back to back in one table each
+        assert table.features.shape == (n * t, f) and table.features.dtype == np.float32
+        assert table.labels.shape == (n * k,) and table.labels.dtype == np.uint16
+        ids_bytes = 8  # trajectory_id and start_slot, u4 each
+        record = data._record_dtype(t, f, k).itemsize
+        assert table.features.nbytes + table.labels.nbytes == n * (record - ids_bytes)
+        # the samples view the tables, so a write to a sample writes the dataset
+        views = loaded.samples
+        for name in ("features", "labels"):
+            assert {id(getattr(s, name).base) for s in views} == {id(getattr(table, name))}
+        assert views[0].features.dtype == np.float32
 
     def test_fresh_and_reloaded_datasets_train_alike(self, tmp_path, strided_dataset):
         ds = strided_dataset

@@ -30,7 +30,6 @@ from beamseq.nn import (
     dropout_forward,
     embedding_backward,
     embedding_forward,
-    finite_diff_check,
     init_attention,
     init_dense,
     init_embedding,
@@ -53,6 +52,7 @@ from beamseq.seq2seq import (
     _encode_batch,
     init_model,
 )
+from gradcheck import finite_diff_check
 from oracles import (
     term_by_term_attention,
     term_by_term_attention_backward,

@@ -10,7 +10,7 @@ import pytest
 
 from beamseq import nn, seq2seq
 from beamseq.data import Dataset, TrainingSample, split_of_trajectory
-from beamseq.nn import CheckpointError, finite_diff_check, params_items
+from beamseq.nn import CheckpointError, params_items
 from beamseq.seq2seq import (
     EncoderOutput,
     Seq2SeqHyper,
@@ -32,6 +32,7 @@ from beamseq.seq2seq import (
     train,
     write_history,
 )
+from gradcheck import finite_diff_check
 from oracles import (
     term_by_term_attention,
     term_by_term_attention_backward,
@@ -277,7 +278,7 @@ class TestSharedScorer:
         # training step's, bit for bit, with or without a generator.
         model = micro_model(seed=13)
         ds = synthetic_dataset(n_train=3, label_seed=8)
-        val_loss, val_acc = _evaluate_teacher_forced(model, ds.split_samples("train"), 3)
+        val_loss, val_acc = _evaluate_teacher_forced(model, ds, ds.windows_in("train"), 3)
         feats, targets = ds.arrays("train")
         for step_rng in (None, np.random.default_rng(9)):
             loss, acc, _ = _batch_forward_backward(model, feats, targets, rng=step_rng)
