@@ -18,8 +18,10 @@ of samples, or loaded from a file, holds the degenerate table with one
 trajectory per window, so it holds those windows' rows alone.
 
 Every trajectory falls in one split, train, val or test, by a seeded draw
-per trajectory with the fixed shares ``SPLIT_RATIOS``. The file records the
-shares, and a file holding other shares does not load.
+per trajectory with the fixed shares ``SPLIT_RATIOS``. A dataset's splits are
+drawn as one batch (``_split_codes``), by ``make_dataset`` or on the first
+split query. The file records the shares, and a file holding other shares
+does not load.
 
 The file stores one record per window, not the table (little-endian, magic
 ``BMSQ``):
@@ -36,6 +38,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
@@ -57,7 +60,6 @@ __all__ = [
     "TrainingSample",
     "WindowTable",
     "Dataset",
-    "split_of_trajectory",
     "make_dataset",
     "save_dataset",
     "load_dataset",
@@ -258,9 +260,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return int(self.feature_mean.shape[0])
 
-    def split_of(self, trajectory_id: int) -> str:
-        return split_of_trajectory(self.seed, trajectory_id)
-
     def windows_in(self, split: str) -> np.ndarray:
         """Positions in the window list of the split's windows, in order. The
         split of each trajectory is drawn once, by the dataset's first call
@@ -270,21 +269,16 @@ class Dataset:
         table = self.table
         if table.splits is None:
             ids, inverse = np.unique(table.trajectory_ids, return_inverse=True)
-            drawn = [SPLIT_NAMES.index(self.split_of(i)) for i in ids.tolist()]
-            table.splits = np.array(drawn, dtype=np.uint8)[inverse]
+            table.splits = _split_codes(self.seed, ids)[inverse]
         return np.flatnonzero(table.splits[table.windows[:, 0]] == SPLIT_NAMES.index(split))
 
     def _gather(self, windows: np.ndarray):
         """(features (W, T, F) float32, labels (W, K)) of the windows at
         positions ``windows``, with one ``np.take`` each."""
-        table = self.table
-        rows = _slot_rows(table.rows, table.windows[windows], 0, self.history)
-        return np.take(table.features, rows, axis=0), self._gather_labels(windows)
-
-    def _gather_labels(self, windows: np.ndarray) -> np.ndarray:
-        t, table = self.history, self.table
-        rows = _slot_rows(table.rows, table.windows[windows], t, t + self.horizon)
-        return np.take(table.labels, rows)
+        table, t = self.table, self.history
+        chosen = table.windows[windows]
+        features = np.take(table.features, _slot_rows(table.rows, chosen, 0, t), axis=0)
+        return features, np.take(table.labels, _slot_rows(table.rows, chosen, t, t + self.horizon))
 
     def batch(self, windows: np.ndarray):
         """(features (W, T, F) float32, labels (W, K) int64) of the windows at
@@ -297,8 +291,25 @@ class Dataset:
         return self.batch(self.windows_in(split))
 
     def label_histogram(self) -> np.ndarray:
-        labels = self._gather_labels(np.arange(len(self.table.windows)))
-        return np.bincount(labels.reshape(-1), minlength=self.num_beams)
+        """(num_beams,) int64 count of every window's K labels: one
+        ``np.bincount`` of the table's labels at slots [T, S), each weighted
+        by the windows that read it. The float64 weights are exact below
+        2**53."""
+        table, t, k = self.table, self.history, self.horizon
+        n, width = table.rows.shape[0], table.rows.shape[1] - t
+        # reads per (trajectory, slot - T), flat: +1 at each window's first
+        # label slot, -1 after its last, then one cumsum, as no window spans
+        # two trajectories
+        firsts = table.windows[:, 0] * np.int64(width)
+        firsts += table.windows[:, 1]
+        reads = np.zeros(n * width + 1)
+        np.add.at(reads, firsts, 1.0)
+        firsts += k
+        np.add.at(reads, firsts, -1.0)
+        del firsts  # before the gather, so that the two are not held at once
+        np.cumsum(reads, out=reads)
+        labels = np.take(table.labels, table.rows[:, t:]).reshape(-1)
+        return np.bincount(labels, reads[:-1], minlength=self.num_beams).astype(np.int64)
 
     def _sample_views(self, windows: np.ndarray) -> list[TrainingSample]:
         """``TrainingSample`` views of the windows at positions ``windows``.
@@ -338,17 +349,19 @@ Dataset.samples = property(
 )
 
 
-def split_of_trajectory(seed: int, trajectory_id: int) -> str:
-    """Deterministic per-trajectory split assignment via a seeded hash draw
-    against the ``SPLIT_RATIOS`` shares."""
-    u = np.random.default_rng(
-        np.random.SeedSequence([int(seed), _TAG_SPLIT, int(trajectory_id)])
-    ).random()
-    if u < SPLIT_RATIOS[0]:
-        return "train"
-    if u < SPLIT_RATIOS[0] + SPLIT_RATIOS[1]:
-        return "val"
-    return "test"
+def _streams(seed: int, tag: int, ids) -> Iterator[np.random.Generator]:
+    """One generator per id in ``ids``, seeded by (``seed``, ``tag``, id).
+    Each is built when the iteration reaches it (about 1.7 KB each), so a
+    caller that draws from one and moves on holds one at a time."""
+    return (np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(i)])) for i in ids)
+
+
+def _split_codes(seed: int, ids) -> np.ndarray:
+    """(n,) uint8 index into ``SPLIT_NAMES`` of the trajectories ``ids``: each
+    draws one u from its own stream and falls in the first split whose
+    cumulative ``SPLIT_RATIOS`` share exceeds u."""
+    u = np.fromiter((rng.random() for rng in _streams(seed, _TAG_SPLIT, ids)), dtype=float)
+    return np.searchsorted(np.cumsum(SPLIT_RATIOS)[:-1], u, side="right").astype(np.uint8)
 
 
 def _train_statistics(src: np.ndarray, rows: np.ndarray, train_windows: np.ndarray, t: int):
@@ -418,19 +431,20 @@ def make_dataset(
     ``horizon``, ``stride``, ``slots_per_trajectory``) that are not ints >= 1,
     bools included, raise ``ValueError`` before any trajectory is drawn.
 
-    The windows are built as one batch. Trajectory ``i`` draws from its own
-    generator, seeded by (``seed``, ``i``), and all are drawn together by one
-    ``sample_trajectories`` call, which forms and bounds-checks each round of
-    attempts as one (n, slots, 2) array. Every trajectory is snapped to the
-    grid in one ``snap_positions`` call, and each kept trajectory draws its
-    split once. Only the snapshot rows of grid points that a kept trajectory
-    visits are read: features and labels are computed for those rows, as one
-    batch each, so the finite check of ``preprocess_csi`` covers those rows
-    only. The dataset holds them as its ``WindowTable``: the standardized
-    features (float32) and the labels of the visited rows, each kept
-    trajectory's row per slot and positions, and each window as a
-    (trajectory, start slot) pair. No window's features are copied out; a
-    batch gathers them from the table.
+    The windows are built as one batch. Trajectory ``i`` draws its path and
+    its split from generators of its own (``_streams``), seeded by (``seed``,
+    ``i``). The paths are drawn by one ``sample_trajectories`` call, which
+    forms and bounds-checks each round of attempts as one (n, slots, 2)
+    array, and snapped to the grid by one ``snap_positions`` call; the kept
+    trajectories' splits are drawn by one ``_split_codes`` call. Only the
+    snapshot rows of grid points that a kept trajectory visits are read:
+    features and labels are computed for those rows, as one batch each, so
+    the finite check of ``preprocess_csi`` covers those rows only. The
+    dataset holds them as its ``WindowTable``: the standardized features
+    (float32) and the labels of the visited rows, each kept trajectory's row
+    per slot and positions, and each window as a (trajectory, start slot)
+    pair. No window's features are copied out; a batch gathers them from the
+    table.
     """
     for name, value in (("num_trajectories", num_trajectories), ("history", history),
                         ("horizon", horizon)):
@@ -454,8 +468,7 @@ def make_dataset(
         if bs_id not in grid.bs_ids:
             raise ValueError(f"{bs_id!r} not present in the channel grid {grid.bs_ids}")
 
-    rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_TRAJECTORY, traj_id]))
-            for traj_id in range(num_trajectories)]
+    rngs = list(_streams(seed, _TAG_TRAJECTORY, range(num_trajectories)))
     positions = sample_trajectories(scene, rngs, slots_per_trajectory)[1]
     flats = snap_positions(positions.reshape(-1, 2), scene.grid).reshape(positions.shape[:2])
     outage = grid.outage(source_bs) | grid.outage(target_rsu)
@@ -475,10 +488,7 @@ def make_dataset(
     windows[:, 0] = np.repeat(np.arange(kept.size), starts.size)
     windows[:, 1] = np.tile(starts, kept.size)
 
-    splits = np.array(
-        [SPLIT_NAMES.index(split_of_trajectory(seed, traj_id)) for traj_id in kept.tolist()],
-        dtype=np.uint8,
-    )
+    splits = _split_codes(seed, kept)
     train_windows = windows[splits[windows[:, 0]] == 0]
     if not train_windows.size:
         raise ValueError("no train-split samples; increase num_trajectories")

@@ -1,22 +1,23 @@
 """Straight-line constant-acceleration vehicle trajectories over the grid,
 one position per ``SLOT_SECONDS`` slot.
 
+A trajectory is a row of draws (start x, start y, heading, initial speed,
+acceleration), which ``_positions`` turns into positions.
 ``sample_trajectories`` draws a batch: each trajectory from its own
 generator, with its own retries, while the positions of every attempt in a
 round are formed and checked against the grid as one (n, slots, 2) array.
-``sample_trajectory`` is its one-trajectory call.
+``sample_trajectory`` is its one-generator call, row 0 of the batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scene import GridSpec, Scene
 
-__all__ = ["Trajectory", "sample_trajectory", "sample_trajectories", "TrajectoryError"]
+__all__ = ["sample_trajectory", "sample_trajectories", "TrajectoryError"]
 
 # the time between a trajectory's slots (s)
 SLOT_SECONDS = 1e-3
@@ -31,25 +32,11 @@ class TrajectoryError(RuntimeError):
     """Could not place a trajectory inside the grid within the retry budget."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """position(t) = start + heading_unit * (v0*t + a*t^2/2), sampled per slot."""
-
-    start: tuple[float, float]
-    heading: float
-    initial_speed: float
-    acceleration: float
-    num_slots: int
-
-    def positions(self) -> np.ndarray:
-        """(num_slots, 2) positions, slot k at time k*SLOT_SECONDS."""
-        draw = [[*self.start, self.heading, self.initial_speed, self.acceleration]]
-        return _positions(np.array(draw), self.num_slots)[0]
-
-
 def _positions(draws: np.ndarray, num_slots: int) -> np.ndarray:
     """(n, num_slots, 2) positions of the trajectories whose (n, 5) ``draws``
-    rows are (start x, start y, heading, initial speed, acceleration)."""
+    rows are (start x, start y, heading, initial speed, acceleration):
+    position(t) = start + heading_unit * (v0*t + a*t^2/2), slot k at time
+    k*``SLOT_SECONDS``."""
     t = SLOT_SECONDS * np.arange(num_slots)
     s = draws[:, 3:4] * t + 0.5 * draws[:, 4:5] * t * t
     # math.cos and math.sin per heading, as the positions were always formed:
@@ -94,9 +81,10 @@ def sample_trajectories(
     )
 
 
-def sample_trajectory(scene: Scene, rng: np.random.Generator, num_slots: int) -> Trajectory:
-    """One in-grid trajectory drawn from ``rng``: the one-generator
-    ``sample_trajectories``."""
-    x, y, heading, speed, accel = sample_trajectories(scene, [rng], num_slots)[0][0].tolist()
-    return Trajectory(start=(x, y), heading=heading, initial_speed=speed, acceleration=accel,
-                      num_slots=num_slots)
+def sample_trajectory(
+    scene: Scene, rng: np.random.Generator, num_slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One in-grid trajectory drawn from ``rng``, (draw (5,), positions
+    (num_slots, 2)): row 0 of the one-generator ``sample_trajectories``."""
+    draws, positions = sample_trajectories(scene, [rng], num_slots)
+    return draws[0], positions[0]

@@ -1,6 +1,6 @@
 """Oracles: term-by-term LSTM and attention kernels, the unculled wall
-blockage test, the one-trajectory-at-a-time trajectory draw and the
-materialized windows of a dataset.
+blockage test, the one-trajectory-at-a-time trajectory draw, the per-id split
+draw and the materialized windows of a dataset.
 
 For the LSTM and attention, every pre-activation, weighted sum and gradient
 entry is its own ``math.fsum`` over Python loops. Those oracles read the
@@ -11,7 +11,9 @@ kernels' parameter layout and nothing else: no GEMM, cache or helper of
 ``scene._blocked`` did before it culled walls by their boxes.
 ``looped_trajectory`` draws a trajectory as ``mobility.sample_trajectory``
 did before the batched draw: five scalar ``uniform`` calls per attempt and
-the positions of one attempt at a time. ``materialized_windows`` stacks every
+the positions of one attempt at a time. ``split_of`` draws one trajectory's
+split as ``data.split_of_trajectory`` did before splits were drawn as one
+batch. ``materialized_windows`` stacks every
 window's features and labels as ``make_dataset`` did before it held its
 windows as indices into a table.
 """
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from beamseq.data import _TAG_TRAJECTORY, preprocess_csi
+from beamseq.data import _TAG_SPLIT, _TAG_TRAJECTORY, preprocess_csi
 from beamseq.mobility import ACCEL_RANGE, MAX_RETRIES, SLOT_SECONDS, SPEED_RANGE
 from beamseq.nn import AttentionParams, LSTMParams
 from beamseq.phy import best_beams
@@ -200,6 +202,20 @@ def looped_trajectory(grid, rng, num_slots, max_retries):
                 and pos[:, 1].min() >= y_lo and pos[:, 1].max() <= y_hi):
             return pos, attempt
     return None, max_retries
+
+
+def split_of(seed, trajectory_id):
+    """The split ("train", "val" or "test") of one trajectory: one uniform u
+    from its own generator, seeded by (seed, split tag, id), against the
+    shares 0.8 and 0.1 of train and val."""
+    u = np.random.default_rng(
+        np.random.SeedSequence([int(seed), _TAG_SPLIT, int(trajectory_id)])
+    ).random()
+    if u < 0.8:
+        return "train"
+    if u < 0.8 + 0.1:
+        return "val"
+    return "test"
 
 
 def materialized_windows(scene, grid, codebook, dataset):

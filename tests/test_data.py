@@ -25,13 +25,12 @@ from beamseq.data import (
     make_dataset,
     preprocess_csi,
     save_dataset,
-    split_of_trajectory,
 )
 from beamseq.mobility import MAX_RETRIES
 from beamseq.phy import ArrayGeometry, best_beams, build_dft_codebook, optimal_beam, steering_vector
 from beamseq.scene import SceneParams, build_channel_grid, generate_scene, snap_positions
 from beamseq.seq2seq import Seq2SeqHyper, TrainConfig, init_model, train
-from oracles import looped_trajectory, materialized_windows
+from oracles import looped_trajectory, materialized_windows, split_of
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +156,7 @@ def reference_make_dataset(scene, grid, source_bs, target_rsu, num_trajectories,
                         tgt_labels[row[anchor + 1 : anchor + horizon + 1]],
                         int(tgt_labels[row[anchor]]), positions[lo : anchor + horizon + 1].copy()))
     stacked = np.concatenate(
-        [r[2] for r in raw if split_of_trajectory(seed, r[0]) == "train"], axis=0
+        [r[2] for r in raw if split_of(seed, r[0]) == "train"], axis=0
     )
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), 1e-12)
@@ -207,16 +206,27 @@ class TestMakeDataset:
         assert feats.tobytes() == exact.astype(np.float32).tobytes()
 
     def test_no_trajectory_spans_two_splits(self, small_dataset):
+        ds = small_dataset
+        ids = ds.table.trajectory_ids[ds.table.windows[:, 0]]
         seen: dict[int, str] = {}
-        for s in small_dataset.samples:
-            split = small_dataset.split_of(s.trajectory_id)
-            assert seen.setdefault(s.trajectory_id, split) == split
+        for split in data.SPLIT_NAMES:
+            for i in ids[ds.windows_in(split)].tolist():
+                assert seen.setdefault(i, split) == split == split_of(ds.seed, i)
+        assert len(seen) > 1
 
     def test_split_hash_deterministic_and_roughly_proportional(self):
-        splits = [split_of_trajectory(99, i) for i in range(2000)]
-        assert splits == [split_of_trajectory(99, i) for i in range(2000)]
+        splits = [data.SPLIT_NAMES[c] for c in data._split_codes(99, range(2000))]
+        assert splits == [split_of(99, i) for i in range(2000)]
         frac_train = splits.count("train") / 2000
         assert 0.75 < frac_train < 0.85
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_batched_split_draw_equals_the_per_id_draw(self, seed):
+        ids = np.arange(20_000)
+        codes = data._split_codes(seed, ids)
+        assert codes.dtype == np.uint8 and codes.shape == ids.shape
+        want = [data.SPLIT_NAMES.index(split_of(seed, i)) for i in ids.tolist()]
+        assert codes.tolist() == want
 
     def test_deterministic_bytes(self, tmp_path, small_world):
         scene, grid, codebook = small_world
@@ -310,7 +320,7 @@ class TestMakeDataset:
         for split in ("train", "val", "test"):
             want = [
                 i for i, s in enumerate(ds.samples)
-                if split_of_trajectory(ds.seed, s.trajectory_id) == split
+                if split_of(ds.seed, s.trajectory_id) == split
             ]
             assert ds.windows_in(split).tolist() == want
             assert [s.trajectory_id for s in ds.split_samples(split)] == [
@@ -323,22 +333,27 @@ class TestMakeDataset:
         samples = strided_dataset.samples
         ids = sorted({s.trajectory_id for s in samples})
         calls = []
+        split_codes = data._split_codes
 
-        def spy(seed, trajectory_id):
-            calls.append(trajectory_id)
-            return split_of_trajectory(seed, trajectory_id)
+        def spy(seed, trajectory_ids):
+            calls.append([int(i) for i in trajectory_ids])
+            return split_codes(seed, trajectory_ids)
 
-        monkeypatch.setattr(data, "split_of_trajectory", spy)
+        monkeypatch.setattr(data, "_split_codes", spy)
         fresh = make_dataset(
             scene, grid, "rsu0", "rsu1", 25, codebook, seed=4,
             history=20, horizon=10, stride=7, slots_per_trajectory=90,
         )
         rebuilt = dataclasses.replace(strided_dataset, samples=samples)
-        assert calls == ids
+        assert calls == [ids]
+        fresh.windows_in("train")
+        assert calls == [ids]
+        rebuilt.windows_in("train")
+        assert calls == [ids, ids]
         for ds in (fresh, rebuilt, fresh, rebuilt):
             for split in data.SPLIT_NAMES:
                 ds.windows_in(split)
-        assert sorted(calls) == sorted(ids + ids)
+        assert calls == [ids, ids]
         assert fresh.windows_in("val").tolist() == rebuilt.windows_in("val").tolist()
 
     def test_every_trajectory_dropped_rejected(self, small_world):
@@ -378,7 +393,7 @@ class TestMakeDataset:
                           slots_per_trajectory=100)
         assert ds.windows_in("test").size
         ds = dataclasses.replace(ds, samples=[
-            s for s in ds.samples if ds.split_of(s.trajectory_id) != "test"
+            s for s in ds.samples if split_of(ds.seed, s.trajectory_id) != "test"
         ])
         if reload:
             save_dataset(ds, tmp_path / "ds.bmsq")
@@ -540,7 +555,7 @@ class TestWindowTable:
         ds = make_dataset(scene, grid, "rsu0", "rsu1", 30, codebook, seed=8, history=6,
                           horizon=4, slots_per_trajectory=22)
         feats, labels, ids = materialized_windows(scene, grid, codebook, ds)
-        splits = np.array([split_of_trajectory(ds.seed, i) for i in ids])
+        splits = np.array([split_of(ds.seed, i) for i in ids])
         batches = []
         score = seq2seq._score_teacher_forced
 
@@ -596,9 +611,18 @@ class TestWindowTable:
         # the windows' features, stored, would outweigh all of that many times over
         window_features = len(table.windows) * ds.history * ds.feature_dim * 4
         assert window_features > 10 * held
-        # and the label histogram gathers labels alone
-        _, _, peak = traced_memory(ds.label_histogram)
+        # and the label histogram gathers labels alone: its peak stays
+        # under twice the window list, rows and labels that it reads
+        hist, _, peak = traced_memory(ds.label_histogram)
         assert peak < 0.1 * window_features
+        assert peak < 2 * (table.windows.nbytes + table.rows.nbytes + table.labels.nbytes)
+        # and equals the per-window count, here and on a sample list's table
+        _, labels = ds.batch(np.arange(len(table.windows)))
+        assert hist.dtype == np.int64
+        assert hist.tolist() == np.bincount(labels.reshape(-1), minlength=ds.num_beams).tolist()
+        listed = dataclasses.replace(ds, samples=ds.samples[::3])
+        want = sum(np.bincount(s.labels, minlength=ds.num_beams) for s in listed.samples)
+        assert listed.label_histogram().tolist() == want.tolist()
 
 
 class TestDatasetFile:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamseq import mobility, phy, scene as scene_module
-from beamseq.mobility import Trajectory, TrajectoryError, sample_trajectories, sample_trajectory
+from beamseq.mobility import TrajectoryError, sample_trajectories, sample_trajectory
 from beamseq.phy import ArrayGeometry, synthesize_channel, synthesize_channels
 from beamseq.scene import (
     BaseStation,
@@ -748,26 +748,13 @@ class TestSnapToGrid:
 
 class TestTrajectories:
     def test_constant_speed_displacement(self):
-        traj = Trajectory(
-            start=(0.0, 0.0),
-            heading=0.0,
-            initial_speed=10.0,
-            acceleration=0.0,
-            num_slots=101,
-        )
-        pos = traj.positions()
+        # draw row: start x, start y, heading, initial speed, acceleration
+        pos = mobility._positions(np.array([[0.0, 0.0, 0.0, 10.0, 0.0]]), 101)[0]
         assert pos[100, 0] == pytest.approx(1.0, abs=1e-12)
         assert pos[100, 1] == 0.0
 
     def test_closed_form_matches_stepwise_integration(self):
-        traj = Trajectory(
-            start=(3.0, 4.0),
-            heading=0.7,
-            initial_speed=12.0,
-            acceleration=-2.5,
-            num_slots=200,
-        )
-        pos = traj.positions()
+        pos = mobility._positions(np.array([[3.0, 4.0, 0.7, 12.0, -2.5]]), 200)[0]
         # independent per-slot kinematic accumulation
         direction = np.array([math.cos(0.7), math.sin(0.7)])
         p = np.array([3.0, 4.0])
@@ -783,17 +770,17 @@ class TestTrajectories:
         rng = np.random.default_rng(8)
         speeds, accels = [], []
         for _ in range(500):
-            traj = sample_trajectory(los_scene, rng, num_slots=100)
-            speeds.append(traj.initial_speed)
-            accels.append(traj.acceleration)
+            draw, _ = sample_trajectory(los_scene, rng, num_slots=100)
+            speeds.append(draw[3])
+            accels.append(draw[4])
         assert min(speeds) >= 10.0 and max(speeds) <= 15.0
         assert min(accels) >= -3.0 and max(accels) <= 3.0
 
     def test_sampled_path_stays_on_grid(self, los_scene):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            traj = sample_trajectory(los_scene, rng, num_slots=150)
-            snap_positions(traj.positions(), los_scene.grid)  # raises if outside
+            _, positions = sample_trajectory(los_scene, rng, num_slots=150)
+            snap_positions(positions, los_scene.grid)  # raises if outside
 
     @staticmethod
     def generators(seed, count):
@@ -810,11 +797,12 @@ class TestTrajectories:
             assert want.tobytes() == looped.tobytes()
             attempts.append(tries)
         assert max(attempts) > 1  # some trajectories retried
-        # the one-generator call and its Trajectory's positions give the same bytes
-        for rng, draw, want in zip(self.generators(4, count), draws, positions):
-            traj = sample_trajectory(rich_scene, rng, slots)
-            assert (*traj.start, traj.heading, traj.initial_speed, traj.acceleration) == tuple(draw)
-            assert traj.positions().tobytes() == want.tobytes()
+        # the one-generator call returns row i's draw and positions, byte for byte
+        for rng, want_draw, want in zip(self.generators(4, count), draws, positions):
+            draw, got = sample_trajectory(rich_scene, rng, slots)
+            assert draw.shape == (5,) and got.shape == (slots, 2)
+            assert draw.tobytes() == want_draw.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_batched_draw_gives_up_after_max_retries(self, monkeypatch):
         tiny = replace(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beamseq import nn, seq2seq
-from beamseq.data import Dataset, TrainingSample, split_of_trajectory
+from beamseq.data import Dataset, TrainingSample
 from beamseq.nn import CheckpointError, params_items
 from beamseq.seq2seq import (
     EncoderOutput,
@@ -34,6 +34,7 @@ from beamseq.seq2seq import (
 )
 from gradcheck import finite_diff_check
 from oracles import (
+    split_of,
     term_by_term_attention,
     term_by_term_attention_backward,
     term_by_term_lstm_cell,
@@ -60,8 +61,8 @@ def synthetic_dataset(n_train=8, n_val=0, hyper=MICRO, seed=123, label_seed=9):
     """Dataset with hand-assigned samples; trajectory ids are chosen so the
     split hash puts them where requested."""
     rng = np.random.default_rng(label_seed)
-    train_ids = [i for i in range(4000) if split_of_trajectory(seed, i) == "train"]
-    val_ids = [i for i in range(4000) if split_of_trajectory(seed, i) == "val"]
+    train_ids = [i for i in range(4000) if split_of(seed, i) == "train"]
+    val_ids = [i for i in range(4000) if split_of(seed, i) == "val"]
     samples = []
     for idx in range(n_train + n_val):
         traj = train_ids[idx] if idx < n_train else val_ids[idx - n_train]
