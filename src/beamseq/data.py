@@ -43,6 +43,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded here, so a first preprocess_csi call imports nothing)
 
 from ._files import atomic_write, is_int
 from .mobility import (

@@ -1,6 +1,7 @@
 """Minimal neural-network kernel with hand-written backward passes.
 
-Everything operates on float64 numpy arrays with a leading batch dimension.
+Everything operates on numpy arrays with a leading batch dimension, float64
+in every model (the LSTM kernels keep the dtype of their parameters).
 Forward functions return ``(output..., cache)``; the matching backward
 function takes the cache and upstream gradients and returns exact analytic
 gradients for parameters and inputs. The attention's inference pieces,
@@ -37,9 +38,20 @@ over the c row that no later step reads, so the two rebuilt stacks share one
 (S+1, B, H) buffer, which is dropped once the ``wh`` gradient is formed and
 before x is read. An elementwise sweep per layer, and no GEMM, replaces two
 (S+1, B, H) cached stacks per layer. ``lstm_states`` runs the same sweep on
-a cache it leaves intact and returns the layer's h outputs. A greedy decoder
-instead feeds the recurrence rows of an input-product table with one row per
-token.
+a cache it leaves intact and returns the layer's h outputs.
+
+Every path that steps goes through one in-place kernel, ``lstm_step``. It
+adds ``h W_hᵀ`` to the step's input products, turns them into the gate
+activations with one ``np.tanh`` over the whole row, updates c in place and
+writes h into a buffer the caller gives. It allocates nothing but the
+product and checks nothing: ``lstm_recurrence`` loops it over a sequence on
+buffers it allocates once per call and checks its output once, and a greedy
+decoder calls it for both of its layers on buffers allocated once per
+decode, fed from an input-product table with one row per token, and checks
+its h stacks once, after the last step. The c update and the h emit that end
+the step are the two helpers the backward's rebuild runs, so a rebuilt value
+equals the forward's by construction. The LSTM buffers take the dtype of the
+parameters.
 
 Attention uses the general score qᵀ W_score h_t over keys ``W_score h_t``
 and values ``W_c h_t`` (W_c the context half of the combine layer), each one

@@ -39,6 +39,7 @@ __all__ = [
     "embedding_backward",
     "lstm_input_product",
     "lstm_recurrence",
+    "lstm_step",
     "lstm_sequence_forward",
     "lstm_sequence_backward",
     "lstm_states",
@@ -212,19 +213,53 @@ def embedding_backward(cache, grad_y: np.ndarray):
 # LSTM: a time-major sequence kernel; the single-step API is its S=1 slice
 
 
-def _sigmoid_(z: np.ndarray) -> None:
-    # In place, branch-free and overflow-free: tanh saturates where exp would
-    # overflow.
-    np.multiply(z, 0.5, out=z)
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5
-
-
-def _gate_blocks(a: np.ndarray) -> list[np.ndarray]:
+def _gate_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """Views of the i, f, g, o blocks of a (B, 4H) gate array."""
     hid = a.shape[1] // 4
-    return [a[:, k * hid : (k + 1) * hid] for k in range(4)]
+    return a[:, :hid], a[:, hid : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
+
+
+def _cell_c(i, f, g, c_prev: np.ndarray, c: np.ndarray, tc: np.ndarray) -> None:
+    """c = f*c_prev + i*g into ``c`` (which may be ``c_prev``) from the gate
+    activation blocks i, f, g, with ``tc`` (B, H) as the scratch for i*g."""
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=tc)
+    c += tc
+
+
+def _cell_h(o, c: np.ndarray, tc: np.ndarray, h: np.ndarray) -> None:
+    """h = o*tanh(c) into ``h`` (which may be ``c``) from the output gate
+    block o; tanh(c) is left in ``tc`` (B, H)."""
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
+
+
+def lstm_step(wh_t, a, h_prev, c, tc, h_out) -> None:
+    """One LSTM step in place, for the step's input products ``a`` (B, 4H)
+    from ``lstm_input_product``, the previous output ``h_prev`` (B, H) and
+    the recurrent weights ``wh_t`` = ``p.wh.T`` (H, 4H).
+
+    ``a`` gets ``h_prev W_hᵀ`` added and becomes the gate activations
+    [i, f, g, o]: i, f, o = sigmoid(z) = (tanh(z/2) + 1)/2 and g = tanh(z),
+    with one ``np.tanh`` over the whole row (branch-free and overflow-free:
+    tanh saturates where exp would overflow). Then c (B, H) is updated in
+    place, c = f*c + i*g, and h = o*tanh(c) is written into ``h_out`` (B, H);
+    ``tc`` (B, H) is scratch and ends holding tanh(c). Nothing is allocated
+    but the product ``h_prev W_hᵀ``, and nothing is checked: the caller
+    checks shapes once and finiteness once per call.
+    """
+    a += h_prev @ wh_t
+    i, f, g, o = _gate_blocks(a)
+    i_f = a[:, : 2 * c.shape[1]]
+    i_f *= 0.5
+    o *= 0.5
+    np.tanh(a, out=a)
+    i_f += 1.0
+    o += 1.0
+    i_f *= 0.5
+    o *= 0.5
+    _cell_c(i, f, g, c, c, tc)
+    _cell_h(o, c, tc, h_out)
 
 
 def lstm_input_product(p: LSTMParams, x: np.ndarray) -> np.ndarray:
@@ -244,13 +279,15 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
     ``lstm_input_product``, from the state (h0, c0) (B, H).
 
     i, f, o = sigmoid(...), g = tanh(...), c = f*c_prev + i*g, h = o*tanh(c).
-    Each step adds only ``h W_hᵀ`` before the gates and the cell. The gate
-    activations overwrite ``act``; c is carried as one (B, H) array, a copy
-    of c0, and tanh(c) goes through one (B, H) buffer. The cache is
-    (h0, c0, act), h0 and c0 by reference, and holds no h or c stack: the
-    backward pass rebuilds both from the gate activations, in one
-    (S+1, B, H) buffer, so neither the returned h nor c is cached. Returns
-    (h (S, B, H), c_S, cache).
+    Each step is one ``lstm_step``, which adds only ``h W_hᵀ`` before the
+    gates and the cell, and overwrites ``act`` with the gate activations. The
+    buffers are allocated once per call in the parameters' dtype: the h
+    stack, c as one (B, H) array, a copy of c0, and one (B, H) scratch for
+    i*g and tanh(c). The output is checked for non-finite values once, after
+    the last step. The cache is (h0, c0, act), h0 and c0 by reference, and
+    holds no h or c stack: the backward pass rebuilds both from the gate
+    activations, in one (S+1, B, H) buffer, so neither the returned h nor c
+    is cached. Returns (h (S, B, H), c_S, cache).
     """
     hid = p.hidden_size
     if act.ndim != 3 or act.shape[2] != 4 * hid:
@@ -258,21 +295,14 @@ def lstm_recurrence(p: LSTMParams, act: np.ndarray, h0: np.ndarray, c0: np.ndarr
     s, b, _ = act.shape
     if h0.shape != (b, hid) or c0.shape != (b, hid):
         raise ValueError(f"lstm state shapes {h0.shape}, {c0.shape} vs (B, H) = {(b, hid)}")
-    h = np.empty((s, b, hid))
-    c = c0.astype(np.float64)
-    tc = np.empty((b, hid))
+    h = np.empty((s, b, hid), p.wh.dtype)
+    c = c0.astype(p.wh.dtype)
+    tc = np.empty((b, hid), p.wh.dtype)
+    wh_t = p.wh.T
     h_prev = h0
     for t in range(s):
-        a = act[t]
-        a += h_prev @ p.wh.T
-        i, f, g, o = _gate_blocks(a)
-        _sigmoid_(a[:, : 2 * hid])  # i and f together
-        np.tanh(g, out=g)
-        _sigmoid_(o)
-        np.multiply(f, c, out=c)
-        c += i * g
-        np.tanh(c, out=tc)
-        h_prev = np.multiply(o, tc, out=h[t])
+        lstm_step(wh_t, act[t], h_prev, c, tc, h[t])
+        h_prev = h[t]
     if not np.all(np.isfinite(h)):
         raise NumericError("non-finite LSTM activation")
     return h, c, (h0, c0, act)
@@ -295,27 +325,25 @@ def lstm_sequence_forward(p: LSTMParams, x: np.ndarray, h0: np.ndarray, c0: np.n
     return h, c, [p, *cache]
 
 
-def _c_stack(act: np.ndarray, c0: np.ndarray) -> np.ndarray:
+def _c_stack(p: LSTMParams, act: np.ndarray, c0: np.ndarray) -> np.ndarray:
     """c_0 … c_S (S+1, B, H) rebuilt from c0 and the gate activations ``act``
-    (S, B, 4H), with the forward's ufuncs in its order (``f * c_prev``, then
-    ``+= i * g``), so every row equals the forward's c bit for bit."""
-    s, b, four_hid = act.shape
-    ch = np.empty((s + 1, b, four_hid // 4))
+    (S, B, 4H) by the forward's own c update (``_cell_c``), in the
+    parameters' dtype, so every row equals the forward's c bit for bit."""
+    s, b, _ = act.shape
+    ch = np.empty((s + 1, b, p.hidden_size), p.wh.dtype)
     ch[0] = c0
+    tc = np.empty((b, p.hidden_size), p.wh.dtype)
     for t in range(s):
         i, f, g, _ = _gate_blocks(act[t])
-        np.multiply(f, ch[t], out=ch[t + 1])
-        ch[t + 1] += i * g
+        _cell_c(i, f, g, ch[t], ch[t + 1], tc)
     return ch
 
 
-def _h_over_c(act: np.ndarray, ch: np.ndarray, t: int) -> np.ndarray:
+def _h_over_c(act: np.ndarray, ch: np.ndarray, t: int, tc: np.ndarray) -> None:
     """Write step t's output h = o_t * tanh(c_{t+1}) over c_{t+1} in the
-    buffer ``ch`` from ``_c_stack``, as the forward forms it, and return
-    tanh(c_{t+1})."""
-    tc = np.tanh(ch[t + 1])
-    np.multiply(_gate_blocks(act[t])[3], tc, out=ch[t + 1])
-    return tc
+    buffer ``ch`` from ``_c_stack`` by the forward's own h emit
+    (``_cell_h``), leaving tanh(c_{t+1}) in ``tc`` (B, H)."""
+    _cell_h(_gate_blocks(act[t])[3], ch[t + 1], tc, ch[t + 1])
 
 
 def lstm_states(cache) -> np.ndarray:
@@ -324,10 +352,11 @@ def lstm_states(cache) -> np.ndarray:
     ``lstm_sequence_backward`` rebuilds them. It reads the cache and does not
     consume it, so the layer's backward can still run on it; a model uses it
     to rebuild the input of the layer above for that layer's backward."""
-    _, _, c0, act = cache
-    ch = _c_stack(act, c0)
+    p, _, c0, act = cache
+    ch = _c_stack(p, act, c0)
+    tc = np.empty_like(ch[0])
     for t in range(len(act)):
-        _h_over_c(act, ch, t)
+        _h_over_c(act, ch, t, tc)
     return ch[1:]
 
 
@@ -369,12 +398,13 @@ def lstm_sequence_backward(cache, grad_h: np.ndarray, grad_c: np.ndarray, x: np.
     hid = p.hidden_size
     if x.shape != (s, b, p.input_size):
         raise ValueError(f"lstm input {x.shape} is not (S, B, D) = {(s, b, p.input_size)}")
-    ch = _c_stack(act, c0)
+    ch = _c_stack(p, act, c0)
     del c0
-    dh = np.zeros((b, hid))
+    dh = np.zeros((b, hid), p.wh.dtype)
     dc = grad_c
+    tc = np.empty((b, hid), p.wh.dtype)
     for t in reversed(range(s)):
-        tc = _h_over_c(act, ch, t)
+        _h_over_c(act, ch, t, tc)
         dh, dc = _lstm_step_backward(act[t], tc, ch[t], grad_h[t] + dh, dc, p.wh)
     hs = ch[:s]
     hs[:1] = h0  # empty at S = 0

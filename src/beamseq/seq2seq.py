@@ -20,7 +20,11 @@ Greedy decoding still steps, because it feeds back its own argmax, so each
 step reads only the weights that act on the step's state: the attention
 memory (keys and the context half of the combine layer) is projected once
 per encoding, and the first decoder layer reads its input products from a
-table with one row per token, formed once per call from the embedding.
+table with one row per token, formed once per call from the embedding. Both
+decoder layers step through ``nn.lstm_step`` on state buffers allocated once
+per call (an h stack, c and a gate row per layer, and one scratch row), and
+the h stacks are checked for non-finite values once per call, after the
+last step, not twice per step.
 
 A training step holds only what its backward still reads. Every backward
 consumes its layer's cache (see ``nn``), and the step pops the caches in
@@ -172,19 +176,47 @@ class EncoderOutput:
     c2: np.ndarray
 
 
-def init_model(hyper: Seq2SeqHyper, seed: int) -> Seq2SeqModel:
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_INIT]))
+def _build_model(hyper: Seq2SeqHyper, dense, embedding, lstm, attention) -> Seq2SeqModel:
+    """The architecture: each layer made by the constructor of its kind from
+    its sizes, ``dense(in, out)``, ``embedding(vocab, dim)``,
+    ``lstm(in, hidden)`` and ``attention(hidden)``, in layer order."""
     h = hyper.hidden
     return Seq2SeqModel(
         hyper=hyper,
-        enc_in=nn.init_dense(rng, hyper.feature_dim, h),
-        enc_l1=nn.init_lstm(rng, h, h),
-        enc_l2=nn.init_lstm(rng, h, h),
-        emb=nn.init_embedding(rng, hyper.num_beams + 1, hyper.embed_dim),
-        dec_l1=nn.init_lstm(rng, hyper.embed_dim, h),
-        dec_l2=nn.init_lstm(rng, h, h),
-        att=nn.init_attention(rng, h),
-        out=nn.init_dense(rng, h, hyper.num_beams),
+        enc_in=dense(hyper.feature_dim, h),
+        enc_l1=lstm(h, h),
+        enc_l2=lstm(h, h),
+        emb=embedding(hyper.num_beams + 1, hyper.embed_dim),
+        dec_l1=lstm(hyper.embed_dim, h),
+        dec_l2=lstm(h, h),
+        att=attention(h),
+        out=dense(h, hyper.num_beams),
+    )
+
+
+def init_model(hyper: Seq2SeqHyper, seed: int) -> Seq2SeqModel:
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _TAG_INIT]))
+    return _build_model(
+        hyper,
+        dense=lambda d, o: nn.init_dense(rng, d, o),
+        embedding=lambda v, d: nn.init_embedding(rng, v, d),
+        lstm=lambda d, h: nn.init_lstm(rng, d, h),
+        attention=lambda h: nn.init_attention(rng, h),
+    )
+
+
+def _empty_model(hyper: Seq2SeqHyper) -> Seq2SeqModel:
+    """A model of ``init_model``'s shapes whose tensors are uninitialized, for
+    a checkpoint to fill: at paper size it skips ~2.2M uniform draws."""
+    e = np.empty
+    return _build_model(
+        hyper,
+        dense=lambda d, o: DenseParams(weight=e((o, d)), bias=e(o)),
+        embedding=lambda v, d: EmbeddingParams(table=e((v, d))),
+        lstm=lambda d, h: LSTMParams(wx=e((4 * h, d)), wh=e((4 * h, h)), b=e(4 * h)),
+        attention=lambda h: AttentionParams(
+            w_score=e((h, h)), w_combine=e((h, 2 * h)), b_combine=e(h)
+        ),
     )
 
 
@@ -333,21 +365,40 @@ def _decode_greedy_batch(model: Seq2SeqModel, enc: EncoderOutput):
     recurrence is fed rows of its input products for the whole vocabulary,
     formed once per call, and the attention memory is projected once per
     encoding. No dropout runs at inference.
+
+    Both layers step through ``nn.lstm_step`` on buffers allocated once per
+    call: each layer's (K+1, B, H) h stack, whose row 0 is the encoder's
+    final h and whose row k+1 is step k's output, its c, its (B, 4H) gate
+    row, and one (B, H) scratch. The h stacks are checked for non-finite
+    values once, after the last step (``NumericError``).
     """
     hp = model.hyper
-    b = enc.states.shape[0]
-    token_gates = nn.lstm_input_product(model.dec_l1, model.emb.table)
+    b, hid = enc.h1.shape
+    l1, l2 = model.dec_l1, model.dec_l2
+    dtype = l1.wh.dtype
+    token_gates = nn.lstm_input_product(l1, model.emb.table)
     memory = nn.attention_memory_forward(model.att, enc.states)
+    h1 = np.empty((hp.horizon + 1, b, hid), dtype)
+    h2 = np.empty_like(h1)
+    h1[0], h2[0] = enc.h1, enc.h2
+    c1, c2 = enc.c1.astype(dtype), enc.c2.astype(dtype)
+    a1 = np.empty((b, 4 * hid), dtype)
+    a2 = np.empty_like(a1)
+    tc = np.empty((b, hid), dtype)
+    wh1_t, wx2_t, wh2_t = l1.wh.T, l2.wx.T, l2.wh.T
     tokens = np.full(b, hp.start_token)
-    h1, c1, h2, c2 = enc.h1, enc.c1, enc.h2, enc.c2
     labels = np.empty((b, hp.horizon), dtype=np.int64)
     for k in range(hp.horizon):
-        out1, c1, _ = nn.lstm_recurrence(model.dec_l1, token_gates[tokens][None], h1, c1)
-        out2, c2, _ = nn.lstm_sequence_forward(model.dec_l2, out1, h2, c2)
-        h1, h2 = out1[0], out2[0]
-        _, combined = nn.attention_attend_forward(model.att, memory, h2[:, None])
+        np.take(token_gates, tokens, axis=0, out=a1)
+        nn.lstm_step(wh1_t, a1, h1[k], c1, tc, h1[k + 1])
+        np.matmul(h1[k + 1], wx2_t, out=a2)
+        a2 += l2.b
+        nn.lstm_step(wh2_t, a2, h2[k], c2, tc, h2[k + 1])
+        _, combined = nn.attention_attend_forward(model.att, memory, h2[k + 1][:, None])
         logits, _ = nn.dense_forward(model.out, combined[:, 0])
         labels[:, k] = tokens = np.argmax(logits, axis=1)
+    if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(h2))):
+        raise NumericError("non-finite LSTM activation")
     return labels
 
 
@@ -596,15 +647,16 @@ def save_model(path, model: Seq2SeqModel) -> None:
 
 
 def _model_for(meta: dict, tensors: dict[str, np.ndarray], prefixes: tuple[str, ...]):
-    """Fresh model of the file's architecture, after checking that the file
-    holds exactly one tensor per parameter and prefix, each of the right shape."""
+    """An uninitialized model of the file's architecture, for the caller to
+    fill from the file, after checking that the file holds exactly one tensor
+    per parameter and prefix, each of the right shape."""
     try:
         hyper = Seq2SeqHyper(**meta["hyper"])
     except (KeyError, TypeError) as exc:
         raise nn.CheckpointError(f"bad hyperparameter block: {exc!r}") from exc
     except ValueError as exc:
         raise nn.CheckpointError(str(exc)) from exc
-    model = init_model(hyper, seed=0)
+    model = _empty_model(hyper)
     expected = {
         prefix + key: arr.shape
         for prefix in prefixes

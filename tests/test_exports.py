@@ -63,7 +63,7 @@ def test_public_names_are_pinned():
     layers = [
         "NumericError", "DenseParams", "EmbeddingParams", "LSTMParams", "AttentionParams",
         "dense_forward", "dense_backward", "embedding_forward", "embedding_backward",
-        "lstm_input_product", "lstm_recurrence", "lstm_sequence_forward",
+        "lstm_input_product", "lstm_recurrence", "lstm_step", "lstm_sequence_forward",
         "lstm_sequence_backward", "lstm_states", "lstm_cell_forward", "lstm_cell_backward",
         "attention_memory_forward", "attention_attend_forward", "attention_sequence_forward",
         "attention_sequence_backward", "attention_forward", "attention_backward",

@@ -319,6 +319,43 @@ class TestLstmSequence:
         lstm_sequence_backward(cache, np.ones((s, 2, 4)), np.ones((2, 4)), x)
         np.testing.assert_array_equal(c0, kept)
 
+    def test_steps_give_the_sequence_bytes(self):
+        # lstm_step over the input products one step at a time, as a greedy
+        # decoder runs it, on an h stack whose row 0 is h0
+        rng = rng_for(62)
+        p = init_lstm(rng, 3, 4)
+        p.b[...] = rng.normal(size=16)
+        x = rng.normal(size=(4, 2, 3))
+        h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        h, c, cache = lstm_sequence_forward(p, x, h0, c0)
+        act = nn.lstm_input_product(p, x.reshape(8, 3)).reshape(4, 2, 16)
+        hs, cs, tc = np.empty((5, 2, 4)), c0.copy(), np.empty((2, 4))
+        hs[0] = h0
+        for t in range(4):
+            nn.lstm_step(p.wh.T, act[t], hs[t], cs, tc, hs[t + 1])
+            assert tc.tobytes() == np.tanh(cs).tobytes()
+        assert act.tobytes() == cache[3].tobytes()  # the gate activations
+        assert hs[1:].tobytes() == h.tobytes() and cs.tobytes() == c.tobytes()
+
+    def test_float32_parameters_keep_every_buffer_in_float32(self):
+        rng = rng_for(63)
+        f32 = np.float32
+        p = init_lstm(rng, 3, 4)
+        p = nn.LSTMParams(wx=p.wx.astype(f32), wh=p.wh.astype(f32), b=p.b.astype(f32))
+        x = rng.normal(size=(5, 2, 3)).astype(f32)
+        h0, c0 = rng.normal(size=(2, 4)).astype(f32), rng.normal(size=(2, 4)).astype(f32)
+        h, c, cache = lstm_sequence_forward(p, x, h0, c0)
+        arrays = {"h": h, "c": c, "states": nn.lstm_states(cache)}
+        arrays.update({f"cache[{k}]": entry for k, entry in enumerate(cache[1:], 1)})
+        grad_h, grad_c = rng.normal(size=(5, 2, 4)).astype(f32), np.ones((2, 4), f32)
+        grads, dx, dh0, dc0 = lstm_sequence_backward(cache, grad_h, grad_c, x)
+        arrays.update(dx=dx, dh0=dh0, dc0=dc0)
+        arrays.update({f"grad {name}": arr for name, arr in params_items(grads)})
+        a, cs, tc, h1 = rng.normal(size=(2, 16)).astype(f32), c0.copy(), np.empty_like(c0), c0 * 0
+        nn.lstm_step(p.wh.T, a, h0, cs, tc, h1)
+        arrays.update({"step a": a, "step c": cs, "step tc": tc, "step h": h1})
+        assert {name: arr.dtype for name, arr in arrays.items()} == dict.fromkeys(arrays, f32)
+
     def test_non_finite_activation_raises(self):
         p = init_lstm(rng_for(33), 3, 4)
         x = np.zeros((3, 2, 3))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -245,6 +246,18 @@ class TestDecode:
         b = decode_greedy(model, encode(model, feats))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("where", ["enc.c1", "dec_l2.wx", "dec_l2.wh"])
+    def test_non_finite_state_raises_numeric_error(self, where):
+        # finiteness is checked once per call, after the last step
+        model = micro_model(seed=12)
+        enc = encode(model, np.random.default_rng(7).normal(size=(2, 3)))
+        if where == "enc.c1":
+            enc.c1[0, 1] = np.nan
+        else:
+            getattr(model.dec_l2, where[-2:])[2, 3] = np.nan
+        with pytest.raises(nn.NumericError):
+            decode_greedy(model, enc)
+
 
 class TestEndToEndGradients:
     def test_micro_model_bptt_matches_finite_differences(self):
@@ -428,6 +441,55 @@ class TestLayerByLayerMatchesPerStepOracle:
         for i, window in enumerate(feats):
             np.testing.assert_array_equal(decode_greedy(model, encode(model, window)), want[i])
         np.testing.assert_array_equal(_decode_greedy_batch(model, enc), want)
+
+
+PINNED_HYPER = Seq2SeqHyper(
+    feature_dim=10, history=9, horizon=8, num_beams=16, hidden=24, embed_dim=6, dropout=0.25
+)
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    """The float64 bytes of inference and of one training step, for a
+    fixed-seed model on fixed windows. A kernel change that claims to keep
+    every byte must leave these digests as they are."""
+
+    INFER_SHA256 = {
+        1: "4899e3b4a5b630ba1b6a2372b4e1c9ac6a7f82765e87ec4e6e83c6d7389dca37",
+        5: "23d16e1287a3a85c1c4ca1807adf1b098e8f43dc648acf5125ac2eadd2a15695",
+    }
+    STEP_SHA256 = "e60ff97def677b951d1435eacd6857fe17aa8833dacd19f9a973a2098f38a85a"
+
+    @pytest.mark.parametrize("batch", sorted(INFER_SHA256))
+    def test_encode_and_greedy_bytes_are_pinned(self, batch):
+        model = init_model(PINNED_HYPER, seed=31)
+        feats = np.random.default_rng(32).normal(
+            size=(batch, PINNED_HYPER.history, PINNED_HYPER.feature_dim)
+        )
+        if batch == 1:
+            enc = encode(model, feats[0])
+            labels = decode_greedy(model, enc)[None]
+        else:
+            enc, _ = _encode_batch(model, feats)
+            labels = _decode_greedy_batch(model, enc)
+        arrays = (enc.states, enc.h1, enc.c1, enc.h2, enc.c2)
+        assert all(a.dtype == np.float64 for a in arrays) and labels.dtype == np.int64
+        assert _sha256(*arrays, labels) == self.INFER_SHA256[batch]
+
+    def test_training_step_bytes_are_pinned(self):
+        model = init_model(PINNED_HYPER, seed=33)
+        data_rng = np.random.default_rng(34)
+        feats = data_rng.normal(size=(4, PINNED_HYPER.history, PINNED_HYPER.feature_dim))
+        targets = data_rng.integers(0, PINNED_HYPER.num_beams, size=(4, PINNED_HYPER.horizon))
+        loss, _, grads = _batch_forward_backward(model, feats, targets, np.random.default_rng(35))
+        named = model.grads_to_dict(grads)
+        assert _sha256(np.float64(loss), *named.values()) == self.STEP_SHA256
 
 
 class TestTraining:
@@ -868,6 +930,28 @@ class TestCheckpoints:
                 decode_greedy(model, encode(model, feats)),
                 decode_greedy(loaded, encode(loaded, feats)),
             )
+
+    def test_loads_draw_no_weights(self, tmp_path, monkeypatch):
+        # a load fills a model of the file's shapes; it draws no initial weights
+        hyper = dataclasses.replace(MICRO, hidden=6)
+        model, _, state = train(
+            init_model(hyper, seed=2), synthetic_dataset(hyper=hyper),
+            TrainConfig(batch_size=4, max_epochs=1),
+        )
+        save_model(tmp_path / "model.npz", model)
+        save_train_state(tmp_path / "state.npz", model, state)
+        draws = []
+        uniform = nn.layers._uniform
+        monkeypatch.setattr(nn.layers, "_uniform", lambda *args: draws.append(args) or uniform(*args))
+        init_model(hyper, seed=2)
+        assert draws  # the spy sees init_model's draws
+        draws.clear()
+        loaded, _ = load_model(tmp_path / "model.npz")
+        resumed, _, _ = load_train_state(tmp_path / "state.npz")
+        assert draws == []
+        for key, arr in model.named_params().items():
+            assert loaded.named_params()[key].tobytes() == arr.tobytes()
+            assert resumed.named_params()[key].tobytes() == state.live_params[key].tobytes()
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
