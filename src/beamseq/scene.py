@@ -19,6 +19,13 @@ Geometry conventions:
   the direct path always arrives at 0;
 * walls are vertical segments with a height: a ray is blocked only when it
   crosses the segment in plan view below the wall top.
+
+``build_channel_grid`` is the one concurrent function: the grid chunks of one
+BS run on the caller's thread plus up to cpus - 1 pool workers, and every
+table is byte-identical to a one-thread build. The workers call only
+``_trace_points`` and ``synthesize_channels``, never a function that
+``perfbench/tracer.py`` wraps, since the tracer keeps one span stack and is
+not thread-safe.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -361,12 +370,14 @@ def _reflect_point(p: np.ndarray, wall: Wall) -> np.ndarray | None:
 # path tracing
 
 
-def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
+def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray, out=None):
     """Trace all path slots for ``points`` (M, 2).
 
     Returns (gains, aods, aoas, valid), each (M, P) with the fixed slot layout
     [LoS, one per wall, one per scatterer]. Invalid slots carry zero gain and
-    zero angles.
+    zero angles. The tables are ``out`` when given, four arrays of those
+    shapes and dtypes (complex128, float64, float64, bool), such as row
+    ranges of larger tables, zeroed here; otherwise new arrays.
 
     The blockage tests are handed the box of the points, taken once, grown to
     hold each leg's other end, so that ``_blocked`` skips every wall that box
@@ -386,10 +397,13 @@ def _trace_points(scene: Scene, bs: BaseStation, points: np.ndarray):
     h_bs, h_rx = bs.height, scene.rx_height
     points_box = _box(points)
 
-    gains = np.zeros((m, n_slots), dtype=np.complex128)
-    aods = np.zeros((m, n_slots))
-    aoas = np.zeros((m, n_slots))
-    valid = np.zeros((m, n_slots), dtype=bool)
+    if out is None:
+        out = (np.zeros((m, n_slots), dtype=np.complex128), np.zeros((m, n_slots)),
+               np.zeros((m, n_slots)), np.zeros((m, n_slots), dtype=bool))
+    else:
+        for table in out:
+            table.fill(0)
+    gains, aods, aoas, valid = out
 
     # line of sight; rel / d_plan is the unit vector from the BS to each point
     rel = points - bs_pos
@@ -505,32 +519,67 @@ def build_channel_grid(scene: Scene, bs_ids: tuple[str, ...] | None = None) -> C
     """Trace every grid point for every requested BS and cache the synthesized
     snapshots. Outage points keep an all-invalid path row and a zero snapshot.
 
-    The points are traced ``_CHUNK`` at a time (``_trace_points``), and each
-    chunk's channels are synthesized straight into its rows of the snapshot
-    table (``synthesize_channels(..., out=)``, which sweeps them in
-    cache-sized blocks), so no chunk-sized snapshot array is made and copied."""
+    Every requested id is resolved before any is traced: an unknown one
+    raises ``Scene.station``'s ``KeyError`` and a repeated one ``ValueError``.
+
+    The points are traced ``_CHUNK`` at a time straight into their rows of
+    the path tables (``_trace_points(..., out=)``), and each chunk's channels
+    are synthesized straight into its rows of the snapshot table
+    (``synthesize_channels(..., out=)``, which sweeps them in cache-sized
+    blocks), so no chunk-sized table is made and copied.
+
+    The chunks of one BS run concurrently: the caller's thread and up to
+    cpus - 1 pool workers (cpus being the CPUs this process may run on) each
+    take the next chunk from one shared iterator until none is left, so
+    numpy's ufuncs and BLAS, which release the GIL, overlap. The chunk
+    boundaries and the operations on each chunk's rows are those of a
+    one-thread build, so every table is byte-identical to it. A grid of one
+    chunk starts no thread. Workers call only ``_trace_points`` and
+    ``synthesize_channels``, never a function that ``perfbench/tracer.py``
+    wraps: its spans share one stack, which is not thread-safe. A chunk that
+    raises fails the call. Returning or raising, the call ends only once
+    every worker has stopped."""
     if bs_ids is None:
         bs_ids = tuple(sorted(scene.stations))
+    stations = [scene.station(bs_id) for bs_id in bs_ids]
+    if len(set(bs_ids)) < len(bs_ids):
+        raise ValueError(f"repeated base station in {tuple(bs_ids)!r}")
     points = scene.grid.points()
     m = points.shape[0]
     n_slots = 1 + len(scene.walls) + len(scene.scatterers)
+    starts = range(0, m, _CHUNK)
+    workers = min(len(starts), len(os.sched_getaffinity(0))) - 1
+    if workers > 0:
+        # imported only when needed: a process that builds no grid of more
+        # than one chunk does not load its modules (~0.6 MB resident)
+        from concurrent.futures import ThreadPoolExecutor
     grid = ChannelGrid(scene=scene, bs_ids=tuple(bs_ids), **{f: {} for f in _TABLES})
-    for bs_id in grid.bs_ids:
-        bs = scene.station(bs_id)
-        tables = (  # in _TABLES order
-            np.empty((m, n_slots), dtype=np.complex128),
-            np.empty((m, n_slots)),
-            np.empty((m, n_slots)),
-            np.empty((m, n_slots), dtype=bool),
-            np.empty((m, bs.geometry.num_antennas), dtype=np.complex128),
-        )
-        for lo in range(0, m, _CHUNK):
-            rows = _trace_points(scene, bs, points[lo : lo + _CHUNK])
-            for table, block in zip(tables, rows):
-                table[lo : lo + _CHUNK] = block
-            synthesize_channels(rows[0], rows[1], bs.geometry, out=tables[4][lo : lo + _CHUNK])
-        for name, table in zip(_TABLES, tables):
-            getattr(grid, name)[bs_id] = table
+    with (ThreadPoolExecutor(workers) if workers > 0 else nullcontext()) as pool:
+        for bs_id, bs in zip(grid.bs_ids, stations):
+            tables = (  # in _TABLES order
+                np.empty((m, n_slots), dtype=np.complex128),
+                np.empty((m, n_slots)),
+                np.empty((m, n_slots)),
+                np.empty((m, n_slots), dtype=bool),
+                np.empty((m, bs.geometry.num_antennas), dtype=np.complex128),
+            )
+            # ``next`` on a range iterator holds the GIL, so no two threads
+            # take the same chunk
+            chunks = iter(starts)
+
+            def run():
+                for lo in chunks:
+                    rows = [table[lo : lo + _CHUNK] for table in tables]
+                    _trace_points(scene, bs, points[lo : lo + _CHUNK], out=rows[:4])
+                    synthesize_channels(rows[0], rows[1], bs.geometry, out=rows[4])
+
+            # should ``run`` raise here, leaving the pool waits for the workers
+            futures = [pool.submit(run) for _ in range(workers)]
+            run()
+            for future in futures:
+                future.result()
+            for name, table in zip(_TABLES, tables):
+                getattr(grid, name)[bs_id] = table
     return grid
 
 

@@ -9,6 +9,9 @@ kernels' parameter layout and nothing else: no GEMM, cache or helper of
 
 ``unculled_blocked`` solves every segment against every wall, as
 ``scene._blocked`` did before it culled walls by their boxes.
+``chunked_grid_tables`` forms a BS's channel-grid tables one chunk after
+another in the calling thread, as ``scene.build_channel_grid`` did before it
+ran the chunks on several threads.
 ``looped_trajectory`` draws a trajectory as ``mobility.sample_trajectory``
 did before the batched draw: five scalar ``uniform`` calls per attempt and
 the positions of one attempt at a time. ``split_of`` draws one trajectory's
@@ -25,8 +28,8 @@ import numpy as np
 from beamseq.data import _TAG_SPLIT, _TAG_TRAJECTORY, preprocess_csi
 from beamseq.mobility import ACCEL_RANGE, MAX_RETRIES, SLOT_SECONDS, SPEED_RANGE
 from beamseq.nn import AttentionParams, LSTMParams
-from beamseq.phy import best_beams
-from beamseq.scene import _crossing, snap_positions
+from beamseq.phy import best_beams, synthesize_channels
+from beamseq.scene import _crossing, _trace_points, snap_positions
 
 
 def _sigmoid(z):
@@ -181,6 +184,18 @@ def unculled_blocked(p1, h1, p2, h2, walls, skip=-1):
         hit = safe & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
         blocked |= hit & (h1 + t * (np.asarray(h2) - h1) < wall.height)
     return blocked
+
+
+def chunked_grid_tables(scene, bs, chunk):
+    """The path gains, aods, aoas, valid flags and snapshots of ``bs`` at
+    every grid point: ``_trace_points`` and then ``synthesize_channels`` on
+    ``chunk`` points at a time, in order, the chunks' rows stacked."""
+    points = scene.grid.points()
+    parts = []
+    for lo in range(0, len(points), chunk):
+        traced = _trace_points(scene, bs, points[lo : lo + chunk])
+        parts.append((*traced, synthesize_channels(traced[0], traced[1], bs.geometry)))
+    return [np.concatenate(table) for table in zip(*parts)]
 
 
 def looped_trajectory(grid, rng, num_slots, max_retries):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import sys
+import threading
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -28,7 +31,7 @@ from beamseq.scene import (
     generate_scene,
     snap_positions,
 )
-from oracles import looped_trajectory, unculled_blocked
+from oracles import chunked_grid_tables, looped_trajectory, unculled_blocked
 
 
 def coarse_params(**overrides):
@@ -363,6 +366,23 @@ class TestPathTables:
                 assert not table[~valid].view(np.uint8).any()
             assert np.all(gains[valid] != 0)
 
+    @pytest.mark.parametrize("which", ["occluded", "rich"])
+    def test_out_rows_are_zeroed_and_written_as_new_tables(self, which, occluded_scene,
+                                                             rich_scene):
+        scene = occluded_scene if which == "occluded" else rich_scene
+        for bs_id in scene.stations:
+            bs, points = scene.station(bs_id), scene.grid.points()
+            want = _trace_points(scene, bs, points)
+            # row ranges of tables holding every byte 0xff
+            out = [np.full((len(points) + 2, t.shape[1] * t.itemsize), 0xFF, np.uint8)
+                   .view(t.dtype) for t in want]
+            rows = [t[1:-1] for t in out]
+            got = _trace_points(scene, bs, points, out=rows)
+            assert all(g is r for g, r in zip(got, rows))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert all((t[[0, -1]].view(np.uint8) == 0xFF).all() for t in out)
+
     def test_occluded_scene_blocks_part_of_every_slot(self, occluded_scene):
         valid = _trace_points(
             occluded_scene, occluded_scene.station("bs"), occluded_scene.grid.points()
@@ -644,6 +664,130 @@ class TestChannelGrid:
         d_sorted, a_sorted = d3[order], amp[order]
         distinct = np.diff(d_sorted) > 1e-9
         assert np.all(np.diff(a_sorted)[distinct] < 0)
+
+
+# points per chunk in the concurrency tests: the 1200-point coarse grid makes
+# 13 chunks, the last of 36 points
+SMALL_CHUNK = 97
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``set(n)``: from now on the process may run on n CPUs, as far as
+    ``build_channel_grid`` can tell."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The number of ``threading.Thread.start`` calls so far, as a list
+    holding one int."""
+    count = [0]
+    start = threading.Thread.start
+
+    def counted(self):
+        count[0] += 1
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return count
+
+
+@pytest.fixture
+def traced_chunks(monkeypatch):
+    """(first point, points) of every ``_trace_points`` call
+    ``build_channel_grid`` makes, in the order the calls begin."""
+    calls = []
+
+    def spy(scene, bs, points, **kwargs):
+        calls.append((tuple(points[0]), len(points)))
+        return _trace_points(scene, bs, points, **kwargs)
+
+    monkeypatch.setattr(scene_module, "_trace_points", spy)
+    return calls
+
+
+def _chunk_heads(scene, chunk):
+    points = scene.grid.points()
+    return sorted((tuple(points[lo]), len(points[lo : lo + chunk]))
+                  for lo in range(0, len(points), chunk))
+
+
+def _assert_one_thread_tables(grid, scene, bs_id, chunk):
+    want = chunked_grid_tables(scene, scene.station(bs_id), chunk)
+    for name, table in zip(scene_module._TABLES, want):
+        got = getattr(grid, name)[bs_id]
+        assert got.dtype == table.dtype and got.shape == table.shape, name
+        assert got.tobytes() == table.tobytes(), name
+
+
+class TestConcurrentChunks:
+    @pytest.mark.parametrize("chunk", [SMALL_CHUNK, 7])
+    @pytest.mark.parametrize("bs_id", ["rsu0", "mbs"])
+    def test_chunks_give_the_one_thread_tables(self, rich_scene, bs_id, chunk, monkeypatch, cpus,
+                                               thread_starts, traced_chunks):
+        # more threads than this host has cores, switching as often as the
+        # interpreter allows, so that a chunk handed out twice or never shows
+        monkeypatch.setattr(scene_module, "_CHUNK", chunk)
+        cpus(4)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grid = build_channel_grid(rich_scene, bs_ids=(bs_id,))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert thread_starts[0] >= 1
+        assert rich_scene.grid.num_points >= 8 * chunk
+        # every chunk traced once, each on its own rows
+        assert sorted(traced_chunks) == _chunk_heads(rich_scene, chunk)
+        _assert_one_thread_tables(grid, rich_scene, bs_id, chunk)
+
+    @pytest.mark.parametrize("failing", [0, 6, 12])
+    def test_failing_chunk_raises_and_leaves_no_thread(self, rich_scene, failing, monkeypatch,
+                                                       cpus, thread_starts):
+        monkeypatch.setattr(scene_module, "_CHUNK", SMALL_CHUNK)
+        cpus(4)
+        head = rich_scene.grid.points()[failing * SMALL_CHUNK]
+
+        def trace(scene, bs, points, **kwargs):
+            if np.array_equal(points[0], head):
+                raise ValueError("chunk fails")
+            return _trace_points(scene, bs, points, **kwargs)
+
+        monkeypatch.setattr(scene_module, "_trace_points", trace)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk fails"):
+            build_channel_grid(rich_scene, bs_ids=("rsu1", "mbs"))
+        assert thread_starts[0] >= 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("case", ["one chunk", "one cpu"])
+    def test_no_thread_starts(self, rich_scene, case, monkeypatch, cpus, thread_starts):
+        chunk = scene_module._CHUNK
+        if case == "one chunk":
+            assert rich_scene.grid.num_points <= chunk
+            cpus(4)
+        else:
+            chunk = SMALL_CHUNK
+            monkeypatch.setattr(scene_module, "_CHUNK", chunk)
+            cpus(1)
+        grid = build_channel_grid(rich_scene, bs_ids=("rsu0", "mbs"))
+        assert thread_starts[0] == 0
+        for bs_id in ("rsu0", "mbs"):
+            _assert_one_thread_tables(grid, rich_scene, bs_id, chunk)
+
+    def test_unknown_station_raises_before_any_trace(self, rich_scene, traced_chunks):
+        with pytest.raises(KeyError, match="unknown base station 'bs9'"):
+            build_channel_grid(rich_scene, bs_ids=("rsu0", "bs9"))
+        assert traced_chunks == []
+
+    @pytest.mark.parametrize("bs_ids", [("rsu0", "rsu0"), ("mbs", "rsu0", "mbs")])
+    def test_repeated_station_rejected(self, rich_scene, bs_ids, traced_chunks):
+        with pytest.raises(ValueError, match="repeated base station"):
+            build_channel_grid(rich_scene, bs_ids=bs_ids)
+        assert traced_chunks == []
 
 
 @st.composite
